@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import bridge as bridge_mod
 from .diagnostics import BoundReport
 from .kernels import gram, parse_kernel_spec
-from .measures import InstanceError, Instance, instance_to_doc, load_instance
+from .measures import InstanceError, Instance, load_instance
 from .mirrorflow import flow_run
 from .semidual import marginal_y
 from .solvers import (
@@ -49,9 +50,18 @@ METHODS = ("sinkhorn", "eta_sinkhorn", "sga", "ksga", "chi2", "sign_sga", "proj_
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _json_text(doc) -> str:
@@ -59,8 +69,15 @@ def _json_text(doc) -> str:
 
 
 def _digest(inst: Instance) -> str:
-    canonical = json.dumps(instance_to_doc(inst), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """SHA-256 over a version tag, then the shape and C-order little-endian
+    float64 bytes of each array, then ``repr(epsilon)``."""
+    h = hashlib.sha256(b"otmatch-instance-digest-v2\0")
+    for arr in (inst.mu.points, inst.mu.weights, inst.nu.points, inst.nu.weights, inst.cost):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        h.update(repr(arr.shape).encode())
+        h.update(arr)
+    h.update(repr(inst.epsilon).encode())
+    return h.hexdigest()
 
 
 def _build_config(args, inst: Instance) -> SolverConfig:

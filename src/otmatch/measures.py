@@ -217,14 +217,19 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
     drift = abs(w.sum() - 1.0)
     if drift > LOAD_RENORMALIZE_TOL:
         raise InstanceError(f"{weights_key}: weights sum to {w.sum()!r}; off by more than {LOAD_RENORMALIZE_TOL}")
-    return DiscreteMeasure(points=pts, weights=w / w.sum())
+    # weights a measure accepts as they are stay bit-exact, so that a saved
+    # instance loads back to the same arrays (and the same digest)
+    if drift > WEIGHT_SUM_TOL:
+        w = w / w.sum()
+    return DiscreteMeasure(points=pts, weights=w)
 
 
 def load_instance(path) -> Instance:
     """Read and validate an instance file (see ``save_instance``).
 
-    Weight sums within 1e-9 of one are renormalized silently; larger
-    deviations, nonpositive epsilon, or malformed fields are rejected.
+    Weights summing to one within 1e-12 are kept as written, those within
+    1e-9 are renormalized silently; larger deviations, nonpositive epsilon,
+    or malformed fields are rejected.
     """
     try:
         doc = json.loads(Path(path).read_text())

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import kl_couplings
 from .measures import Instance
-from .semidual import coupling, plus_transform
+from .semidual import _row_pass, coupling
 from .solvers import oracle_solve
 
 __all__ = [
@@ -60,14 +60,9 @@ class FlowState:
 
 def _rho_masses(g: np.ndarray, inst: Instance) -> np.ndarray:
     """Masses of the coupling induced by g (mirror image of 0 (+) g)."""
-    g_plus = plus_transform(g, inst)
-    return np.exp(
-        inst.log_a[:, None]
-        + inst.log_b[None, :]
-        + g[None, :]
-        - g_plus[:, None]
-        - inst.cost_over_eps
-    )
+    e, s, _ = _row_pass(g, inst)
+    e *= (inst.a / s)[:, None]
+    return e
 
 
 def flow_init(phi0: np.ndarray, inst: Instance, t0: float) -> FlowState:

@@ -67,7 +67,7 @@ def project_y(pi: Coupling, inst: Instance, link: Link) -> Coupling:
     """
     lm = _log_masses(pi)
     log_p = logsumexp(lm, axis=0)
-    log_w = log_link(link, inst.b, inst.b) - log_link(link, np.exp(log_p), inst.b)
+    log_w = log_link(link, inst.log_b, inst.log_b) - log_link(link, log_p, inst.log_b)
     shifted = lm + log_w[None, :]
     z = logsumexp(shifted.reshape(-1))
     return Coupling(log_masses=shifted - z)
@@ -94,8 +94,8 @@ def project_x(pi_half: Coupling, pi: Coupling, inst: Instance, eta: float) -> Co
 def v_link(pi: Coupling, inst: Instance, link: Link) -> np.ndarray:
     """First-order correction field: every row is log T(p) - log T(b)."""
     lm = _log_masses(pi)
-    p = np.exp(logsumexp(lm, axis=0))
-    row = log_link(link, p, inst.b) - log_link(link, inst.b, inst.b)
+    log_p = logsumexp(lm, axis=0)
+    row = log_link(link, log_p, inst.log_b) - log_link(link, inst.log_b, inst.log_b)
     return np.tile(row, (inst.n, 1))
 
 

@@ -7,6 +7,16 @@ module provides that transform and its reverse, the objective ``J``, its
 first variation (a signed mass vector), and the coupling induced by a
 potential.  All reductions run in stabilized log domain with a fixed
 summation order, so traces are reproducible bit-for-bit.
+
+Every solver iteration needs the transform ``phi_plus`` and the induced
+Y-marginal ``p``; :func:`induced_marginal` produces both from one
+exponential pass over ``w = log b + phi - C/eps``.  Each row is shifted by
+its maximum and exponentiated once, giving ``E`` and row sums ``s``; then
+``phi_plus = log s + rowmax`` and ``p = (a / s) @ E``.  A column whose
+``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow, so its
+``log p_j`` is recomputed exactly by the column logsumexp that
+:func:`log_marginal_y` evaluates; that function remains the two-pass
+reference.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ __all__ = [
     "minus_transform",
     "semidual_value",
     "log_marginal_y",
+    "induced_marginal",
     "marginal_y",
     "first_variation",
     "coupling",
@@ -32,6 +43,15 @@ __all__ = [
 ]
 
 COUPLING_MASS_TOL = 1e-12
+
+# Fused-pass masses below this floor fall back to the exact column logsumexp.
+# Each term (a_i / s_i) E_ij of p_j lies in [0, 1]; where E_ij or the product
+# underflows (or is flushed to zero) the term loses less than the smallest
+# normal double 2^-1022, about 2.2e-308.  A column of n terms therefore carries
+# an absolute underflow error below n * 2.2e-308, which relative to a mass of
+# at least 1e-280 is below n * 2.2e-28: under double precision's 1.1e-16 for
+# any n up to 5e11.
+P_FLOOR = 1e-280
 
 
 def _check_finite(v: np.ndarray, name: str) -> np.ndarray:
@@ -127,8 +147,47 @@ def log_marginal_y(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None 
     phi = _check_finite(phi, "phi")
     if phi_plus is None:
         phi_plus = plus_transform(phi, inst)
-    col = logsumexp(inst.log_a[:, None] - phi_plus[:, None] - inst.cost_over_eps, axis=0)
-    return inst.log_b + phi + col
+    return _log_marginal_cols(phi, phi_plus, inst, slice(None))
+
+
+def _log_marginal_cols(phi, phi_plus, inst, cols):
+    col = logsumexp(inst.log_a[:, None] - phi_plus[:, None] - inst.cost_over_eps[:, cols], axis=0)
+    return inst.log_b[cols] + phi[cols] + col
+
+
+def _row_pass(phi: np.ndarray, inst: Instance):
+    """Row-shifted Gibbs matrix ``E``, its row sums and row maxima.
+
+    ``E_ij = exp(w_ij - max_j w_ij)`` with ``w = log b + phi - C/eps``, so
+    every row holds a 1 and ``s_i >= 1``; the coupling induced by phi is
+    ``E * (a / s)[:, None]``.  One n x m array is allocated and overwritten
+    in place.
+    """
+    e = (inst.log_b + phi) - inst.cost_over_eps
+    rowmax = e.max(axis=1, keepdims=True)
+    e -= rowmax
+    np.exp(e, out=e)
+    return e, e.sum(axis=1), rowmax[:, 0]
+
+
+def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi_plus, log p)`` of the coupling induced by phi, from one exp pass.
+
+    ``phi_plus`` equals :func:`plus_transform` bit for bit (same shifted
+    terms, same row reduction).  ``log p`` agrees with
+    :func:`log_marginal_y` to rounding, and exactly on columns whose mass
+    falls below ``P_FLOOR``, which are recomputed by that column logsumexp.
+    """
+    phi = _check_finite(phi, "phi")
+    e, s, rowmax = _row_pass(phi, inst)
+    phi_plus = np.log(s) + rowmax
+    p = (inst.a / s) @ e
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    low = np.flatnonzero(p < P_FLOOR)
+    if low.size:
+        log_p[low] = _log_marginal_cols(phi, phi_plus, inst, low)
+    return phi_plus, log_p
 
 
 def marginal_y(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None = None) -> np.ndarray:

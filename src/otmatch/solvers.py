@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import Gram
 from .logops import logsumexp
 from .measures import Instance
-from .semidual import log_marginal_y, plus_transform
+from .semidual import induced_marginal
 
 __all__ = [
     "Link",
@@ -105,37 +105,37 @@ class Link:
         return cls(kind="chi_square")
 
 
-def log_link(link: Link, xi: np.ndarray, nu_weights: np.ndarray) -> np.ndarray:
-    """Log of the link operator applied to a mass vector.
+def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
+    """Log of the link operator applied to a mass vector given by its logs.
 
-    Identity and chi-square need ``xi`` strictly positive wherever the
-    target weights are positive; marginals of induced couplings always are.
+    ``log_nu`` holds the target's log weights, by which the chi-square link
+    rescales.  Identity and chi-square need ``log_xi`` finite (a strictly
+    positive mass); log marginals of induced couplings always are, even
+    where the mass itself underflows to 0.
     """
-    xi = np.asarray(xi, dtype=np.float64)
+    log_xi = np.asarray(log_xi, dtype=np.float64)
+    if link.kind in ("identity", "chi_square") and np.any(log_xi == -np.inf):
+        raise ValueError(f"{link.kind.replace('_', '-')} link needs a strictly positive mass vector")
     if link.kind == "identity":
-        if np.any(xi <= 0.0):
-            raise ValueError("identity link needs a strictly positive mass vector")
-        return np.log(xi)
+        return log_xi.copy()
     if link.kind == "exp":
-        return xi.copy()
+        return np.exp(log_xi)
     if link.kind == "exp_kernel":
-        return link.gram.matrix @ xi
+        return link.gram.matrix @ np.exp(log_xi)
     # chi_square
-    if np.any(xi <= 0.0):
-        raise ValueError("chi-square link needs a strictly positive mass vector")
-    return xi / nu_weights - 1.0
+    return np.exp(log_xi - log_nu) - 1.0
 
 
 def match_step(phi: np.ndarray, inst: Instance, link: Link, eta: float) -> np.ndarray:
     """One marginal-matching update with step size ``eta`` in (0, 1]."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"matching step size must lie in (0, 1], got {eta}")
-    p = np.exp(log_marginal_y(phi, inst))
-    return _match_update(phi, p, inst, link, eta)
+    _, log_p = induced_marginal(phi, inst)
+    return _match_update(phi, log_p, inst, link, eta)
 
 
-def _match_update(phi, p, inst, link, eta):
-    return phi - eta * (log_link(link, p, inst.b) - log_link(link, inst.b, inst.b))
+def _match_update(phi, log_p, inst, link, eta):
+    return phi - eta * (log_link(link, log_p, inst.log_b) - log_link(link, inst.log_b, inst.log_b))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def sign_sga_step(phi: np.ndarray, inst: Instance, eta: float, anchor: int) -> n
         raise ValueError(f"sign step size must lie in (0, 2), got {eta}")
     if not 0 <= anchor < inst.m:
         raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
-    delta = inst.b - np.exp(log_marginal_y(phi, inst))
+    delta = inst.b - np.exp(induced_marginal(phi, inst)[1])
     return _sign_update(phi, delta, eta, anchor)
 
 
@@ -210,7 +210,7 @@ def proj_sga_step(phi: np.ndarray, inst: Instance, B: float, eta: float) -> np.n
         raise ValueError(f"projected step size must be positive, got {eta}")
     if np.any(np.abs(phi) > B):
         raise ValueError("phi must start inside the box [-B, B]")
-    p = np.exp(log_marginal_y(phi, inst))
+    p = np.exp(induced_marginal(phi, inst)[1])
     return _proj_update(phi, p, inst, B, eta)
 
 
@@ -399,8 +399,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     it = 0
 
     while True:
-        phi_plus = plus_transform(phi, inst)
-        lp = log_marginal_y(phi, inst, phi_plus)
+        phi_plus, lp = induced_marginal(phi, inst)
         p = np.exp(lp)
         resid = float(np.abs(inst.b - p).sum())
         j_val = float(inst.b @ phi - inst.a @ phi_plus)
@@ -426,13 +425,13 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             break
 
         if cfg.method == "match":
-            phi = _match_update(phi, p, inst, cfg.link, eta)
+            phi = _match_update(phi, lp, inst, cfg.link, eta)
         elif cfg.method == "sign_sga":
             phi = _sign_update(phi, inst.b - p, eta, anchor)
         elif cfg.method == "proj_sga":
             phi = _proj_update(phi, p, inst, B, eta)
         else:  # proj_sga_pp: gradient at the extrapolated point, trace the projected one
-            p_inner = np.exp(log_marginal_y(inner, inst))
+            p_inner = np.exp(induced_marginal(inner, inst)[1])
             bar = _proj_update(inner, p_inner, inst, B, eta)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
@@ -474,8 +473,7 @@ def oracle_solve(
     phi = np.zeros(inst.m)
     target = tol
     for _ in range(max_iter):
-        phi_plus = plus_transform(phi, inst)
-        lp = log_marginal_y(phi, inst, phi_plus)
+        phi_plus, lp = induced_marginal(phi, inst)
         resid = float(np.abs(inst.b - np.exp(lp)).sum())
         if resid <= target:
             gap = _duality_gap(phi, phi_plus, inst)

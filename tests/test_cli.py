@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from otmatch.cli import main
-from otmatch.measures import save_instance
+from otmatch.cli import METHODS, _atomic_write, _digest, main
+from otmatch.measures import DiscreteMeasure, Instance, load_instance, save_instance
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -124,6 +125,84 @@ class TestSolve:
         doc = json.loads((tmp_path / "s.json").read_text())
         assert doc["converged"] is True
         assert float(doc["final_l1_residual"]) <= 1e-3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_underflowing_marginal_is_not_an_input_error(self, tmp_path, method):
+        # p at y = 5 is exp(-1200.69), 0 in float64, while log p is finite
+        inst = tmp_path / "underflow.json"
+        inst.write_text(json.dumps({
+            "x_points": [[0.0], [0.1]], "x_weights": [0.5, 0.5],
+            "y_points": [[0.0], [5.0]], "y_weights": [0.5, 0.5],
+            "cost": "half_sqeuclidean", "epsilon": 0.01,
+        }))
+        summary = tmp_path / "s.json"
+        code = main([
+            "solve", "--instance", str(inst), "--method", method, "--kernel", "gaussian:1",
+            "--max-iter", "200", "--summary", str(summary),
+        ])
+        assert code in (0, 2)
+        assert np.isfinite(float(json.loads(summary.read_text())["final_J"]))
+
+
+class TestDigest:
+    def _instance(self, x=(0.0, 1.0), a=(0.25, 0.75), y=(0.0, 2.0, 3.0), b=(0.2, 0.3, 0.5),
+                  cost=((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)), epsilon=0.5):
+        return Instance(
+            mu=DiscreteMeasure(points=np.array(x), weights=np.array(a)),
+            nu=DiscreteMeasure(points=np.array(y), weights=np.array(b)),
+            cost=np.array(cost),
+            epsilon=epsilon,
+        )
+
+    def test_stable_across_loads_and_round_trip(self, instance_file, tmp_path):
+        first = load_instance(instance_file)
+        assert _digest(load_instance(instance_file)) == _digest(first)
+        # weights summing to 1 - 1.1e-16 must survive the round trip unchanged
+        for inst in (first, self._instance(b=(0.7, 0.2, 0.1))):
+            again = tmp_path / "again.json"
+            save_instance(inst, again)
+            assert _digest(load_instance(again)) == _digest(inst)
+
+    def test_changes_with_every_field(self):
+        base = _digest(self._instance())
+        changed = [
+            self._instance(cost=((0.0, 1.0, 2.0), (3.0, 4.0, 5.5))),
+            self._instance(a=(0.5, 0.5)),
+            self._instance(b=(0.3, 0.2, 0.5)),
+            self._instance(x=(0.0, 1.5)),
+            self._instance(y=(0.0, 2.0, 3.5)),
+            self._instance(epsilon=0.25),
+        ]
+        digests = [_digest(inst) for inst in changed]
+        assert base not in digests
+        assert len(set(digests)) == len(digests)
+
+    def test_shape_is_part_of_the_digest(self):
+        # only the cost's shape differs; the bytes of every array are equal
+        inst = self._instance()
+        wide = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(2, 3), epsilon=0.5)
+        tall = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(3, 2), epsilon=0.5)
+        assert _digest(wide) != _digest(tall)
+
+
+class TestAtomicWrite:
+    def test_writes_beside_a_directory_named_like_the_old_temp_file(self, tmp_path):
+        (tmp_path / "out.json.tmp").mkdir()
+        _atomic_write(tmp_path / "out.json", "payload\n")
+        assert (tmp_path / "out.json").read_text() == "payload\n"
+
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("x")
+        _atomic_write(tmp_path / "atomic.txt", "x")
+        assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            _atomic_write(target, "payload")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
 
 
 class TestOracle:

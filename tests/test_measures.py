@@ -160,6 +160,19 @@ class TestInstanceFiles:
         np.testing.assert_array_equal(back.cost, inst.cost)
         assert back.epsilon == inst.epsilon
 
+    def test_roundtrip_keeps_accepted_weights_bit_exact(self, tmp_path):
+        # these weights sum to 1 - 1.1e-16; dividing by that sum would move
+        # them, so a reloaded instance would differ from the saved one
+        mu = DiscreteMeasure(points=np.arange(3.0), weights=np.array([0.7, 0.2, 0.1]))
+        nu = DiscreteMeasure(points=np.arange(4.0), weights=np.array([0.3, 0.3, 0.3, 0.1]))
+        assert mu.weights.sum() != 1.0
+        inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.5)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        back = load_instance(path)
+        np.testing.assert_array_equal(back.mu.weights, inst.mu.weights)
+        np.testing.assert_array_equal(back.nu.weights, inst.nu.weights)
+
     def test_minimal_single_atom_file(self, tmp_path):
         doc = {
             "x_points": [[0.0]],

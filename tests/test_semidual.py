@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmatch.logops import logsumexp
+from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.semidual import (
+    P_FLOOR,
     Coupling,
     coupling,
     first_variation,
+    induced_marginal,
+    log_marginal_y,
     log_reference,
     marginal_y,
     minus_transform,
@@ -107,6 +111,56 @@ class TestSemidualValue:
         )
         dual = float(inst.b @ phi - inst.a @ psi - logsumexp(log_mass.reshape(-1)))
         assert semidual_value(phi, inst) == pytest.approx(dual, abs=1e-10)
+
+
+def skewed_instance(rng, n: int, m: int, max_cost_over_eps: float) -> Instance:
+    """Dirichlet(0.05) weights floored at 1e-100 and a given max C/eps."""
+
+    def measure(k):
+        w = np.maximum(rng.dirichlet(np.full(k, 0.05)), 1e-100)
+        return DiscreteMeasure(points=rng.uniform(size=(k, 2)), weights=w / w.sum())
+
+    mu, nu = measure(n), measure(m)
+    cost = cost_matrix(mu, nu, "half_sqeuclidean")
+    return Instance(mu=mu, nu=nu, cost=cost, epsilon=max(cost.max(), 1e-12) / max_cost_over_eps)
+
+
+def underflow_instance() -> Instance:
+    """2+2 atoms whose Y-marginal mass at y = 5 is exp(-1200.69): 0 in float64."""
+    mu = DiscreteMeasure(points=np.array([[0.0], [0.1]]), weights=np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(points=np.array([[0.0], [5.0]]), weights=np.array([0.5, 0.5]))
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
+
+
+class TestInducedMarginal:
+    @given(seed=st.integers(0, 2**32 - 1), zero_phi=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_pass_reference(self, seed, zero_phi):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 40, size=2)
+        inst = skewed_instance(rng, int(n), int(m), 1e3)
+        phi = np.zeros(inst.m) if zero_phi else rng.normal(0, 3, inst.m)
+        phi_plus, log_p = induced_marginal(phi, inst)
+        np.testing.assert_array_equal(phi_plus, plus_transform(phi, inst))
+        ref = log_marginal_y(phi, inst)
+        # the reference adds log b_j + phi_j to a column term as large as
+        # |log p_j| + |log b_j + phi_j|, so it is exact only to a few ulps of
+        # that sum (one ulp is 1.1e-13 once it passes 512)
+        scale = 1.0 + np.abs(inst.log_b + phi) + np.abs(ref)
+        assert np.all(np.abs(log_p - ref) <= 1e-13 * scale)
+
+    def test_underflowed_column_falls_back_to_exact_logsumexp(self):
+        inst = underflow_instance()
+        phi = np.zeros(inst.m)
+        assert np.exp(log_marginal_y(phi, inst))[1] < P_FLOOR
+        phi_plus, log_p = induced_marginal(phi, inst)
+        assert log_p[1] == pytest.approx(-1200.693, abs=1e-3)
+        assert log_p[1] == log_marginal_y(phi, inst)[1]
+        np.testing.assert_array_equal(phi_plus, plus_transform(phi, inst))
+
+    def test_rejects_non_finite_potential(self, small_instance):
+        with pytest.raises(ValueError):
+            induced_marginal(np.full(small_instance.m, np.nan), small_instance)
 
 
 class TestMarginalAndVariation:

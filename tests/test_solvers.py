@@ -24,25 +24,29 @@ from conftest import single_cell_instance, zero_cost_instance
 
 
 class TestLogLink:
+    # links take log masses: the target b enters as log b
     def test_exp_on_target_returns_target(self, small_instance):
-        b = small_instance.b
-        np.testing.assert_array_equal(log_link(Link.exp(), b, b), b)
+        lb = small_instance.log_b
+        np.testing.assert_array_equal(log_link(Link.exp(), lb, lb), np.exp(lb))
+        np.testing.assert_allclose(log_link(Link.exp(), lb, lb), small_instance.b, rtol=1e-15)
 
     def test_identity_on_target_is_log(self, small_instance):
-        b = small_instance.b
-        np.testing.assert_array_equal(log_link(Link.identity(), b, b), np.log(b))
+        lb = small_instance.log_b
+        np.testing.assert_array_equal(log_link(Link.identity(), lb, lb), np.log(small_instance.b))
 
     def test_chi_square_on_target_is_zero(self, small_instance):
-        b = small_instance.b
-        np.testing.assert_allclose(log_link(Link.chi_square(), b, b), 0.0, atol=1e-16)
+        lb = small_instance.log_b
+        np.testing.assert_allclose(log_link(Link.chi_square(), lb, lb), 0.0, atol=1e-16)
 
     def test_kernel_link_applies_gram(self):
         g = gram(KernelSpec("gaussian", 0.5), np.arange(3.0))
         xi = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(log_link(Link.exp_kernel(g), xi, xi), g.matrix @ xi, rtol=1e-15)
+        lx = np.log(xi)
+        np.testing.assert_allclose(log_link(Link.exp_kernel(g), lx, lx), g.matrix @ xi, rtol=1e-15)
 
     def test_positivity_requirements(self):
-        bad = np.array([0.5, 0.0, 0.5])
+        with np.errstate(divide="ignore"):
+            bad = np.log(np.array([0.5, 0.0, 0.5]))
         with pytest.raises(ValueError):
             log_link(Link.identity(), bad, bad)
         with pytest.raises(ValueError):

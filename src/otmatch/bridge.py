@@ -27,7 +27,6 @@ import numpy as np
 
 from .logops import logsumexp
 from .measures import DiscreteMeasure, Instance, cost_matrix, make_grid_measure
-from .semidual import marginal_y
 
 __all__ = [
     "SpaceTimeGrid",
@@ -317,8 +316,3 @@ def bridge_grid_for(inst: Instance, n_t: int = 101) -> SpaceTimeGrid:
     xs = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
     spacing = float(np.diff(np.unique(inst.nu.points[:, 0])).min())
     return SpaceTimeGrid.covering(float(xs.min()), float(xs.max()), spacing, inst.epsilon, n_t)
-
-
-def static_terminal_law(phi: np.ndarray, inst: Instance) -> np.ndarray:
-    """Target of the simulation: Y-marginal of the induced static coupling."""
-    return marginal_y(phi, inst)

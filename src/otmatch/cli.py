@@ -5,11 +5,12 @@ summary), ``oracle`` (high-precision potential), ``verify`` (seeded
 property suite, machine-readable report), ``bridge`` and ``flow`` (demo
 runs emitting their trace formats), ``validate`` (instance file check).
 
-Exit codes: 0 success/convergence, 2 iteration budget exhausted without
-convergence, 1 input or usage error.  Output files are written atomically
-(temp file + rename), and all randomness sits behind ``--seed``.  Wall
-times are measured but only written when ``--timings`` is passed, so a
-fixed invocation produces byte-identical files.
+Exit codes: 0 success/convergence, 2 no convergence (iteration budget
+exhausted, a step size that underflows to zero, a diverging ascent or a
+failed reference solve), 1 input or usage error.  Output files are written
+atomically (temp file + rename), and all randomness sits behind
+``--seed``.  Wall times are measured but only written when ``--timings``
+is passed, so a fixed invocation produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     result = run(inst, cfg)
     wall = time.perf_counter() - start
+    if result.eta == 0.0:
+        sys.stderr.write(
+            f"error: {args.method}: the auto step exp(-log λ) underflows to 0.0 "
+            "(log λ above about 745); no update was made\n"
+        )
     doc = _summary_doc(
         inst, result, repr(wall) if args.timings else None, extra={"method": args.method},
     )
@@ -330,7 +336,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, bridge_mod.GridError, OracleError, DivergenceError, ValueError) as exc:
+    except (OracleError, DivergenceError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NO_CONVERGENCE
+    except (InstanceError, bridge_mod.GridError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -119,18 +119,26 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind) -> np.ndarray:
     passed through.
 
     The difference-based evaluation keeps C(mu, nu) == C(nu, mu)^T exact
-    and guarantees nonnegative entries for the built-in kinds.
+    and guarantees nonnegative entries for the built-in kinds.  Squared
+    differences are accumulated one dimension at a time in place, so no
+    (n, m, d) temporary is built.
     """
     if isinstance(kind, str):
         if mu.dim != nu.dim:
             raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
-        diff = mu.points[:, None, :] - nu.points[None, :, :]
-        sq = np.sum(diff * diff, axis=2)
+        if kind not in ("half_sqeuclidean", "euclidean"):
+            raise InstanceError(f"unknown cost kind {kind!r}")
+        sq = np.zeros((mu.n_atoms, nu.n_atoms))
+        t = np.empty_like(sq)
+        for k in range(mu.dim):
+            np.subtract.outer(mu.points[:, k], nu.points[:, k], out=t)
+            t *= t
+            sq += t
         if kind == "half_sqeuclidean":
-            return 0.5 * sq
-        if kind == "euclidean":
-            return np.sqrt(sq)
-        raise InstanceError(f"unknown cost kind {kind!r}")
+            sq *= 0.5
+        else:
+            np.sqrt(sq, out=sq)
+        return sq
     c = np.asarray(kind, dtype=np.float64)
     if c.shape != (mu.n_atoms, nu.n_atoms):
         raise InstanceError(f"explicit cost has shape {c.shape}, expected {(mu.n_atoms, nu.n_atoms)}")

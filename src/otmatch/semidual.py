@@ -17,6 +17,18 @@ its maximum and exponentiated once, giving ``E`` and row sums ``s``; then
 ``log p_j`` is recomputed exactly by the column logsumexp that
 :func:`log_marginal_y` evaluates; that function remains the two-pass
 reference.
+
+A solver run evaluates many nearby potentials, so it builds one
+:class:`InducedCache`, which keeps the ``E`` and row maxima of its last
+such pass (its absorption point ``phi_ref``).  While
+``max|phi - phi_ref| <= ABSORB_AT``, the row-shifted Gibbs matrix at phi is
+``E * v`` with ``v = exp(phi - phi_ref)``, so two matrix-vector products
+give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
+``p = v * ((a / t) @ E)``.  Columns below ``CACHED_P_FLOOR`` take the exact
+column logsumexp.  A potential farther out is absorbed: the old ``E`` is
+dropped and the exponential pass of :func:`induced_marginal` runs at phi,
+which becomes the new reference.  Both use one code path, so a cache's
+first evaluation equals :func:`induced_marginal` bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ __all__ = [
     "semidual_value",
     "log_marginal_y",
     "induced_marginal",
+    "InducedCache",
     "marginal_y",
     "first_variation",
     "coupling",
@@ -52,6 +65,25 @@ COUPLING_MASS_TOL = 1e-12
 # at least 1e-280 is below n * 2.2e-28: under double precision's 1.1e-16 for
 # any n up to 5e11.
 P_FLOOR = 1e-280
+
+# Radius tau of the cached evaluation: InducedCache reuses the Gibbs matrix of
+# its absorption point while max|phi - phi_ref| <= tau.  Then v = exp(phi -
+# phi_ref) lies in [e^-tau, e^tau], and each row sum t_i contains its row
+# maximum's term 1 * v_j >= e^-tau, so a_i / t_i <= e^tau and t_i <= m e^tau:
+# nothing overflows, and every sum is of positive terms.  The price of tau is
+# the fallback floor below, which grows as e^(2 tau); tau = 30 keeps it near
+# 1.1e-254, far below any mass a tolerance can see, while letting every
+# entry of phi move by 30 (a factor 1e13 in its mass) between absorptions.
+ABSORB_AT = 30.0
+
+# Cached-branch masses below this floor fall back to the exact column
+# logsumexp.  Each term of p_j is (a_i / t_i) E_ij v_j.  Where E_ij underflowed
+# at absorption, or the product (a_i / t_i) E_ij underflows, the term loses
+# less than 2^-1022 * e^tau * e^tau, because v_j <= e^tau and a_i / t_i <=
+# e^tau.  A column of n terms therefore carries an absolute underflow error
+# below n * 2^-1022 * e^(2 tau), which relative to a mass of at least
+# P_FLOOR * e^(2 tau) is below n * 2.2e-28, as for P_FLOOR.
+CACHED_P_FLOOR = P_FLOOR * float(np.exp(2.0 * ABSORB_AT))
 
 
 def _check_finite(v: np.ndarray, name: str) -> np.ndarray:
@@ -179,15 +211,60 @@ def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.nd
     falls below ``P_FLOOR``, which are recomputed by that column logsumexp.
     """
     phi = _check_finite(phi, "phi")
+    return _absorb(phi, inst)[2:]
+
+
+def _absorb(phi, inst):
+    """The exponential pass at phi: ``(E, rowmax, phi_plus, log p)``."""
     e, s, rowmax = _row_pass(phi, inst)
     phi_plus = np.log(s) + rowmax
     p = (inst.a / s) @ e
+    return e, rowmax, phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
+
+
+class InducedCache:
+    """Per-run evaluator of ``(phi_plus, log p)`` on a cached Gibbs matrix.
+
+    The first call, and any call farther than ``ABSORB_AT`` from the last
+    absorption point, makes the exponential pass of :func:`induced_marginal`
+    and keeps its n x m matrix; calls within that radius cost two
+    matrix-vector products.  Results agree with :func:`induced_marginal`
+    to rounding.  A cache belongs to one run: it is neither thread-safe nor
+    meant to be stored on the shared :class:`Instance`.
+    """
+
+    def __init__(self, inst: Instance):
+        self._inst = inst
+        self._e = self._rowmax = self._phi_ref = None
+
+    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi = _check_finite(phi, "phi")
+        if self._e is not None:
+            delta = phi - self._phi_ref
+            if np.max(np.abs(delta)) <= ABSORB_AT:
+                return self._shifted(phi, delta)
+            self._e = None  # free the old matrix before the pass allocates a new one
+        self._e, self._rowmax, phi_plus, log_p = _absorb(phi, self._inst)
+        self._phi_ref = phi.copy()
+        return phi_plus, log_p
+
+    def _shifted(self, phi, delta):
+        inst = self._inst
+        v = np.exp(delta)
+        t = self._e @ v
+        phi_plus = self._rowmax + np.log(t)
+        p = v * ((inst.a / t) @ self._e)
+        return phi_plus, _log_mass(p, CACHED_P_FLOOR, phi, phi_plus, inst)
+
+
+def _log_mass(p, floor, phi, phi_plus, inst):
+    """``log p``, with columns below ``floor`` recomputed by the column logsumexp."""
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    low = np.flatnonzero(p < P_FLOOR)
+    low = np.flatnonzero(p < floor)
     if low.size:
         log_p[low] = _log_marginal_cols(phi, phi_plus, inst, low)
-    return phi_plus, log_p
+    return log_p
 
 
 def marginal_y(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None = None) -> np.ndarray:
@@ -212,15 +289,18 @@ def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
     transform in the exponent is exactly the row log-normalizer.
     """
     phi = _check_finite(phi, "phi")
-    phi_plus = plus_transform(phi, inst)
-    lm = (
+    return Coupling(log_masses=_log_coupling(phi, plus_transform(phi, inst), inst))
+
+
+def _log_coupling(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> np.ndarray:
+    """Log masses ``log a_i + log b_j + phi_j - phi_plus_i - C_ij/eps``."""
+    return (
         inst.log_a[:, None]
         + inst.log_b[None, :]
         + phi[None, :]
         - phi_plus[:, None]
         - inst.cost_over_eps
     )
-    return Coupling(log_masses=lm)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import Gram
 from .logops import logsumexp
 from .measures import Instance
-from .semidual import induced_marginal
+from .semidual import InducedCache, _log_coupling, induced_marginal
 
 __all__ = [
     "Link",
@@ -360,6 +360,10 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     accelerated method, the projected point, which is what its guarantee
     speaks about).  Methods with a proven ascent property abort with
     :class:`DivergenceError` if the objective drops by more than 1e-6.
+    An auto step that underflows to 0.0 (the projected methods' 1/lambda
+    once log lambda passes about 745) stops the run before its first
+    update, unconverged at iteration 0.  All iterates are evaluated by one
+    :class:`~otmatch.semidual.InducedCache`.
     """
     phi = np.zeros(inst.m) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
     if phi.shape != (inst.m,):
@@ -381,6 +385,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
 
     eta = _resolve_eta(cfg, inst, B)
+    # an auto step that underflowed to 0.0 would leave phi where it is
+    max_iter = 0 if eta == 0.0 else cfg.max_iter
     gram = cfg.diag_gram
     if gram is None and cfg.method == "match" and cfg.link.kind == "exp_kernel":
         gram = cfg.link.gram
@@ -392,6 +398,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         inner = phi.copy()  # extrapolated point the gradient is taken at
         t_mom = 1.0
 
+    evaluate = InducedCache(inst)
     trace = Trace()
     start = time.perf_counter()
     prev_j = -np.inf
@@ -399,7 +406,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     it = 0
 
     while True:
-        phi_plus, lp = induced_marginal(phi, inst)
+        phi_plus, lp = evaluate(phi)
         p = np.exp(lp)
         resid = float(np.abs(inst.b - p).sum())
         j_val = float(inst.b @ phi - inst.a @ phi_plus)
@@ -411,7 +418,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         prev_j = max(prev_j, j_val)
 
         converged = resid <= cfg.tol_l1
-        final = converged or it >= cfg.max_iter
+        final = converged or it >= max_iter
         if final or it % cfg.record_every == 0:
             mmd = None
             if gram is not None:
@@ -431,7 +438,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         elif cfg.method == "proj_sga":
             phi = _proj_update(phi, p, inst, B, eta)
         else:  # proj_sga_pp: gradient at the extrapolated point, trace the projected one
-            p_inner = np.exp(induced_marginal(inner, inst)[1])
+            p_inner = np.exp(evaluate(inner)[1])
             bar = _proj_update(inner, p_inner, inst, B, eta)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
@@ -472,8 +479,9 @@ def oracle_solve(
         raise ValueError("tol must be positive")
     phi = np.zeros(inst.m)
     target = tol
+    evaluate = InducedCache(inst)
     for _ in range(max_iter):
-        phi_plus, lp = induced_marginal(phi, inst)
+        phi_plus, lp = evaluate(phi)
         resid = float(np.abs(inst.b - np.exp(lp)).sum())
         if resid <= target:
             gap = _duality_gap(phi, phi_plus, inst)
@@ -489,13 +497,7 @@ def oracle_solve(
 
 
 def _duality_gap(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> float:
-    lpi = (
-        inst.log_a[:, None]
-        + inst.log_b[None, :]
-        + phi[None, :]
-        - phi_plus[:, None]
-        - inst.cost_over_eps
-    )
+    lpi = _log_coupling(phi, phi_plus, inst)
     pi = np.exp(lpi)
     primal = float(np.sum(pi * inst.cost_over_eps) + np.sum(pi * (lpi - inst.log_a[:, None] - inst.log_b[None, :])))
     dual = float(inst.b @ phi - inst.a @ phi_plus)

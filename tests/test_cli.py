@@ -8,8 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from otmatch import cli
 from otmatch.cli import METHODS, _atomic_write, _digest, main
 from otmatch.measures import DiscreteMeasure, Instance, load_instance, save_instance
+from otmatch.semidual import semidual_value
+from otmatch.solvers import DivergenceError, OracleError
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -27,6 +30,17 @@ def instance_file(tmp_path):
 def zero_cost_file(tmp_path):
     path = tmp_path / "zero.json"
     save_instance(zero_cost_instance(), path)
+    return path
+
+
+def underflow_file(tmp_path):
+    """The 2+2 instance whose Y-marginal mass at y = 5 is exp(-1200.69)."""
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps({
+        "x_points": [[0.0], [0.1]], "x_weights": [0.5, 0.5],
+        "y_points": [[0.0], [5.0]], "y_weights": [0.5, 0.5],
+        "cost": "half_sqeuclidean", "epsilon": 0.01,
+    }))
     return path
 
 
@@ -129,12 +143,7 @@ class TestSolve:
     @pytest.mark.parametrize("method", METHODS)
     def test_underflowing_marginal_is_not_an_input_error(self, tmp_path, method):
         # p at y = 5 is exp(-1200.69), 0 in float64, while log p is finite
-        inst = tmp_path / "underflow.json"
-        inst.write_text(json.dumps({
-            "x_points": [[0.0], [0.1]], "x_weights": [0.5, 0.5],
-            "y_points": [[0.0], [5.0]], "y_weights": [0.5, 0.5],
-            "cost": "half_sqeuclidean", "epsilon": 0.01,
-        }))
+        inst = underflow_file(tmp_path)
         summary = tmp_path / "s.json"
         code = main([
             "solve", "--instance", str(inst), "--method", method, "--kernel", "gaussian:1",
@@ -142,6 +151,31 @@ class TestSolve:
         ])
         assert code in (0, 2)
         assert np.isfinite(float(json.loads(summary.read_text())["final_J"]))
+
+    @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
+    def test_underflowing_auto_step_stops_before_the_first_update(self, tmp_path, method, capsys):
+        # max C/eps is 1250, so log lambda > 745 and the auto step exp(-log lambda) is 0.0
+        inst = underflow_file(tmp_path)
+        summary = tmp_path / "s.json"
+        code = main([
+            "solve", "--instance", str(inst), "--method", method,
+            "--max-iter", "500", "--summary", str(summary),
+        ])
+        assert code == 2
+        assert "log λ" in capsys.readouterr().err
+        doc = json.loads(summary.read_text())
+        assert doc["iterations"] == 0 and doc["converged"] is False and doc["eta"] == "0.0"
+        start = semidual_value(np.zeros(2), load_instance(inst))
+        assert doc["final_J"] == repr(start)
+
+    def test_divergence_is_exit_two(self, instance_file, monkeypatch, capsys):
+        def diverge(inst, cfg):
+            raise DivergenceError("objective fell")
+
+        monkeypatch.setattr(cli, "run", diverge)
+        code = main(["solve", "--instance", str(instance_file), "--method", "sinkhorn"])
+        assert code == 2
+        assert "objective fell" in capsys.readouterr().err
 
 
 class TestDigest:
@@ -212,6 +246,14 @@ class TestOracle:
         doc = json.loads(out.read_text())
         assert float(doc["phi"][0]) == 0.0
         assert float(doc["l1_residual"]) <= 1e-12
+
+    def test_failed_reference_solve_is_exit_two(self, instance_file, monkeypatch, capsys):
+        def exhaust(inst, tol):
+            raise OracleError("no convergence in 3 iterations")
+
+        monkeypatch.setattr(cli, "oracle_solve", exhaust)
+        assert main(["oracle", "--instance", str(instance_file)]) == 2
+        assert "no convergence" in capsys.readouterr().err
 
 
 class TestVerify:

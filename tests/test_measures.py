@@ -113,6 +113,23 @@ class TestCostMatrix:
         assert np.array_equal(cost_matrix(mu, nu, "half_sqeuclidean"), cost_matrix(nu, mu, "half_sqeuclidean").T)
         assert np.array_equal(cost_matrix(mu, nu, "euclidean"), cost_matrix(nu, mu, "euclidean").T)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_matches_broadcast_formula(self, d):
+        # the cost is accumulated one dimension at a time, while the formula
+        # sums an (n, m, d) array pairwise: the same terms in another order
+        # for d > 2, so each side is within (d - 1) roundings of the exact sum
+        rng = np.random.default_rng(40 + d)
+        mu = DiscreteMeasure(points=rng.normal(size=(7, d)), weights=np.full(7, 1 / 7))
+        nu = DiscreteMeasure(points=rng.normal(size=(5, d)) * 3.0, weights=np.full(5, 0.2))
+        diff = mu.points[:, None, :] - nu.points[None, :, :]
+        sq = np.sum(diff * diff, axis=2)
+        for kind, ref in (("half_sqeuclidean", 0.5 * sq), ("euclidean", np.sqrt(sq))):
+            got = cost_matrix(mu, nu, kind)
+            if d <= 2:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert np.all(np.abs(got - ref) <= (d - 1) * np.finfo(float).eps * ref), kind
+
     def test_explicit_matrix_passthrough_and_checks(self):
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
         nu = DiscreteMeasure(points=np.zeros((3, 1)), weights=np.full(3, 1 / 3))

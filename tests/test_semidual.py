@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmatch.logops import logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
+from otmatch import semidual
 from otmatch.semidual import (
+    ABSORB_AT,
+    CACHED_P_FLOOR,
     P_FLOOR,
     Coupling,
+    InducedCache,
     coupling,
     first_variation,
     induced_marginal,
@@ -161,6 +167,76 @@ class TestInducedMarginal:
     def test_rejects_non_finite_potential(self, small_instance):
         with pytest.raises(ValueError):
             induced_marginal(np.full(small_instance.m, np.nan), small_instance)
+
+
+def counting_row_pass():
+    """Patch that counts the exponential passes (absorptions) of a cache."""
+    return mock.patch.object(semidual, "_row_pass", wraps=semidual._row_pass)
+
+
+class TestInducedCache:
+    @given(seed=st.integers(0, 2**32 - 1), zero_phi=st.booleans(), edge=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cached_branch_matches_one_shot_pass(self, seed, zero_phi, edge):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 40, size=2)
+        inst = skewed_instance(rng, int(n), int(m), 1e3)
+        phi0 = np.zeros(inst.m) if zero_phi else rng.normal(0, 3, inst.m)
+        delta = rng.uniform(-ABSORB_AT, ABSORB_AT, inst.m)
+        if edge:  # one entry 1e-9 inside the radius, more than phi0 + delta can round off
+            delta[rng.integers(inst.m)] = ABSORB_AT * (1 - 1e-9) * rng.choice([-1, 1])
+        phi = phi0 + delta
+        cache = InducedCache(inst)
+        with counting_row_pass() as passes:
+            cache(phi0)
+            phi_plus, log_p = cache(phi)
+        assert passes.call_count == 1  # the second call took the two-GEMV branch
+        ref_plus, ref_log_p = induced_marginal(phi, inst)
+        assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
+        scale = 1.0 + np.abs(inst.log_b + phi) + np.abs(ref_log_p)
+        assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * scale)
+
+    def test_first_call_is_the_one_shot_pass(self, medium_instance):
+        phi = np.random.default_rng(15).normal(0, 2, medium_instance.m)
+        got = InducedCache(medium_instance)(phi)
+        ref = induced_marginal(phi, medium_instance)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_cached_branch_falls_back_to_exact_logsumexp(self):
+        inst = underflow_instance()
+        phi = np.zeros(inst.m)
+        cache = InducedCache(inst)
+        with counting_row_pass() as passes:
+            cache(phi)
+            _, log_p = cache(phi.copy())
+        assert passes.call_count == 1
+        assert np.exp(log_p[1]) < CACHED_P_FLOOR
+        assert log_p[1] == pytest.approx(-1200.693, abs=1e-3)
+        # the cached phi_plus may differ from the exact one in its last bit
+        assert log_p[1] == pytest.approx(log_marginal_y(phi, inst)[1], abs=1e-12)
+
+    def test_absorbs_when_the_potential_leaves_the_radius(self, small_instance):
+        cache = InducedCache(small_instance)
+        phi = np.zeros(small_instance.m)
+        with counting_row_pass() as passes:
+            cache(phi)
+            cache(phi + ABSORB_AT)
+            assert passes.call_count == 1
+            far = phi + np.eye(small_instance.m)[0] * 2.0 * ABSORB_AT
+            got = cache(far)
+            assert passes.call_count == 2
+            cache(far - 0.5 * ABSORB_AT)
+            assert passes.call_count == 2  # within the radius of the new point
+        ref = induced_marginal(far, small_instance)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_rejects_non_finite_potential(self, small_instance):
+        cache = InducedCache(small_instance)
+        cache(np.zeros(small_instance.m))
+        with pytest.raises(ValueError):
+            cache(np.full(small_instance.m, np.inf))
 
 
 class TestMarginalAndVariation:

@@ -2,10 +2,12 @@
 large potentials, shared-instance concurrency."""
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from otmatch import semidual
 from otmatch.measures import DiscreteMeasure, Instance
 from otmatch.semidual import coupling, marginal_y, plus_transform, semidual_value
 from otmatch.solvers import Link, SolverConfig, lambda_bound, match_step, oracle_solve, run
@@ -68,6 +70,30 @@ class TestSmallRegularizationSolve:
         inst = random_instance(np.random.default_rng(5), 8, 8, 0.05)
         phi = oracle_solve(inst, tol=1e-12)
         assert np.abs(inst.b - marginal_y(phi, inst)).sum() <= 1e-12
+
+
+class TestAbsorption:
+    def test_small_eps_run_reabsorbs_and_matches_oracle(self):
+        # potentials move by hundreds at eps = 1e-3, several times the radius
+        # of the cached evaluation, so the run absorbs again and again
+        inst = harsh_instance()
+        tol = 1e-12
+        with mock.patch.object(semidual, "_row_pass", wraps=semidual._row_pass) as passes:
+            res = run(inst, SolverConfig.sinkhorn(max_iter=20_000, tol_l1=tol))
+        assert passes.call_count >= 3
+        assert res.converged
+        # the cached evaluation's residual is the exact two-pass one to rounding
+        residual = float(np.abs(inst.b - marginal_y(res.phi, inst)).sum())
+        assert abs(residual - res.trace.records[-1].l1_residual) <= 1e-14
+        phi = oracle_solve(inst, tol=tol)
+        oracle_residual = float(np.abs(inst.b - marginal_y(phi, inst)).sum())
+        # J is concave and every transform oscillates by at most R, so
+        # |J - J*| <= |b - p|_1 * R at either point
+        spread = float(np.ptp(inst.cost_over_eps))
+        gap = abs(semidual_value(res.phi, inst) - semidual_value(phi, inst))
+        assert gap <= (residual + oracle_residual) * spread + 1e-12
+        # anchored potentials agree to 7e-11 here; 1e-9 leaves room for BLAS
+        np.testing.assert_allclose(res.phi - res.phi[0], phi, atol=1e-9)
 
 
 class TestSkewedWeights:

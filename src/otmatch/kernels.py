@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import _pairwise_sum
+
 __all__ = [
     "KernelSpec",
     "Gram",
@@ -86,12 +88,11 @@ def gram(spec: KernelSpec, points: np.ndarray) -> Gram:
     m = pts.shape[0]
     if spec.kind == "identity":
         return Gram(matrix=np.eye(m))
-    diff = pts[:, None, :] - pts[None, :, :]
     if spec.kind == "gaussian":
-        sq = np.sum(diff * diff, axis=2)
+        sq = _pairwise_sum(pts, pts, 2)
         return Gram(matrix=np.exp(-sq / (2.0 * spec.bandwidth**2)))
     # laplace
-    l1 = np.sum(np.abs(diff), axis=2)
+    l1 = _pairwise_sum(pts, pts, 1)
     return Gram(matrix=np.exp(-l1 / (2.0 * spec.bandwidth)))
 
 
@@ -141,9 +142,7 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu = np.triu_indices(pts.shape[0], k=1)
     if iu[0].size == 0:
         raise ValueError("need at least two points for a median distance")
-    return float(np.median(dist[iu]))
+    return float(np.median(np.sqrt(_pairwise_sum(pts, pts, 2)[iu])))

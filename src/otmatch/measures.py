@@ -4,6 +4,12 @@ A problem instance bundles two weighted point clouds (the marginals), a
 finite cost matrix, and a positive regularization strength.  Everything is
 validated at construction and immutable afterwards, so instances can be
 shared freely between solver runs.
+
+Instance files are UTF-8 JSON.  They are parsed from raw bytes by
+``orjson``, which rounds every number to the nearest double as ``float()``
+does and rejects the non-finite literals (``NaN``, ``Infinity``) that
+stdlib ``json`` would accept.  They are written by stdlib ``json``, whose
+output bytes (float formatting, ``indent=1``) stay as they were.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 
 __all__ = [
     "DiscreteMeasure",
@@ -35,8 +42,16 @@ class InstanceError(ValueError):
     """Raised when measure or instance data violates an invariant."""
 
 
+def _as_float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; anything that is not numbers is an InstanceError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{what} must be numbers: {exc}") from exc
+
+
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _as_float_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -111,6 +126,26 @@ def make_grid_measure(
     return DiscreteMeasure(points=xs, weights=vals / total)
 
 
+def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int) -> np.ndarray:
+    """``out_ij = sum_k |x_ik - y_jk| ** power`` for ``power`` 1 or 2.
+
+    Accumulated one dimension at a time in place, so no (n, m, d) temporary
+    is built.  For d <= 2 the sum is bit-identical to summing the (n, m, d)
+    differences along the last axis; for larger d numpy's pairwise sum adds
+    the same terms in another order.
+    """
+    out = np.zeros((x.shape[0], y.shape[0]))
+    t = np.empty_like(out)
+    for k in range(x.shape[1]):
+        np.subtract.outer(x[:, k], y[:, k], out=t)
+        if power == 2:
+            t *= t
+        else:
+            np.abs(t, out=t)
+        out += t
+    return out
+
+
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind) -> np.ndarray:
     """Pairwise cost between the supports of ``mu`` and ``nu``.
 
@@ -120,26 +155,20 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind) -> np.ndarray:
 
     The difference-based evaluation keeps C(mu, nu) == C(nu, mu)^T exact
     and guarantees nonnegative entries for the built-in kinds.  Squared
-    differences are accumulated one dimension at a time in place, so no
-    (n, m, d) temporary is built.
+    differences are accumulated by :func:`_pairwise_sum`.
     """
     if isinstance(kind, str):
         if mu.dim != nu.dim:
             raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
         if kind not in ("half_sqeuclidean", "euclidean"):
             raise InstanceError(f"unknown cost kind {kind!r}")
-        sq = np.zeros((mu.n_atoms, nu.n_atoms))
-        t = np.empty_like(sq)
-        for k in range(mu.dim):
-            np.subtract.outer(mu.points[:, k], nu.points[:, k], out=t)
-            t *= t
-            sq += t
+        sq = _pairwise_sum(mu.points, nu.points, 2)
         if kind == "half_sqeuclidean":
             sq *= 0.5
         else:
             np.sqrt(sq, out=sq)
         return sq
-    c = np.asarray(kind, dtype=np.float64)
+    c = _as_float_array(kind, "explicit cost")
     if c.shape != (mu.n_atoms, nu.n_atoms):
         raise InstanceError(f"explicit cost has shape {c.shape}, expected {(mu.n_atoms, nu.n_atoms)}")
     if not np.all(np.isfinite(c)):
@@ -167,6 +196,9 @@ class Instance:
             raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
         if not np.all(np.isfinite(c)):
             raise InstanceError("cost matrix contains non-finite entries")
+        # a JSON ``true`` is not an epsilon, although float(True) is 1.0
+        if isinstance(self.epsilon, bool):
+            raise InstanceError(f"epsilon must be a number, got {self.epsilon!r}")
         try:
             eps = float(self.epsilon)
         except (TypeError, ValueError) as exc:
@@ -217,7 +249,7 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
     if points_key not in doc or weights_key not in doc:
         raise InstanceError(f"instance file missing {points_key!r}/{weights_key!r}")
     pts = _as_points(doc[points_key])
-    w = np.asarray(doc[weights_key], dtype=np.float64).reshape(-1)
+    w = _as_float_array(doc[weights_key], weights_key).reshape(-1)
     if w.shape[0] != pts.shape[0]:
         raise InstanceError(f"{points_key}: {pts.shape[0]} points but {w.shape[0]} weights")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
@@ -235,13 +267,14 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
 def load_instance(path) -> Instance:
     """Read and validate an instance file (see ``save_instance``).
 
-    Weights summing to one within 1e-12 are kept as written, those within
-    1e-9 are renormalized silently; larger deviations, nonpositive epsilon,
-    or malformed fields are rejected.
+    The file must be UTF-8 JSON without non-finite literals.  Weights
+    summing to one within 1e-12 are kept as written, those within 1e-9 are
+    renormalized silently; larger deviations, nonpositive epsilon, or
+    malformed fields are rejected.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = orjson.loads(Path(path).read_bytes())
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must contain a JSON object")

@@ -40,7 +40,7 @@ from .primal import (
     separability_residual,
     v_link,
 )
-from .semidual import coupling, first_variation, marginal_y, semidual_value
+from .semidual import _row_pass, coupling, first_variation, marginal_y, semidual_value
 from .solvers import (
     Link,
     SolverConfig,
@@ -142,9 +142,8 @@ def variance_identity_residual(
     total = 0.0
     for t, w in zip(ts, ws):
         interp = phi + t * diff
-        log_rows = inst.log_b[None, :] + interp[None, :] - inst.cost_over_eps
-        log_rows = log_rows - logsumexp(log_rows, axis=1)[:, None]
-        rows = np.exp(log_rows)
+        e, s, _ = _row_pass(interp, inst)
+        rows = e / s[:, None]
         mean = rows @ diff
         var = rows @ (diff * diff) - mean * mean
         total += w * (1.0 - t) * float(inst.a @ var)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otmatch.cli import _digest, main
+from otmatch.kernels import KernelSpec, gram, median_pairwise_distance
 from otmatch.measures import (
     DiscreteMeasure,
     Instance,
@@ -121,6 +123,7 @@ class TestCostMatrix:
         rng = np.random.default_rng(40 + d)
         mu = DiscreteMeasure(points=rng.normal(size=(7, d)), weights=np.full(7, 1 / 7))
         nu = DiscreteMeasure(points=rng.normal(size=(5, d)) * 3.0, weights=np.full(5, 0.2))
+        bound = (d - 1) * np.finfo(float).eps
         diff = mu.points[:, None, :] - nu.points[None, :, :]
         sq = np.sum(diff * diff, axis=2)
         for kind, ref in (("half_sqeuclidean", 0.5 * sq), ("euclidean", np.sqrt(sq))):
@@ -128,7 +131,28 @@ class TestCostMatrix:
             if d <= 2:
                 np.testing.assert_array_equal(got, ref)
             else:
-                assert np.all(np.abs(got - ref) <= (d - 1) * np.finfo(float).eps * ref), kind
+                assert np.all(np.abs(got - ref) <= bound * ref), kind
+        # the kernels build their distances the same way; a Gram entry
+        # exp(-x) inherits the exponent's relative error as x times it, and
+        # the exp's own rounding is covered by the added 1
+        for pts in (mu.points, nu.points):
+            diff = pts[:, None, :] - pts[None, :, :]
+            sq = np.sum(diff * diff, axis=2)
+            iu = np.triu_indices(pts.shape[0], k=1)
+            med_ref = float(np.median(np.sqrt(sq)[iu]))
+            med = median_pairwise_distance(pts)
+            l1 = np.sum(np.abs(diff), axis=2)
+            for kind, x in (("gaussian", sq / (2.0 * 2.5**2)), ("laplace", l1 / (2.0 * 2.5))):
+                got = gram(KernelSpec(kind, 2.5), pts).matrix
+                ref = np.exp(-x)
+                if d <= 2:
+                    np.testing.assert_array_equal(got, ref)
+                else:
+                    assert np.all(np.abs(got - ref) <= bound * (1.0 + x) * ref), kind
+            if d <= 2:
+                assert med == med_ref
+            else:
+                assert abs(med - med_ref) <= bound * med_ref
 
     def test_explicit_matrix_passthrough_and_checks(self):
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
@@ -256,5 +280,104 @@ class TestInstanceFiles:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"x_points": [[0.0]], "x_weights": [1.0]}))
+        with pytest.raises(InstanceError):
+            load_instance(path)
+
+
+_VALID_DOC = {
+    "x_points": [[0.0], [1.0]],
+    "x_weights": [0.5, 0.5],
+    "y_points": [[0.0]],
+    "y_weights": [1.0],
+    "cost": "euclidean",
+    "epsilon": 0.5,
+}
+_HUGE = "9" * 401  # an integer literal far beyond the largest double
+
+
+def _doc_bytes(**fields) -> bytes:
+    return json.dumps({**_VALID_DOC, **fields}).encode()
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _doc_bytes(epsilon=0.25).replace(b"0.25", _HUGE.encode()),
+            _doc_bytes(y_points=[[0.25]]).replace(b"0.25", _HUGE.encode()),
+            _doc_bytes(cost={"a": 1}),
+            _doc_bytes(x_points={"a": 1}),
+            _doc_bytes(x_weights={"a": 1}),
+            _doc_bytes(x_points=[[0.0], [1.0, 2.0]]),
+            _doc_bytes(cost=[["a"]]),
+            _doc_bytes(epsilon=True),
+            _doc_bytes().replace(b'"cost"', b'"co\xffst"'),
+        ],
+        ids=[
+            "huge_epsilon", "huge_point", "cost_object", "points_object", "weights_object",
+            "ragged_points", "string_cost", "boolean_epsilon", "non_utf8",
+        ],
+    )
+    def test_rejected_with_a_one_line_error(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(InstanceError):
+            load_instance(path)
+        assert main(["validate", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_FMAX = int(np.finfo(float).max)
+# every finite double (subnormals, -0.0, both extremes) and integer literals
+# beyond 2^63, which stdlib json keeps as Python ints
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(2**63, _FMAX) | st.integers(-_FMAX, -(2**63))
+
+
+class TestParserParity:
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.floats(min_value=1.0, allow_infinity=False) | st.integers(2**64, _FMAX),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_loads_what_stdlib_json_reads(self, tmp_path_factory, data, n, m, seed, epsilon):
+        # files are written by stdlib json, as save_instance writes them
+        rng = np.random.default_rng(seed)
+        doc = {
+            "x_points": data.draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=n, max_size=n)),
+            "x_weights": rng.dirichlet(np.ones(n)).tolist(),
+            "y_points": data.draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=m, max_size=m)),
+            "y_weights": rng.dirichlet(np.ones(m)).tolist(),
+            "cost": data.draw(st.lists(st.lists(_NUMBERS, min_size=m, max_size=m), min_size=n, max_size=n)),
+            "epsilon": epsilon,
+        }
+        text = json.dumps(doc)
+        path = tmp_path_factory.mktemp("parity") / "inst.json"
+        path.write_text(text)
+        got = load_instance(path)
+        ref = {k: np.asarray(v, dtype=np.float64) for k, v in json.loads(text).items() if k != "epsilon"}
+        for arr, key in (
+            (got.mu.points, "x_points"),
+            (got.mu.weights, "x_weights"),
+            (got.nu.points, "y_points"),
+            (got.nu.weights, "y_weights"),
+            (got.cost, "cost"),
+        ):
+            np.testing.assert_array_equal(arr.view(np.int64), ref[key].view(np.int64), err_msg=key)
+        assert repr(got.epsilon) == repr(float(json.loads(text)["epsilon"]))
+        mu = DiscreteMeasure(points=ref["x_points"], weights=ref["x_weights"])
+        nu = DiscreteMeasure(points=ref["y_points"], weights=ref["y_weights"])
+        assert _digest(got) == _digest(Instance(mu=mu, nu=nu, cost=ref["cost"], epsilon=json.loads(text)["epsilon"]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["x_points", "y_weights", "cost", "epsilon"])
+    def test_non_finite_literals_rejected(self, tmp_path, key, value):
+        doc = dict(_VALID_DOC, cost=[[1.0], [2.0]])
+        doc[key] = value if key == "epsilon" else np.full(np.shape(doc[key]), value).tolist()
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(InstanceError):
             load_instance(path)

@@ -286,7 +286,6 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", default=None)
     solve.add_argument("--summary", default=None)
     solve.add_argument("--record-every", type=int, default=1)
-    solve.add_argument("--seed", type=int, default=42)
     solve.add_argument("--timings", action="store_true", help="include wall times in outputs")
     solve.set_defaults(fn=cmd_solve)
 

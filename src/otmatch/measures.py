@@ -43,11 +43,19 @@ class InstanceError(ValueError):
 
 
 def _as_float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array; anything that is not numbers is an InstanceError."""
+    """``value`` as a float64 array; anything that is not numbers is an InstanceError.
+
+    The array is built without a dtype and then checked, because a float64
+    conversion would also read numeric strings and booleans.  Integers from
+    2^63 to 2^64 arrive as uint64.
+    """
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{what} must be numbers: {exc}") from exc
+    if arr.dtype.kind not in "fiu":
+        raise InstanceError(f"{what} must be numbers, got array of {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _as_points(points) -> np.ndarray:
@@ -196,8 +204,9 @@ class Instance:
             raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
         if not np.all(np.isfinite(c)):
             raise InstanceError("cost matrix contains non-finite entries")
-        # a JSON ``true`` is not an epsilon, although float(True) is 1.0
-        if isinstance(self.epsilon, bool):
+        # a JSON ``true`` or ``"0.5"`` is not an epsilon, although float()
+        # reads both
+        if isinstance(self.epsilon, (bool, str)):
             raise InstanceError(f"epsilon must be a number, got {self.epsilon!r}")
         try:
             eps = float(self.epsilon)
@@ -274,8 +283,13 @@ def load_instance(path) -> Instance:
     """
     try:
         doc = orjson.loads(Path(path).read_bytes())
-    except (OSError, orjson.JSONDecodeError) as exc:
+    except OSError as exc:
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
+    except orjson.JSONDecodeError as exc:
+        raise InstanceError(
+            f"cannot read instance file {path}: {exc} (it must be UTF-8 JSON;"
+            " non-finite numbers such as NaN and Infinity are not allowed)"
+        ) from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must contain a JSON object")
     mu = _load_measure(doc, "x_points", "x_weights")

@@ -1,14 +1,14 @@
 """Accelerated mirror-flow ODE for the coupling-space objective.
 
-The system couples a running primal average ``pi_hat`` with a dual
+The flow couples a running primal average ``pi_hat`` with a dual
 accumulator ``g``:
 
     pi_hat' = (r/t) (rho(g) - pi_hat),      rho(g) = coupling induced by g
     g'      = -(t/r) (pi_hat_Y - b)
 
-for a momentum parameter r >= 2, integrated with a fixed-step classical
-4th-order scheme from a small positive start time (the r/t coefficient is
-singular at zero).  Along exact trajectories the functional
+for a momentum parameter r >= 2 (the averaged mirror-descent ODE of
+Krichene, Bayen and Bartlett, NeurIPS 2015).  Along exact trajectories the
+functional
 
     V(t) = (t^2 / r) * Lk(pi_hat_Y; b) + r * KL(pi_opt || rho(g))
 
@@ -16,6 +16,17 @@ is non-increasing, where Lk is half the squared counting-measure MMD; this
 yields Lk <= (r^2/t^2) KL(pi_opt || rho(g_0)).  The second term is the
 Bregman divergence of the conjugate potential between the current and
 optimal dual pairs, which reduces to that KL (verified in the tests).
+
+``pi_hat`` enters g', V and the rate only through its Y-marginal
+``q = pi_hat_Y``, and summing the first equation over rows gives a closed
+system in 2m unknowns:
+
+    q' = (r/t) (p(g) - q),      g' = -(t/r) (q - b),
+
+where ``p(g)`` is the Y-marginal of rho(g).  The classical 4th-order scheme
+is linear in the state, so integrating (q, g) gives the column sums of the
+(pi_hat, g) integration up to rounding.  It runs with a fixed step from a
+small positive start time (the r/t coefficient is singular at zero).
 """
 
 from __future__ import annotations
@@ -29,15 +40,7 @@ from .measures import Instance
 from .semidual import _row_pass, coupling
 from .solvers import oracle_solve
 
-__all__ = [
-    "FlowState",
-    "FlowRunResult",
-    "flow_init",
-    "flow_step",
-    "lyapunov",
-    "flow_run",
-    "FlowBlowupError",
-]
+__all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
 
 FLOW_COLUMNS = ("t", "Lk", "V")
 
@@ -46,74 +49,34 @@ class FlowBlowupError(RuntimeError):
     """The integrator produced a non-finite state."""
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """Flow variables at time t: averaged primal matrix, dual accumulator,
-    and the frozen X-side of the initial dual pair (it cancels in the
-    row-normalized mirror map, but it is part of the state contract)."""
-
-    t: float
-    pi_hat: np.ndarray  # (n, m) masses
-    g: np.ndarray  # (m,)
-    f0: np.ndarray  # (n,)
-
-
-def _rho_masses(g: np.ndarray, inst: Instance) -> np.ndarray:
-    """Masses of the coupling induced by g (mirror image of 0 (+) g)."""
+def _marginal(g: np.ndarray, inst: Instance) -> np.ndarray:
+    """Y-marginal p(g) of the coupling induced by g: the column sums of rho(g)."""
     e, s, _ = _row_pass(g, inst)
-    e *= (inst.a / s)[:, None]
-    return e
+    return (inst.a / s) @ e
 
 
-def flow_init(phi0: np.ndarray, inst: Instance, t0: float) -> FlowState:
-    """Initial state: dual accumulator phi0, primal average at its coupling."""
-    if not t0 > 0.0:
-        raise ValueError("start time must be positive; the r/t coefficient is singular at 0")
-    phi0 = np.asarray(phi0, dtype=np.float64)
-    return FlowState(
-        t=float(t0),
-        pi_hat=coupling(phi0, inst).masses,
-        g=phi0.copy(),
-        f0=np.zeros(inst.n),
-    )
+def _rk4_step(t, q, g, h, inst: Instance, r: float, acc=None):
+    """One classical 4-stage step of size h from (t, q, g).
 
+    With ``acc`` it also advances the integral of s^(r-1) p(g(s)) ds with
+    the same stages; returns ``(q, g, acc)``.
+    """
 
-def _rhs(t: float, pi_hat: np.ndarray, g: np.ndarray, inst: Instance, r: float):
-    rho = _rho_masses(g, inst)
-    dpi = (r / t) * (rho - pi_hat)
-    dg = -(t / r) * (pi_hat.sum(axis=0) - inst.b)
-    return dpi, dg, rho
+    def field(t, q, g):
+        p = _marginal(g, inst)
+        return (r / t) * (p - q), -(t / r) * (q - inst.b), p
 
-
-def flow_step(state: FlowState, inst: Instance, r: float, dt: float) -> FlowState:
-    """One classical 4-stage explicit step of size dt."""
-    if r < 2.0:
-        raise ValueError(f"momentum parameter must satisfy r >= 2, got {r}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t, ph, g = state.t, state.pi_hat, state.g
-    k1p, k1g, _ = _rhs(t, ph, g, inst, r)
-    k2p, k2g, _ = _rhs(t + dt / 2, ph + dt / 2 * k1p, g + dt / 2 * k1g, inst, r)
-    k3p, k3g, _ = _rhs(t + dt / 2, ph + dt / 2 * k2p, g + dt / 2 * k2g, inst, r)
-    k4p, k4g, _ = _rhs(t + dt, ph + dt * k3p, g + dt * k3g, inst, r)
-    return FlowState(
-        t=t + dt,
-        pi_hat=ph + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-        g=g + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g),
-        f0=state.f0,
-    )
-
-
-def _lk(pi_hat: np.ndarray, inst: Instance) -> float:
-    d = pi_hat.sum(axis=0) - inst.b
-    return 0.5 * float(d @ d)
-
-
-def lyapunov(state: FlowState, inst: Instance, r: float, phi_star: np.ndarray) -> float:
-    """V = (t^2/r) Lk(pi_hat_Y; b) + r KL(pi_opt || coupling(g))."""
-    lps = coupling(np.asarray(phi_star, dtype=np.float64), inst).log_masses
-    lg = coupling(state.g, inst).log_masses
-    return (state.t**2 / r) * _lk(state.pi_hat, inst) + r * kl_couplings(lps, lg)
+    k1q, k1g, p1 = field(t, q, g)
+    k2q, k2g, p2 = field(t + h / 2, q + h / 2 * k1q, g + h / 2 * k1g)
+    k3q, k3g, p3 = field(t + h / 2, q + h / 2 * k2q, g + h / 2 * k2g)
+    k4q, k4g, p4 = field(t + h, q + h * k3q, g + h * k3g)
+    q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+    if acc is not None:
+        acc = acc + h / 6 * (
+            t ** (r - 1) * p1 + 2 * (t + h / 2) ** (r - 1) * (p2 + p3) + (t + h) ** (r - 1) * p4
+        )
+    return q, g, acc
 
 
 @dataclass
@@ -148,17 +111,23 @@ def flow_run(
     phi_star: np.ndarray | None = None,
     check_average: bool = False,
 ) -> FlowRunResult:
-    """Integrate the flow on [t0, t_end] and check rate and monotonicity.
+    """Integrate the flow from (q, g) = (p(phi0), phi0) on [t0, t_end].
 
-    Records every ``record_every``-th step plus the final one.  With
-    ``check_average`` the run carries an auxiliary integral of
-    t^{r-1} rho(g) using the same stages and reports the worst relative
-    deviation of pi_hat from the implied weighted running average.
+    Takes full steps of ``dt`` plus a short last one, records every
+    ``record_every``-th step plus the final one, and checks rate and
+    monotonicity.  With ``check_average`` the run carries the integral of
+    t^{r-1} p(g) on the same stages and reports the worst relative
+    deviation of q from the running average it implies,
+    t^r q(t) = t0^r q(t0) + r * integral.
     """
     if r < 2.0:
         raise ValueError(f"momentum parameter must satisfy r >= 2, got {r}")
-    if not 0.0 < t0 < t_end:
-        raise ValueError("need 0 < t0 < t_end")
+    if not (np.isfinite(t0) and np.isfinite(t_end) and 0.0 < t0 < t_end):
+        raise ValueError(f"need finite 0 < t0 < t_end, got t0={t0}, t_end={t_end}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     phi0 = np.asarray(phi0, dtype=np.float64)
     if phi_star is None:
         phi_star = oracle_solve(inst)
@@ -168,49 +137,37 @@ def flow_run(
     d_init_star = kl_couplings(log_pi0, lps)
 
     t = float(t0)
-    ph = np.exp(log_pi0)
+    q = q0 = _marginal(phi0, inst)
     g = phi0.copy()
-    acc = np.zeros_like(ph) if check_average else None
-    pi0_weight = t0**r  # t^r pi_hat(t) = t0^r pi_hat(t0) + r * integral
+    acc = np.zeros_like(q) if check_average else None
     avg_dev = 0.0 if check_average else None
 
     n_full = int(np.floor((t_end - t0) / dt + 1e-12))
     last = (t_end - t0) - n_full * dt
-    steps = [dt] * n_full + ([last] if last > 1e-12 * dt else [])
+    n_steps = n_full + (last > 1e-12 * dt)
 
     ts, lks, vs = [], [], []
 
-    def record(t, ph, g, acc):
+    def record():
         nonlocal avg_dev
-        if not (np.all(np.isfinite(ph)) and np.all(np.isfinite(g))):
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
             raise FlowBlowupError(f"non-finite state; last good time {ts[-1] if ts else t0}")
-        lg = coupling(g, inst).log_masses
+        d = q - inst.b
         ts.append(t)
-        lks.append(_lk(ph, inst))
-        vs.append((t**2 / r) * lks[-1] + r * kl_couplings(lps, lg))
+        lks.append(0.5 * float(d @ d))
+        vs.append((t**2 / r) * lks[-1] + r * kl_couplings(lps, coupling(g, inst).log_masses))
         if check_average:
-            implied = (pi0_weight * np.exp(log_pi0) + r * acc) / t**r
-            dev = np.max(np.abs(implied - ph)) / max(np.max(np.abs(ph)), 1e-300)
+            implied = (t0**r * q0 + r * acc) / t**r
+            dev = np.max(np.abs(implied - q)) / max(np.max(np.abs(q)), 1e-300)
             avg_dev = max(avg_dev, float(dev))
 
-    record(t, ph, g, acc)
-    for k, h in enumerate(steps):
-        k1p, k1g, rho1 = _rhs(t, ph, g, inst, r)
-        k2p, k2g, rho2 = _rhs(t + h / 2, ph + h / 2 * k1p, g + h / 2 * k1g, inst, r)
-        k3p, k3g, rho3 = _rhs(t + h / 2, ph + h / 2 * k2p, g + h / 2 * k2g, inst, r)
-        k4p, k4g, rho4 = _rhs(t + h, ph + h * k3p, g + h * k3g, inst, r)
-        ph = ph + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        if check_average:
-            acc = acc + h / 6 * (
-                t ** (r - 1) * rho1
-                + 2 * (t + h / 2) ** (r - 1) * rho2
-                + 2 * (t + h / 2) ** (r - 1) * rho3
-                + (t + h) ** (r - 1) * rho4
-            )
+    record()
+    for k in range(n_steps):
+        h = dt if k < n_full else last
+        q, g, acc = _rk4_step(t, q, g, h, inst, r, acc)
         t = t + h
-        if (k + 1) % record_every == 0 or k == len(steps) - 1:
-            record(t, ph, g, acc)
+        if (k + 1) % record_every == 0 or k == n_steps - 1:
+            record()
 
     ts_a = np.array(ts)
     lks_a = np.array(lks)

@@ -111,6 +111,13 @@ class TestSolve:
             out.append((trace.read_bytes(), summary.read_bytes()))
         assert out[0] == out[1]
 
+    def test_seed_is_a_usage_error(self, instance_file, capsys):
+        # solve is deterministic and has no use for a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(instance_file), "--method", "sinkhorn", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_sinkhorn_rejects_other_steps(self, instance_file):
         code = main([
             "solve", "--instance", str(instance_file), "--method", "sinkhorn", "--eta", "0.5",
@@ -307,6 +314,18 @@ class TestFlowCommand:
         doc = json.loads(summary.read_text())
         assert doc["v_monotone"] is True
         assert doc["rate_bound_holds"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--dt", "-1", "--t-end", "0.5"], ["--dt", "0"], ["--record-every", "0"], ["--t-end", "inf"]],
+        ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf"],
+    )
+    def test_bad_step_arguments_are_input_errors(self, tmp_path, capsys, args):
+        summary = tmp_path / "s.json"
+        assert main(["flow", *args, "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not summary.exists()
 
 
 class TestValidate:

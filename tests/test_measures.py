@@ -312,10 +312,17 @@ class TestMalformedFiles:
             _doc_bytes(cost=[["a"]]),
             _doc_bytes(epsilon=True),
             _doc_bytes().replace(b'"cost"', b'"co\xffst"'),
+            # numbers written as JSON strings, or booleans, are not numbers
+            _doc_bytes(x_points=[["0.5"], ["1"]]),
+            _doc_bytes(x_weights=["0.5", 0.5]),
+            _doc_bytes(epsilon="0.5"),
+            _doc_bytes(y_points=[[0.0], [1.0]], y_weights=[0.5, 0.5], cost=[["1", 0], [0, 1]]),
+            _doc_bytes(x_points=[[True], [False]]),
         ],
         ids=[
             "huge_epsilon", "huge_point", "cost_object", "points_object", "weights_object",
             "ragged_points", "string_cost", "boolean_epsilon", "non_utf8",
+            "string_points", "string_weights", "string_epsilon", "string_explicit_cost", "boolean_points",
         ],
     )
     def test_rejected_with_a_one_line_error(self, tmp_path, capsys, data):
@@ -371,6 +378,15 @@ class TestParserParity:
         mu = DiscreteMeasure(points=ref["x_points"], weights=ref["x_weights"])
         nu = DiscreteMeasure(points=ref["y_points"], weights=ref["y_weights"])
         assert _digest(got) == _digest(Instance(mu=mu, nu=nu, cost=ref["cost"], epsilon=json.loads(text)["epsilon"]))
+
+    def test_non_finite_literal_message_names_the_rule(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(_VALID_DOC, y_points=[[math.nan]])))
+        with pytest.raises(InstanceError, match="non-finite numbers such as NaN and Infinity are not allowed"):
+            load_instance(path)
+        assert main(["validate", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("key", ["x_points", "y_weights", "cost", "epsilon"])

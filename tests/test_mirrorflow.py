@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otmatch.diagnostics import kl_couplings
-from otmatch.mirrorflow import FlowState, flow_init, flow_run, flow_step, lyapunov
+from otmatch.mirrorflow import _rk4_step, flow_run
 from otmatch.semidual import coupling, primal_value
 from otmatch.verify import random_instance
 
@@ -14,91 +14,97 @@ def inst():
     return random_instance(np.random.default_rng(60), 6, 6, 0.5)
 
 
+def _q(phi, inst):
+    """Y-marginal of the coupling induced by phi."""
+    return coupling(phi, inst).masses.sum(axis=0)
+
+
 class TestFlowInit:
-    def test_initial_average_is_induced_coupling(self, inst):
-        rng = np.random.default_rng(61)
-        phi0 = rng.normal(0, 1, inst.m)
-        s = flow_init(phi0, inst, 0.01)
-        np.testing.assert_allclose(s.pi_hat, coupling(phi0, inst).masses, rtol=1e-14)
-        np.testing.assert_array_equal(s.g, phi0)
-        np.testing.assert_array_equal(s.f0, np.zeros(inst.n))
+    def test_initial_average_is_induced_coupling(self, inst, oracle_cache):
+        # the first record holds (q, g) = (p(phi0), phi0): Lk from the induced
+        # coupling's Y-marginal, V's KL term from rho(phi0)
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        phi0 = np.random.default_rng(61).normal(0, 1, inst.m)
+        res = flow_run(inst, phi0, r=2.0, t0=0.01, t_end=0.02, dt=1e-2, phi_star=phi_star)
+        assert res.ts[0] == 0.01
+        d = _q(phi0, inst) - inst.b
+        assert res.lks[0] == pytest.approx(0.5 * float(d @ d), rel=1e-14)
+        kl0 = kl_couplings(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
+        assert res.kl_star_vs_init == kl0
+        assert res.vs[0] == pytest.approx(0.01**2 / 2.0 * res.lks[0] + 2.0 * kl0, rel=1e-14)
 
     def test_zero_cost_zero_potential_is_product(self):
+        # the product coupling a x b has Y-marginal b, so Lk starts at zero
         inst = zero_cost_instance()
-        s = flow_init(np.zeros(inst.m), inst, 0.1)
-        np.testing.assert_allclose(s.pi_hat, np.outer(inst.a, inst.b), rtol=1e-14)
-
-    def test_x_marginal(self, inst):
-        rng = np.random.default_rng(62)
-        s = flow_init(rng.normal(0, 1, inst.m), inst, 0.5)
-        np.testing.assert_allclose(s.pi_hat.sum(axis=1), inst.a, atol=1e-12)
+        res = flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.1, t_end=0.2, dt=1e-1)
+        assert res.lks[0] <= 1e-30
 
     def test_rejects_zero_start_time(self, inst):
         with pytest.raises(ValueError):
-            flow_init(np.zeros(inst.m), inst, 0.0)
+            flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.0, t_end=1.0)
 
 
 class TestFlowStep:
     def test_fixed_point_is_stationary(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
-        s = FlowState(t=1.0, pi_hat=coupling(phi_star, inst).masses, g=phi_star.copy(), f0=np.zeros(inst.n))
-        out = flow_step(s, inst, r=2.0, dt=1e-3)
-        assert np.max(np.abs(out.pi_hat - s.pi_hat)) <= 1e-12
-        assert np.max(np.abs(out.g - s.g)) <= 1e-12
+        q = _q(phi_star, inst)
+        q1, g1, _ = _rk4_step(1.0, q, phi_star, 1e-3, inst, 2.0)
+        assert np.max(np.abs(q1 - q)) <= 1e-12
+        assert np.max(np.abs(g1 - phi_star)) <= 1e-12
 
     def test_fourth_order_convergence(self, inst):
         # integrate a fixed window at dt and dt/2; global error should drop ~16x
         def integrate(dt):
-            s = flow_init(np.zeros(inst.m), inst, 0.2)
-            while s.t < 0.7 - 1e-12:
-                s = flow_step(s, inst, r=2.0, dt=dt)
-            return s
+            t, q, g = 0.2, _q(np.zeros(inst.m), inst), np.zeros(inst.m)
+            while t < 0.7 - 1e-12:
+                q, g, _ = _rk4_step(t, q, g, dt, inst, 2.0)
+                t += dt
+            return q
 
         ref = integrate(0.5e-3)
-        err1 = np.max(np.abs(integrate(0.02).pi_hat - ref.pi_hat))
-        err2 = np.max(np.abs(integrate(0.01).pi_hat - ref.pi_hat))
+        err1 = np.max(np.abs(integrate(0.02) - ref))
+        err2 = np.max(np.abs(integrate(0.01) - ref))
         assert 10.0 <= err1 / err2 <= 24.0
 
     def test_mass_conserved_over_many_steps(self, inst):
-        s = flow_init(np.zeros(inst.m), inst, 0.01)
+        t, q, g = 0.01, _q(np.zeros(inst.m), inst), np.zeros(inst.m)
         for _ in range(10_000):
-            s = flow_step(s, inst, r=2.0, dt=1e-3)
-        assert abs(s.pi_hat.sum() - 1.0) <= 1e-10
+            q, g, _ = _rk4_step(t, q, g, 1e-3, inst, 2.0)
+            t += 1e-3
+        assert abs(q.sum() - 1.0) <= 1e-10
 
     def test_parameter_validation(self, inst):
-        s = flow_init(np.zeros(inst.m), inst, 0.1)
         with pytest.raises(ValueError):
-            flow_step(s, inst, r=1.5, dt=1e-3)
+            flow_run(inst, np.zeros(inst.m), r=1.5, t0=0.1, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError):
-            flow_step(s, inst, r=2.0, dt=0.0)
+            flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.1, t_end=1.0, dt=0.0)
 
 
 class TestLyapunov:
     def test_zero_at_fixed_point(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
-        s = FlowState(t=2.0, pi_hat=coupling(phi_star, inst).masses, g=phi_star.copy(), f0=np.zeros(inst.n))
-        assert lyapunov(s, inst, 2.0, phi_star) <= 1e-11
+        res = flow_run(inst, phi_star, r=2.0, t0=2.0, t_end=2.001, dt=1e-3, phi_star=phi_star)
+        assert res.vs[0] <= 1e-11
 
     def test_small_time_limit_is_kl_term(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
         rng = np.random.default_rng(63)
         phi0 = rng.normal(0, 0.5, inst.m)
-        s = flow_init(phi0, inst, 1e-8)
         r = 2.0
+        res = flow_run(inst, phi0, r=r, t0=1e-8, t_end=2e-8, dt=1e-8, phi_star=phi_star)
         expected = r * kl_couplings(
             coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses
         )
-        assert lyapunov(s, inst, r, phi_star) == pytest.approx(expected, rel=1e-9)
+        assert res.vs[0] == pytest.approx(expected, rel=1e-9)
 
     def test_matches_component_oracles(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
         rng = np.random.default_rng(64)
         g_vec = rng.normal(0, 0.5, inst.m)
-        pi_hat = coupling(rng.normal(0, 0.5, inst.m), inst).masses
-        s = FlowState(t=1.7, pi_hat=pi_hat, g=g_vec, f0=np.zeros(inst.n))
-        lk = 0.5 * float(np.sum((pi_hat.sum(axis=0) - inst.b) ** 2))
+        res = flow_run(inst, g_vec, r=2.0, t0=1.7, t_end=1.8, dt=0.1, phi_star=phi_star)
+        lk = 0.5 * float(np.sum((_q(g_vec, inst) - inst.b) ** 2))
         d = kl_couplings(coupling(phi_star, inst).log_masses, coupling(g_vec, inst).log_masses)
-        assert lyapunov(s, inst, 2.0, phi_star) == pytest.approx(1.7**2 / 2.0 * lk + 2.0 * d, rel=1e-12)
+        assert res.vs[0] == pytest.approx(1.7**2 / 2.0 * lk + 2.0 * d, rel=1e-12)
 
     def test_conjugate_bregman_equals_kl(self, inst, oracle_cache):
         # the potential value at h = 0 (+) g is <h, rho> - KL(rho || reference);
@@ -151,3 +157,42 @@ class TestFlowRun:
             flow_run(inst, np.zeros(inst.m), r=1.0, t0=0.1, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError):
             flow_run(inst, np.zeros(inst.m), r=2.0, t0=1.0, t_end=0.5, dt=1e-3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": -1.0}, {"dt": 0.0}, {"dt": np.nan}, {"dt": np.inf},
+            {"record_every": 0}, {"t_end": np.inf}, {"t0": np.nan}, {"t0": -np.inf},
+        ],
+        ids=["dt_negative", "dt_zero", "dt_nan", "dt_inf", "record_every_zero", "t_end_inf", "t0_nan", "t0_minus_inf"],
+    )
+    def test_rejects_bad_step_arguments(self, inst, kwargs):
+        args = {"r": 2.0, "t0": 0.1, "t_end": 1.0, "dt": 1e-3, **kwargs}
+        with pytest.raises(ValueError):
+            flow_run(inst, np.zeros(inst.m), **args)
+
+    def test_matches_full_coupling_integration(self, inst, oracle_cache):
+        # reference: RK4 on the full (pi_hat, g) state; the closed (q, g)
+        # flow must give the Lk of its column sums.  Binary t0 and dt keep
+        # both time grids exact.
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        r, t0, dt, n = 2.0, 2.0**-7, 2.0**-10, 500
+        phi0 = np.random.default_rng(66).normal(0, 0.5, inst.m)
+
+        def rhs(t, ph, g):
+            return (r / t) * (coupling(g, inst).masses - ph), -(t / r) * (ph.sum(axis=0) - inst.b)
+
+        t, ph, g, lks = t0, coupling(phi0, inst).masses, phi0.copy(), []
+        for _ in range(n):
+            k1 = rhs(t, ph, g)
+            k2 = rhs(t + dt / 2, ph + dt / 2 * k1[0], g + dt / 2 * k1[1])
+            k3 = rhs(t + dt / 2, ph + dt / 2 * k2[0], g + dt / 2 * k2[1])
+            k4 = rhs(t + dt, ph + dt * k3[0], g + dt * k3[1])
+            ph = ph + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            g = g + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += dt
+            lks.append(0.5 * float(np.sum((ph.sum(axis=0) - inst.b) ** 2)))
+        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=dt, record_every=1, phi_star=phi_star)
+        assert len(res.lks) == n + 1
+        assert max(lks) > 1e-4
+        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=1e-15)

@@ -24,12 +24,10 @@ from .semidual import (
     coupling,
     first_variation,
     marginal_y,
-    minus_transform,
     plus_transform,
-    primal_value,
     semidual_value,
 )
-from .kernels import Gram, KernelSpec, gram, mean_embedding, mmd_sq
+from .kernels import Gram, KernelSpec, gram
 from .solvers import (
     Link,
     RunResult,
@@ -39,7 +37,6 @@ from .solvers import (
     lambda_bound,
     match_step,
     oracle_solve,
-    proj_sga_step,
     run,
     sign_sga_step,
     t_next,
@@ -59,15 +56,11 @@ __all__ = [
     "coupling",
     "first_variation",
     "marginal_y",
-    "minus_transform",
     "plus_transform",
-    "primal_value",
     "semidual_value",
     "Gram",
     "KernelSpec",
     "gram",
-    "mean_embedding",
-    "mmd_sq",
     "Link",
     "RunResult",
     "SolverConfig",
@@ -76,7 +69,6 @@ __all__ = [
     "lambda_bound",
     "match_step",
     "oracle_solve",
-    "proj_sga_step",
     "run",
     "sign_sga_step",
     "t_next",

@@ -33,7 +33,6 @@ __all__ = [
     "DriftField",
     "SimulationResult",
     "heat_propagate",
-    "drift_field",
     "simulate_em",
     "bridge_from_potential",
     "terminal_histogram",
@@ -171,22 +170,6 @@ def heat_propagate(phi_T: np.ndarray, t: float, T: float, x: np.ndarray) -> np.n
         return np.exp(phi_T)
     dx = float(x[1] - x[0])
     return np.exp(_log_heat(phi_T, T - t, x, dx))
-
-
-def drift_field(g_values: np.ndarray, grid: SpaceTimeGrid) -> DriftField:
-    """Drift grad log g_t by central differences (one-sided at the ends).
-
-    ``g_values`` holds g_t on the grid, one row per time node, strictly
-    positive everywhere.  Differencing log g makes the result exact for
-    log-linear data.
-    """
-    g = np.asarray(g_values, dtype=np.float64)
-    if g.shape != (grid.n_t, grid.n_x):
-        raise GridError(f"g has shape {g.shape}, expected ({grid.n_t}, {grid.n_x})")
-    if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
-        raise GridError("g must be strictly positive and finite")
-    v = np.gradient(np.log(g), grid.dx, axis=1)
-    return DriftField(grid=grid, values=v)
 
 
 @dataclass(frozen=True)

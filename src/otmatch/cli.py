@@ -33,8 +33,8 @@ from .measures import InstanceError, Instance, load_instance
 from .mirrorflow import flow_run
 from .semidual import marginal_y
 from .solvers import (
+    METHODS,
     DivergenceError,
-    Link,
     OracleError,
     SolverConfig,
     oracle_solve,
@@ -45,8 +45,6 @@ from .verify import random_instance, run_suite
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
-
-METHODS = ("sinkhorn", "eta_sinkhorn", "sga", "ksga", "chi2", "sign_sga", "proj_sga", "proj_sga_pp")
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -82,38 +80,19 @@ def _digest(inst: Instance) -> str:
 
 
 def _build_config(args, inst: Instance) -> SolverConfig:
-    eta = args.eta if args.eta == "auto" else float(args.eta)
-    diag_gram = None
-    kernel_gram = None
+    kernel = None
     if args.kernel is not None:
-        spec = parse_kernel_spec(args.kernel, inst.nu.points)
-        kernel_gram = gram(spec, inst.nu.points)
-    common = dict(
-        eta=eta,
+        kernel = gram(parse_kernel_spec(args.kernel, inst.nu.points), inst.nu.points)
+    return SolverConfig(
+        method=args.method,
+        eta=args.eta if args.eta == "auto" else float(args.eta),
         max_iter=args.max_iter,
         tol_l1=args.tol,
+        anchor_index=None if args.anchor == "auto" else int(args.anchor),
+        bound_B=None if args.B == "auto" else float(args.B),
         record_every=args.record_every,
+        gram=kernel,
     )
-    if args.method == "sinkhorn":
-        if eta not in ("auto", 1.0):
-            raise InstanceError("sinkhorn runs at unit step; use eta_sinkhorn for other steps")
-        return SolverConfig(method="match", link=Link.identity(), diag_gram=kernel_gram,
-                            **{**common, "eta": 1.0})
-    if args.method == "eta_sinkhorn":
-        return SolverConfig(method="match", link=Link.identity(), diag_gram=kernel_gram, **common)
-    if args.method == "sga":
-        return SolverConfig(method="match", link=Link.exp(), diag_gram=kernel_gram, **common)
-    if args.method == "ksga":
-        if kernel_gram is None:
-            raise InstanceError("ksga needs --kernel")
-        return SolverConfig(method="match", link=Link.exp_kernel(kernel_gram), **common)
-    if args.method == "chi2":
-        return SolverConfig(method="match", link=Link.chi_square(), diag_gram=kernel_gram, **common)
-    bound = None if args.B == "auto" else float(args.B)
-    anchor = None if args.anchor == "auto" else int(args.anchor)
-    if args.method == "sign_sga":
-        return SolverConfig(method="sign_sga", anchor_index=anchor, diag_gram=kernel_gram, **common)
-    return SolverConfig(method=args.method, bound_B=bound, diag_gram=kernel_gram, **common)
 
 
 def _summary_doc(inst, result, wall_s, bound_reports=(), extra=None):

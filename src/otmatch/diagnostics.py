@@ -1,4 +1,4 @@
-"""Discrepancies, per-theorem bound checkers, and empirical rate fitting.
+"""Per-theorem bound checkers and empirical rate fitting.
 
 Bound checkers compare a recorded trace against the matching proven rate,
 with a fixed absolute tolerance of 1e-10 to absorb rounding.  A checker
@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import Gram
+from .logops import kl
 from .measures import Instance
 from .semidual import coupling, semidual_value
-from .kernels import Gram
 from .solvers import Trace, lambda_bound, oracle_solve
 
 __all__ = [
-    "kl",
-    "kl_couplings",
     "BoundReport",
     "check_thm_ksga_rate",
     "check_thm_proj_rate",
@@ -29,31 +28,6 @@ __all__ = [
 ]
 
 BOUND_TOL = 1e-10
-
-
-def kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence between mass vectors, with 0 log 0 = 0.
-
-    Returns ``inf`` when p has mass where q does not.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("mass vectors must be nonnegative")
-    live = p > 0.0
-    if np.any(live & (q == 0.0)):
-        return float("inf")
-    return float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live]))))
-
-
-def kl_couplings(log_p: np.ndarray, log_q: np.ndarray) -> float:
-    """KL divergence between couplings given their log masses."""
-    live = log_p > -np.inf
-    if np.any(live & (log_q == -np.inf)):
-        return float("inf")
-    return float(np.sum(np.exp(log_p[live]) * (log_p[live] - log_q[live])))
 
 
 @dataclass(frozen=True)
@@ -113,7 +87,7 @@ def check_thm_ksga_rate(
         raise ValueError("trace has no mmd_sq column; configure a Gram when running")
     iters = trace.iterations()
     keep = iters >= 1
-    d0 = kl_couplings(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
+    d0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
     return _report("ksga_rate", iters[keep], mmd[keep], bound)
 

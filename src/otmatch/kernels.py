@@ -1,4 +1,4 @@
-"""Positive-definite kernels on a discrete support, mean embeddings, MMD.
+"""Positive-definite kernels on a discrete support.
 
 The identity kernel realizes the counting-measure inner product, so the
 plain gradient-ascent update is literally the kernel-smoothed update with
@@ -18,14 +18,11 @@ __all__ = [
     "KernelSpec",
     "Gram",
     "gram",
-    "mean_embedding",
-    "mmd_sq",
     "parse_kernel_spec",
     "median_pairwise_distance",
 ]
 
 GRAM_SYMMETRY_TOL = 1e-12
-MMD_NEGATIVE_TOL = -1e-12
 
 
 @dataclass(frozen=True)
@@ -94,29 +91,6 @@ def gram(spec: KernelSpec, points: np.ndarray) -> Gram:
     # laplace
     l1 = _pairwise_sum(pts, pts, 1)
     return Gram(matrix=np.exp(-l1 / (2.0 * spec.bandwidth)))
-
-
-def mean_embedding(g: Gram, xi: np.ndarray) -> np.ndarray:
-    """Kernel mean of a (signed) mass vector: (K xi)_j."""
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (g.size,):
-        raise ValueError(f"mass vector has shape {xi.shape}, Gram is {g.size}x{g.size}")
-    return g.matrix @ xi
-
-
-def mmd_sq(g: Gram, xi: np.ndarray, rho: np.ndarray) -> float:
-    """Half squared MMD between two mass vectors: (1/2)(xi-rho)^T K (xi-rho).
-
-    Nonnegative for a PSD Gram; a value below -1e-12 means the kernel spec
-    produced a non-PSD matrix and is rejected.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    d = xi - rho
-    val = 0.5 * float(d @ g.matrix @ d)
-    if val < MMD_NEGATIVE_TOL:
-        raise ValueError(f"squared MMD is {val}; Gram is not positive semidefinite")
-    return val
 
 
 def parse_kernel_spec(text: str, points: np.ndarray | None = None) -> KernelSpec:

@@ -4,14 +4,15 @@ Every exponential in the solver stack goes through ``logsumexp`` with
 max-subtraction; cost/regularization ratios routinely reach 10^2-10^3 in
 stress settings and raw ``exp`` would overflow.  Summation order is the
 fixed order numpy uses for contiguous arrays, so repeated runs on the same
-platform produce bit-identical results.
+platform produce bit-identical results.  ``kl`` lives here too, as the one
+KL divergence every layer imports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["logsumexp"]
+__all__ = ["logsumexp", "kl"]
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -28,3 +29,20 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     if axis is None:
         return float(out + amax_safe.reshape(()))
     return out + np.squeeze(amax_safe, axis=axis)
+
+
+def kl(log_p: np.ndarray, log_q: np.ndarray) -> float:
+    """KL divergence sum p log(p/q) between mass arrays given by their logs.
+
+    Zero masses contribute nothing (0 log 0 = 0); mass of p where q has
+    none gives ``inf``.  The plain sum is taken first; a zero mass of p
+    makes it NaN (0 times an infinite log ratio), and only then are the
+    zero masses masked out.
+    """
+    val = float(np.sum(np.exp(log_p) * (log_p - log_q)))
+    if val == val:
+        return val
+    live = log_p > -np.inf
+    if np.any(live & (log_q == -np.inf)):
+        return float("inf")
+    return float(np.sum(np.exp(log_p[live]) * (log_p[live] - log_q[live])))

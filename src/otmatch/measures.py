@@ -91,7 +91,7 @@ class DiscreteMeasure:
         if np.any(w <= 0.0):
             raise InstanceError("all weights must be strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise InstanceError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_SUM_TOL}")
+            raise InstanceError(f"weights sum to {float(w.sum())!r}, expected 1 within {WEIGHT_SUM_TOL}")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -265,12 +265,26 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
         raise InstanceError(f"{weights_key}: weights must be finite and strictly positive")
     drift = abs(w.sum() - 1.0)
     if drift > LOAD_RENORMALIZE_TOL:
-        raise InstanceError(f"{weights_key}: weights sum to {w.sum()!r}; off by more than {LOAD_RENORMALIZE_TOL}")
+        raise InstanceError(
+            f"{weights_key}: weights sum to {float(w.sum())!r}; off by more than {LOAD_RENORMALIZE_TOL}"
+        )
     # weights a measure accepts as they are stay bit-exact, so that a saved
     # instance loads back to the same arrays (and the same digest)
     if drift > WEIGHT_SUM_TOL:
         w = w / w.sum()
     return DiscreteMeasure(points=pts, weights=w)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a boolean sits anywhere in ``value``'s nested lists."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool):
+            return True
+    return False
 
 
 def load_instance(path) -> Instance:
@@ -282,7 +296,8 @@ def load_instance(path) -> Instance:
     malformed fields are rejected.
     """
     try:
-        doc = orjson.loads(Path(path).read_bytes())
+        raw = Path(path).read_bytes()
+        doc = orjson.loads(raw)
     except OSError as exc:
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
     except orjson.JSONDecodeError as exc:
@@ -292,6 +307,15 @@ def load_instance(path) -> Instance:
         ) from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must contain a JSON object")
+    # numpy reads a boolean among numbers as 0 or 1, so look for booleans by
+    # element; that walk is slow on a dense cost, so it runs only when a byte
+    # of "true" or "false" occurs that numbers and this format's keys never
+    # hold.  One-byte scans are memchr passes, several times faster than
+    # scanning for the words themselves.
+    if b"u" in raw or b"a" in raw:
+        for key in ("x_points", "x_weights", "y_points", "y_weights", "cost"):
+            if _holds_bool(doc.get(key)):
+                raise InstanceError(f"{key} must be numbers, got a boolean")
     mu = _load_measure(doc, "x_points", "x_weights")
     nu = _load_measure(doc, "y_points", "y_weights")
     if "cost" not in doc or "epsilon" not in doc:

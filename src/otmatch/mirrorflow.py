@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kl_couplings
+from .logops import kl
 from .measures import Instance
 from .semidual import _row_pass, coupling
 from .solvers import oracle_solve
@@ -133,8 +133,8 @@ def flow_run(
         phi_star = oracle_solve(inst)
     lps = coupling(phi_star, inst).log_masses
     log_pi0 = coupling(phi0, inst).log_masses
-    d_star_init = kl_couplings(lps, log_pi0)
-    d_init_star = kl_couplings(log_pi0, lps)
+    d_star_init = kl(lps, log_pi0)
+    d_init_star = kl(log_pi0, lps)
 
     t = float(t0)
     q = q0 = _marginal(phi0, inst)
@@ -155,7 +155,7 @@ def flow_run(
         d = q - inst.b
         ts.append(t)
         lks.append(0.5 * float(d @ d))
-        vs.append((t**2 / r) * lks[-1] + r * kl_couplings(lps, coupling(g, inst).log_masses))
+        vs.append((t**2 / r) * lks[-1] + r * kl(lps, coupling(g, inst).log_masses))
         if check_average:
             implied = (t0**r * q0 + r * acc) / t**r
             dev = np.max(np.abs(implied - q)) / max(np.max(np.abs(q)), 1e-300)

@@ -3,7 +3,7 @@
 The dual problem over two potentials collapses to an unconstrained concave
 program in a single potential ``phi`` living on the second marginal's
 support: the partner potential is recovered by a soft-max transform.  This
-module provides that transform and its reverse, the objective ``J``, its
+module provides that transform, the objective ``J``, its
 first variation (a signed mass vector), and the coupling induced by a
 potential.  All reductions run in stabilized log domain with a fixed
 summation order, so traces are reproducible bit-for-bit.
@@ -43,7 +43,6 @@ from .measures import Instance
 __all__ = [
     "Coupling",
     "plus_transform",
-    "minus_transform",
     "semidual_value",
     "log_marginal_y",
     "induced_marginal",
@@ -52,7 +51,6 @@ __all__ = [
     "first_variation",
     "coupling",
     "log_reference",
-    "primal_value",
 ]
 
 COUPLING_MASS_TOL = 1e-12
@@ -147,12 +145,6 @@ def plus_transform(phi: np.ndarray, inst: Instance) -> np.ndarray:
     """
     phi = _check_finite(phi, "phi")
     return logsumexp(inst.log_b[None, :] + phi[None, :] - inst.cost_over_eps, axis=1)
-
-
-def minus_transform(psi: np.ndarray, inst: Instance) -> np.ndarray:
-    """Reverse transform: component j is ``-logsumexp_i(log a_i + psi_i + C_ij / eps)``."""
-    psi = _check_finite(psi, "psi")
-    return -logsumexp(inst.log_a[:, None] + psi[:, None] + inst.cost_over_eps, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +304,3 @@ def log_reference(inst: Instance) -> np.ndarray:
     lr = inst.log_a[:, None] + inst.log_b[None, :] - inst.cost_over_eps
     z = logsumexp(lr.reshape(-1))
     return lr - z
-
-
-def primal_value(pi: Coupling, inst: Instance) -> float:
-    """KL divergence of a coupling from the normalized Gibbs reference.
-
-    Returns ``inf`` when ``pi`` places mass outside the reference's
-    support.  Zero masses in ``pi`` contribute nothing (0 log 0 = 0).
-    """
-    log_ref = log_reference(inst)
-    lp = pi.log_masses
-    if lp.shape != log_ref.shape:
-        raise ValueError(f"coupling shape {lp.shape} does not match instance {log_ref.shape}")
-    live = lp > -np.inf
-    if np.any(live & (log_ref == -np.inf)):
-        return float("inf")
-    terms = np.zeros_like(lp)
-    terms[live] = np.exp(lp[live]) * (lp[live] - log_ref[live])
-    return float(terms.sum())

@@ -1,6 +1,7 @@
 """Iterative solvers for the semi-dual problem.
 
-One runner drives the whole family:
+One runner drives the whole family; each method the command line names is
+one row of ``METHODS``, which gives its update, step rule and guard:
 
 * marginal-matching updates ``phi <- phi - eta (log T(p) - log T(b))``
   where ``p`` is the current Y-marginal and ``T`` is a link operator
@@ -17,16 +18,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .kernels import Gram
-from .logops import logsumexp
+from .logops import kl, logsumexp
 from .measures import Instance
 from .semidual import InducedCache, _log_coupling, induced_marginal
 
 __all__ = [
     "Link",
+    "METHODS",
     "SolverConfig",
     "TraceRecord",
     "Trace",
@@ -36,7 +39,6 @@ __all__ = [
     "log_link",
     "match_step",
     "sign_sga_step",
-    "proj_sga_step",
     "auto_eta_kernel",
     "lambda_bound",
     "default_bound",
@@ -200,23 +202,71 @@ def _sign_update(phi, delta, eta, anchor):
     return out
 
 
-def proj_sga_step(phi: np.ndarray, inst: Instance, B: float, eta: float) -> np.ndarray:
-    """Weight-rescaled ascent step clamped into the box [-B, B].
-
-    The candidate is ``phi + eta (b - p)/b``; clamping is the exact
-    L2(nu)-projection onto the box because the constraint is separable.
-    """
-    if eta <= 0.0:
-        raise ValueError(f"projected step size must be positive, got {eta}")
-    if np.any(np.abs(phi) > B):
-        raise ValueError("phi must start inside the box [-B, B]")
-    p = np.exp(induced_marginal(phi, inst)[1])
-    return _proj_update(phi, p, inst, B, eta)
-
-
 def _proj_update(phi, p, inst, B, eta):
+    """Weight-rescaled ascent step ``phi + eta (b - p)/b`` clamped into [-B, B].
+
+    Clamping is the exact L2(nu)-projection onto the box because the
+    constraint is separable.
+    """
     cand = phi + eta * (inst.b - p) / inst.b
     return np.clip(cand, -B, B)
+
+
+# ---------------------------------------------------------------------------
+# Method table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Method:
+    """How :func:`run` iterates one method.
+
+    ``family`` picks the update map: ``match`` (marginal matching through
+    the link of kind ``link``), ``sign``, ``proj`` or ``proj_pp``.
+    ``auto_eta(gram, inst, B)`` is the step for ``eta="auto"``; an explicit
+    step must be finite and lie in (0, eta_max], or (0, eta_max) when
+    ``eta_max_open``.  ``guard(eta, inst, B)`` says whether the step carries
+    an ascent guarantee, which makes a falling objective a
+    :class:`DivergenceError`.
+    """
+
+    family: str
+    link: str | None
+    auto_eta: Callable[[Gram | None, Instance, float | None], float]
+    eta_max: float
+    eta_max_open: bool
+    guard: Callable[[float, Instance, float | None], bool]
+
+    def eta_range(self) -> str:
+        return f"(0, {self.eta_max:g}{')' if self.eta_max_open else ']'}"
+
+
+def _proj_eta(inst: Instance, B: float) -> float:
+    return float(np.exp(-lambda_bound(inst, B)))
+
+
+def _unit_step(eta, inst, B):
+    return eta == 1.0  # the classical Sinkhorn map ascends
+
+
+def _no_guard(eta, inst, B):
+    return False
+
+
+METHODS: dict[str, Method] = {
+    "sinkhorn": Method("match", "identity", lambda g, inst, B: 1.0, 1.0, False, _unit_step),
+    "eta_sinkhorn": Method("match", "identity", lambda g, inst, B: 1.0, 1.0, False, _unit_step),
+    "sga": Method("match", "exp", lambda g, inst, B: 0.5, 1.0, False, _no_guard),
+    "ksga": Method("match", "exp_kernel", lambda g, inst, B: auto_eta_kernel(g), 1.0, False, _no_guard),
+    "chi2": Method("match", "chi_square", lambda g, inst, B: 0.5, 1.0, False, _no_guard),
+    "sign_sga": Method("sign", None, lambda g, inst, B: 1.0, 2.0, True, lambda eta, inst, B: True),
+    "proj_sga": Method(
+        "proj", None, lambda g, inst, B: _proj_eta(inst, B), np.inf, True,
+        lambda eta, inst, B: eta <= _proj_eta(inst, B) * (1.0 + 1e-12),
+    ),
+    "proj_sga_pp": Method(
+        "proj_pp", None, lambda g, inst, B: _proj_eta(inst, 3.0 * B), np.inf, True, _no_guard,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -227,48 +277,42 @@ def _proj_update(phi, p, inst, B, eta):
 class SolverConfig:
     """Method selection and stopping policy for :func:`run`.
 
-    ``eta="auto"`` resolves to 1 for the identity link, min{1/(2 c_k), 1}
-    for exponential/kernel links, 0.5 for the chi-square link, 1 for
-    sign_sga, and 1/lambda(B) resp. 1/lambda(3B) for the projected methods.
+    ``method`` is a key of :data:`METHODS`.  ``eta="auto"`` resolves to 1
+    for the Sinkhorn methods, min{1/(2 c_k), 1} for sga (c_k = 1) and ksga,
+    0.5 for chi2, 1 for sign_sga, and 1/lambda(B) resp. 1/lambda(3B) for
+    the projected methods.  ``gram`` is the kernel of ksga; given to any
+    method, it adds the ``mmd_sq`` trace column.
     """
 
-    method: str  # "match" | "sign_sga" | "proj_sga" | "proj_sga_pp"
-    link: Link | None = None
+    method: str
     eta: float | str = "auto"
     max_iter: int = 1000
     tol_l1: float = 1e-9
     anchor_index: int | None = None  # sign_sga; default: heaviest target atom
     bound_B: float | None = None  # projected methods; default 1.5 max|c|
     record_every: int = 1
-    diag_gram: Gram | None = None  # extra Gram for mmd_sq trace column
+    gram: Gram | None = None
 
     def __post_init__(self):
-        if self.method not in ("match", "sign_sga", "proj_sga", "proj_sga_pp"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "match" and self.link is None:
-            raise ValueError("matching method needs a link operator")
-        if self.method != "match" and self.link is not None:
-            raise ValueError(f"{self.method} takes no link operator")
-        if isinstance(self.eta, str) and self.eta != "auto":
-            raise ValueError(f"eta must be a number or 'auto', got {self.eta!r}")
-        if self.max_iter < 0 or self.record_every < 1 or self.tol_l1 < 0:
+        spec = METHODS.get(self.method)
+        if spec is None:
+            raise ValueError(f"unknown method {self.method!r}; have {', '.join(METHODS)}")
+        if spec.link == "exp_kernel" and self.gram is None:
+            raise ValueError(f"{self.method} needs a kernel Gram (--kernel)")
+        if isinstance(self.eta, str):
+            if self.eta != "auto":
+                raise ValueError(f"eta must be a number or 'auto', got {self.eta!r}")
+        else:
+            eta = float(self.eta)
+            if self.method == "sinkhorn" and eta != 1.0:
+                raise ValueError("sinkhorn runs at unit step; use eta_sinkhorn for other steps")
+            in_range = 0.0 < eta < spec.eta_max or (eta == spec.eta_max and not spec.eta_max_open)
+            if not (np.isfinite(eta) and in_range):
+                raise ValueError(f"{self.method} step size must be finite in {spec.eta_range()}, got {eta}")
+        if self.bound_B is not None and not (np.isfinite(self.bound_B) and self.bound_B >= 0.0):
+            raise ValueError(f"box radius B must be finite and >= 0, got {self.bound_B}")
+        if not (self.max_iter >= 0 and self.record_every >= 1 and self.tol_l1 >= 0.0):
             raise ValueError("max_iter >= 0, record_every >= 1, tol_l1 >= 0 required")
-
-    @classmethod
-    def sinkhorn(cls, **kw) -> "SolverConfig":
-        return cls(method="match", link=Link.identity(), eta=kw.pop("eta", 1.0), **kw)
-
-    @classmethod
-    def sga(cls, **kw) -> "SolverConfig":
-        return cls(method="match", link=Link.exp(), **kw)
-
-    @classmethod
-    def ksga(cls, gram: Gram, **kw) -> "SolverConfig":
-        return cls(method="match", link=Link.exp_kernel(gram), **kw)
-
-    @classmethod
-    def chi2(cls, **kw) -> "SolverConfig":
-        return cls(method="match", link=Link.chi_square(), **kw)
 
 
 @dataclass(frozen=True)
@@ -320,38 +364,6 @@ class RunResult:
     anchor_index: int | None = None
 
 
-def _resolve_eta(cfg: SolverConfig, inst: Instance, B: float | None) -> float:
-    if not isinstance(cfg.eta, str):
-        eta = float(cfg.eta)
-        if cfg.method == "match" and not 0.0 < eta <= 1.0:
-            raise ValueError(f"matching step size must lie in (0, 1], got {eta}")
-        if cfg.method == "sign_sga" and not 0.0 < eta < 2.0:
-            raise ValueError(f"sign step size must lie in (0, 2), got {eta}")
-        if eta <= 0.0:
-            raise ValueError(f"step size must be positive, got {eta}")
-        return eta
-    if cfg.method == "match":
-        return {
-            "identity": lambda: 1.0,
-            "exp": lambda: 0.5,
-            "exp_kernel": lambda: auto_eta_kernel(cfg.link.gram),
-            "chi_square": lambda: 0.5,
-        }[cfg.link.kind]()
-    if cfg.method == "sign_sga":
-        return 1.0
-    if cfg.method == "proj_sga":
-        return float(np.exp(-lambda_bound(inst, B)))
-    return float(np.exp(-lambda_bound(inst, 3.0 * B)))  # proj_sga_pp
-
-
-def _has_ascent_guarantee(cfg: SolverConfig, inst: Instance, eta: float, B: float | None) -> bool:
-    if cfg.method == "sign_sga":
-        return True  # eta in (0, 2) already enforced
-    if cfg.method == "proj_sga":
-        return eta <= np.exp(-lambda_bound(inst, B)) * (1.0 + 1e-12)
-    return cfg.method == "match" and cfg.link.kind == "identity" and eta == 1.0
-
-
 def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> RunResult:
     """Iterate the configured method until the L1 residual meets tol.
 
@@ -371,29 +383,28 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi0 must be finite")
 
+    spec = METHODS[cfg.method]
     B = None
-    if cfg.method in ("proj_sga", "proj_sga_pp"):
+    if spec.family in ("proj", "proj_pp"):
         if np.any(inst.cost < 0.0):
             raise ValueError("projected methods require a nonnegative cost")
         B = default_bound(inst) if cfg.bound_B is None else float(cfg.bound_B)
         if np.any(np.abs(phi) > B):
             raise ValueError("phi0 must lie inside the box [-B, B] for projected methods")
     anchor = None
-    if cfg.method == "sign_sga":
+    if spec.family == "sign":
         anchor = int(np.argmax(inst.b)) if cfg.anchor_index is None else int(cfg.anchor_index)
         if not 0 <= anchor < inst.m:
             raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
 
-    eta = _resolve_eta(cfg, inst, B)
+    eta = spec.auto_eta(cfg.gram, inst, B) if isinstance(cfg.eta, str) else float(cfg.eta)
     # an auto step that underflowed to 0.0 would leave phi where it is
     max_iter = 0 if eta == 0.0 else cfg.max_iter
-    gram = cfg.diag_gram
-    if gram is None and cfg.method == "match" and cfg.link.kind == "exp_kernel":
-        gram = cfg.link.gram
-    guard = _has_ascent_guarantee(cfg, inst, eta, B)
-
-    # accelerated method state
-    if cfg.method == "proj_sga_pp":
+    gram = cfg.gram
+    guard = spec.guard(eta, inst, B)
+    if spec.family == "match":
+        link = Link(spec.link, gram if spec.link == "exp_kernel" else None)
+    elif spec.family == "proj_pp":
         bar_prev = phi.copy()  # projected iterate sequence starts at phi0
         inner = phi.copy()  # extrapolated point the gradient is taken at
         t_mom = 1.0
@@ -424,20 +435,19 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             if gram is not None:
                 d = p - inst.b
                 mmd = 0.5 * float(d @ gram.matrix @ d)
-            kl_y = float(np.sum(p * (lp - inst.log_b)))
             trace.records.append(
-                TraceRecord(it, j_val, resid, mmd, kl_y, time.perf_counter() - start)
+                TraceRecord(it, j_val, resid, mmd, kl(lp, inst.log_b), time.perf_counter() - start)
             )
         if final:
             break
 
-        if cfg.method == "match":
-            phi = _match_update(phi, lp, inst, cfg.link, eta)
-        elif cfg.method == "sign_sga":
+        if spec.family == "match":
+            phi = _match_update(phi, lp, inst, link, eta)
+        elif spec.family == "sign":
             phi = _sign_update(phi, inst.b - p, eta, anchor)
-        elif cfg.method == "proj_sga":
+        elif spec.family == "proj":
             phi = _proj_update(phi, p, inst, B, eta)
-        else:  # proj_sga_pp: gradient at the extrapolated point, trace the projected one
+        else:  # proj_pp: gradient at the extrapolated point, trace the projected one
             p_inner = np.exp(evaluate(inner)[1])
             bar = _proj_update(inner, p_inner, inst, B, eta)
             t_new = t_next(t_mom)

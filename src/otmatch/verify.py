@@ -21,14 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge as bridge_mod
-from .diagnostics import (
-    check_thm_acc_rate,
-    check_thm_ksga_rate,
-    check_thm_proj_rate,
-    kl,
-)
+from .diagnostics import check_thm_acc_rate, check_thm_ksga_rate, check_thm_proj_rate
 from .kernels import KernelSpec, gram
-from .logops import logsumexp
+from .logops import kl, logsumexp
 from .measures import DiscreteMeasure, Instance, cost_matrix
 from .mirrorflow import flow_run
 from .primal import (
@@ -279,7 +274,7 @@ def check_kernel_smoothness(seed: int, pairs: int = 500) -> PropertyResult:
             return 0.5 * float(d @ g.matrix @ d)
         lin = float((g.matrix @ (xi - target)) @ (xi_bar - xi))
         gap = lk(xi_bar) - lk(xi) - lin
-        upper = 2.0 * g.c_k * kl(xi_bar, xi)
+        upper = 2.0 * g.c_k * kl(np.log(xi_bar), np.log(xi))
         worst = max(worst, gap - upper, -gap)
     return PropertyResult("kernel_smoothness", worst <= 1e-10, worst, f"max violation over {pairs} pairs")
 
@@ -291,7 +286,7 @@ def check_ksga_rate(seed: int, n: int = 24, iters: int = 300) -> PropertyResult:
     worst = -np.inf
     for spec in (KernelSpec("identity"), KernelSpec("gaussian", 0.25)):
         g = gram(spec, inst.nu.points)
-        res = run(inst, SolverConfig.ksga(g, max_iter=iters, tol_l1=0.0), np.zeros(inst.m))
+        res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=iters, tol_l1=0.0), np.zeros(inst.m))
         rep = check_thm_ksga_rate(res.trace, inst, g, np.zeros(inst.m), phi_star)
         worst = max(worst, -rep.worst_slack)
         mono = float(np.max(np.diff(res.trace.column("mmd_sq"))))

@@ -72,7 +72,7 @@ def ksga_runs():
         phi_star = oracle_solve(inst, tol=1e-12)
         for spec in (KernelSpec("identity"), KernelSpec("gaussian", 0.25)):
             g = gram(spec, inst.nu.points)
-            res = run(inst, SolverConfig.ksga(g, max_iter=2000, tol_l1=0.0, record_every=1))
+            res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=2000, tol_l1=0.0, record_every=1))
             out[(eps, spec.kind)] = (inst, g, res, phi_star)
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -209,7 +209,7 @@ def test_criterion_08_classical_conformance():
     reference = classic_log_sinkhorn(inst.a, inst.b, inst.cost, inst.epsilon, 50)
     res = run(
         inst,
-        SolverConfig.sinkhorn(max_iter=50, tol_l1=0.0, record_every=1),
+        SolverConfig(method="sinkhorn", max_iter=50, tol_l1=0.0, record_every=1),
     )
     from otmatch.solvers import Link, match_step
 

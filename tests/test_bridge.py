@@ -7,13 +7,12 @@ from otmatch.bridge import (
     SpaceTimeGrid,
     bridge_from_potential,
     bridge_grid_for,
-    drift_field,
     heat_propagate,
     make_demo_instance,
     simulate_em,
     terminal_histogram,
 )
-from otmatch.measures import DiscreteMeasure
+from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.semidual import marginal_y
 from otmatch.solvers import oracle_solve
 
@@ -87,34 +86,19 @@ class TestHeatPropagate:
 
 
 class TestDriftField:
-    def test_constant_g_zero_drift(self):
-        g = small_grid()
-        field = drift_field(np.full((g.n_t, g.n_x), 2.5), g)
-        np.testing.assert_array_equal(field.values, 0.0)
-
-    def test_log_linear_is_exact(self):
-        g = small_grid()
-        alpha = 0.7
-        rows = np.exp(alpha * g.x)[None, :] * np.ones((g.n_t, 1))
-        field = drift_field(rows, g)
-        np.testing.assert_allclose(field.values, alpha, rtol=1e-9)
-
     def test_gaussian_bump_matches_analytic_gradient(self):
-        g = small_grid()
-        sigma, c = 0.8, 0.4
-        rows = np.exp(-0.5 * ((g.x - c) / sigma) ** 2)[None, :] * np.ones((g.n_t, 1))
-        field = drift_field(rows, g)
-        analytic = -(g.x - c) / sigma**2
-        interior = slice(1, -1)
-        err = np.max(np.abs(field.values[0][interior] - analytic[interior]))
-        assert err <= 10.0 * g.dx**2  # central differences, smooth data
-
-    def test_rejects_nonpositive(self):
-        g = small_grid()
-        bad = np.ones((g.n_t, g.n_x))
-        bad[0, 0] = 0.0
-        with pytest.raises(GridError):
-            drift_field(bad, g)
+        # one target atom: g_t is a Gaussian bump around it whose log is
+        # quadratic, so central differences give grad log g_t = (y - x)/(T - t)
+        # exactly at interior nodes
+        T, x0, y = 0.5, -0.25, 0.25
+        mu = DiscreteMeasure(points=np.array([[x0]]), weights=np.ones(1))
+        nu = DiscreteMeasure(points=np.array([[y]]), weights=np.ones(1))
+        inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=T)
+        grid = SpaceTimeGrid.covering(x0, y, 0.05, T, 11)
+        field = bridge_from_potential(np.array([0.7]), inst, grid)
+        s = np.maximum(T - grid.times, grid.dt)[:, None]  # the last node reuses the step before
+        analytic = (y - grid.x)[None, :] / s
+        np.testing.assert_allclose(field.values[:, 1:-1], analytic[:, 1:-1], rtol=1e-9, atol=1e-9)
 
     def test_csv_header(self):
         g = small_grid(n_t=3, n_x=5, span=2.0)
@@ -184,7 +168,6 @@ class TestBridgeFromPotential:
         narrow = SpaceTimeGrid(x=np.linspace(-3, 3, 61), times=grid.times)
         with pytest.raises(GridError):
             bridge_from_potential(np.zeros(inst.m), inst, narrow)
-        from otmatch.measures import Instance, cost_matrix
 
         bad_cost = Instance(mu=inst.mu, nu=inst.nu, cost=cost_matrix(inst.mu, inst.nu, "euclidean"), epsilon=1.0)
         with pytest.raises(GridError):

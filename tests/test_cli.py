@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from otmatch import cli
 from otmatch.cli import METHODS, _atomic_write, _digest, main
 from otmatch.measures import DiscreteMeasure, Instance, load_instance, save_instance
 from otmatch.semidual import semidual_value
-from otmatch.solvers import DivergenceError, OracleError
+from otmatch.kernels import gram, parse_kernel_spec
+from otmatch.solvers import DivergenceError, OracleError, SolverConfig, run
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -174,6 +176,55 @@ class TestSolve:
         assert doc["iterations"] == 0 and doc["converged"] is False and doc["eta"] == "0.0"
         start = semidual_value(np.zeros(2), load_instance(inst))
         assert doc["final_J"] == repr(start)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "proj_sga", "--eta", "inf"],
+            ["--method", "proj_sga_pp", "--eta", "inf"],
+            ["--method", "sga", "--eta", "nan"],
+            ["--method", "proj_sga", "--B", "nan"],
+            ["--method", "proj_sga", "--B", "inf"],
+            ["--method", "proj_sga", "--B", "-1"],
+            ["--method", "sinkhorn", "--tol", "nan"],
+            ["--method", "sign_sga", "--eta", "2"],
+        ],
+        ids=["proj_eta_inf", "proj_pp_eta_inf", "eta_nan", "B_nan", "B_inf", "B_negative", "tol_nan",
+             "sign_eta_out_of_range"],
+    )
+    def test_bad_step_box_and_tolerance_are_input_errors(self, instance_file, tmp_path, capsys, args):
+        summary = tmp_path / "s.json"
+        code = main(["solve", "--instance", str(instance_file), *args, "--max-iter", "20",
+                     "--summary", str(summary)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not summary.exists()
+
+    def test_method_choices_are_the_table_keys(self):
+        sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["solve"]._actions if a.dest == "method")
+        assert list(method.choices) == list(METHODS)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cli_and_direct_run_agree(self, instance_file, tmp_path, monkeypatch, method):
+        results = []
+
+        def keep(inst, cfg):
+            results.append(run(inst, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", keep)
+        summary = tmp_path / "s.json"
+        main(["solve", "--instance", str(instance_file), "--method", method, "--kernel", "gaussian:0.3",
+              "--max-iter", "30", "--summary", str(summary)])
+        doc = json.loads(summary.read_text())
+        inst = load_instance(instance_file)
+        g = gram(parse_kernel_spec("gaussian:0.3"), inst.nu.points)
+        direct = run(inst, SolverConfig(method=method, gram=g, max_iter=30, tol_l1=1e-9))
+        np.testing.assert_array_equal(results[0].phi, direct.phi)
+        assert doc["final_J"] == repr(direct.trace.records[-1].J)
+        assert doc["eta"] == repr(direct.eta)
 
     def test_divergence_is_exit_two(self, instance_file, monkeypatch, capsys):
         def diverge(inst, cfg):

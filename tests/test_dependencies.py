@@ -1,6 +1,8 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and every name the package exports exists."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -42,3 +44,12 @@ def test_third_party_imports_are_declared():
         if name not in sys.stdlib_module_names and name != "otmatch" and _normalize(name) not in declared
     }
     assert not undeclared, f"imported but not in [project].dependencies: {sorted(undeclared)}"
+
+
+@pytest.mark.parametrize(
+    "module", ["otmatch"] + [f"otmatch.{p.stem}" for p in sorted((REPO / "src" / "otmatch").glob("[!_]*.py"))]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"

@@ -4,16 +4,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otmatch.diagnostics import kl
 from otmatch.kernels import (
     Gram,
     KernelSpec,
     gram,
-    mean_embedding,
     median_pairwise_distance,
-    mmd_sq,
     parse_kernel_spec,
 )
+from otmatch.logops import kl
+from otmatch.measures import DiscreteMeasure, Instance
+from otmatch.semidual import marginal_y
+from otmatch.solvers import Link, SolverConfig, log_link, run
+
+
+def kernel_mean(g, xi):
+    """Kernel mean (K xi)_j of a mass vector, as the kernel link computes it."""
+    with np.errstate(divide="ignore"):
+        log_xi = np.log(xi)
+    return log_link(Link.exp_kernel(g), log_xi, log_xi)
+
+
+def trace_mmd(g, inst, phi):
+    """The runner's mmd_sq trace entry at phi: (1/2)(p - b)^T K (p - b)."""
+    cfg = SolverConfig(method="sga", gram=g, max_iter=0, tol_l1=0.0)
+    return run(inst, cfg, phi).trace.records[0].mmd_sq
+
+
+def one_point_instance(m, rng):
+    """1 x m instance: the marginal of phi is softmax(log b + phi - C/eps)."""
+    mu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
+    nu = DiscreteMeasure(points=rng.normal(size=(m, 1)), weights=rng.dirichlet(np.ones(m)))
+    return Instance(mu=mu, nu=nu, cost=rng.uniform(0.0, 1.0, (1, m)), epsilon=0.5)
 
 
 class TestGram:
@@ -60,11 +81,11 @@ class TestMeanEmbedding:
     def test_identity_returns_input(self):
         g = gram(KernelSpec("identity"), np.zeros((4, 1)) + np.arange(4)[:, None])
         xi = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_array_equal(mean_embedding(g, xi), xi)
+        np.testing.assert_allclose(kernel_mean(g, xi), xi, rtol=1e-15)
 
     def test_zero_vector(self):
         g = gram(KernelSpec("gaussian", 0.5), np.arange(3.0))
-        np.testing.assert_array_equal(mean_embedding(g, np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(kernel_mean(g, np.zeros(3)), np.zeros(3))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(0)
@@ -80,48 +101,48 @@ class TestMeanEmbedding:
                 for j in range(5)
             ]
         )
-        np.testing.assert_allclose(mean_embedding(g, xi), expected, rtol=1e-12)
+        np.testing.assert_allclose(kernel_mean(g, xi), expected, rtol=1e-12)
 
     def test_additivity(self):
         rng = np.random.default_rng(1)
         g = gram(KernelSpec("gaussian", 0.5), rng.normal(size=(6, 1)))
-        xi, zeta = rng.normal(size=6), rng.normal(size=6)
+        xi, zeta = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
         np.testing.assert_allclose(
-            mean_embedding(g, xi + zeta),
-            mean_embedding(g, xi) + mean_embedding(g, zeta),
+            kernel_mean(g, xi + zeta),
+            kernel_mean(g, xi) + kernel_mean(g, zeta),
             atol=1e-12,
         )
 
 
 class TestMmd:
     def test_equal_vectors_zero(self):
-        g = gram(KernelSpec("gaussian", 0.5), np.arange(4.0))
-        xi = np.array([0.25, 0.25, 0.25, 0.25])
-        assert mmd_sq(g, xi, xi) == 0.0
+        # a single target atom: p = b = [1] at any potential
+        inst = Instance(
+            mu=DiscreteMeasure(points=np.zeros((2, 1)), weights=np.array([0.5, 0.5])),
+            nu=DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1)),
+            cost=np.array([[0.0], [1.0]]),
+            epsilon=1.0,
+        )
+        g = gram(KernelSpec("gaussian", 0.5), inst.nu.points)
+        assert trace_mmd(g, inst, np.array([0.3])) == 0.0
 
     def test_identity_swap(self):
-        g = gram(KernelSpec("identity"), np.array([[0.0], [1.0]]))
-        assert mmd_sq(g, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
+        # identity kernel: half the squared Euclidean distance of p and b
+        rng = np.random.default_rng(1)
+        inst = one_point_instance(2, rng)
+        g = gram(KernelSpec("identity"), inst.nu.points)
+        phi = rng.normal(size=2)
+        d = marginal_y(phi, inst) - inst.b
+        assert trace_mmd(g, inst, phi) == pytest.approx(0.5 * float(d @ d), rel=1e-12)
 
     def test_matches_quadratic_form_loop(self):
         rng = np.random.default_rng(2)
-        pts = rng.normal(size=(5, 1))
-        g = gram(KernelSpec("gaussian", 0.6), pts)
-        xi, rho = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
-        d = xi - rho
+        inst = one_point_instance(5, rng)
+        g = gram(KernelSpec("gaussian", 0.6), inst.nu.points)
+        phi = rng.normal(size=5)
+        d = marginal_y(phi, inst) - inst.b
         expected = 0.5 * sum(d[i] * g.matrix[i, j] * d[j] for i in range(5) for j in range(5))
-        assert mmd_sq(g, xi, rho) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(3)
-        g = gram(KernelSpec("laplace", 0.4), rng.normal(size=(6, 2)))
-        xi, rho = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
-        assert mmd_sq(g, xi, rho) == mmd_sq(g, rho, xi)
-
-    def test_non_psd_gram_rejected(self):
-        g = Gram(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite but symmetric
-        with pytest.raises(ValueError):
-            mmd_sq(g, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert trace_mmd(g, inst, phi) == pytest.approx(expected, rel=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -140,7 +161,7 @@ class TestMmd:
 
         gap = half_mmd(xi_bar) - half_mmd(xi) - float((g.matrix @ (xi - target)) @ (xi_bar - xi))
         assert gap >= -1e-10
-        assert gap <= 2.0 * g.c_k * kl(xi_bar, xi) + 1e-10
+        assert gap <= 2.0 * g.c_k * kl(np.log(xi_bar), np.log(xi)) + 1e-10
 
 
 class TestSpecParsing:

@@ -25,7 +25,7 @@ class TestDiscreteMeasure:
             DiscreteMeasure(points=np.zeros((2, 1)), weights=np.array([1.0, 0.0]))
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match=r"weights sum to 1\.1, expected"):
             DiscreteMeasure(points=np.zeros((2, 1)), weights=np.array([0.6, 0.5]))
 
     def test_rejects_dim_mismatch(self):
@@ -254,7 +254,7 @@ class TestInstanceFiles:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match=r"weights sum to 1\.01;"):
             load_instance(path)
 
     def test_zero_epsilon_rejected(self, tmp_path):
@@ -318,11 +318,13 @@ class TestMalformedFiles:
             _doc_bytes(epsilon="0.5"),
             _doc_bytes(y_points=[[0.0], [1.0]], y_weights=[0.5, 0.5], cost=[["1", 0], [0, 1]]),
             _doc_bytes(x_points=[[True], [False]]),
+            _doc_bytes(x_points=[[True], [0.5]]),
         ],
         ids=[
             "huge_epsilon", "huge_point", "cost_object", "points_object", "weights_object",
             "ragged_points", "string_cost", "boolean_epsilon", "non_utf8",
             "string_points", "string_weights", "string_epsilon", "string_explicit_cost", "boolean_points",
+            "boolean_among_numbers",
         ],
     )
     def test_rejected_with_a_one_line_error(self, tmp_path, capsys, data):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from otmatch.diagnostics import kl_couplings
+from otmatch.logops import kl
 from otmatch.mirrorflow import _rk4_step, flow_run
-from otmatch.semidual import coupling, primal_value
+from otmatch.semidual import coupling, log_reference
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -29,7 +29,7 @@ class TestFlowInit:
         assert res.ts[0] == 0.01
         d = _q(phi0, inst) - inst.b
         assert res.lks[0] == pytest.approx(0.5 * float(d @ d), rel=1e-14)
-        kl0 = kl_couplings(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
+        kl0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
         assert res.kl_star_vs_init == kl0
         assert res.vs[0] == pytest.approx(0.01**2 / 2.0 * res.lks[0] + 2.0 * kl0, rel=1e-14)
 
@@ -92,7 +92,7 @@ class TestLyapunov:
         phi0 = rng.normal(0, 0.5, inst.m)
         r = 2.0
         res = flow_run(inst, phi0, r=r, t0=1e-8, t_end=2e-8, dt=1e-8, phi_star=phi_star)
-        expected = r * kl_couplings(
+        expected = r * kl(
             coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses
         )
         assert res.vs[0] == pytest.approx(expected, rel=1e-9)
@@ -103,7 +103,7 @@ class TestLyapunov:
         g_vec = rng.normal(0, 0.5, inst.m)
         res = flow_run(inst, g_vec, r=2.0, t0=1.7, t_end=1.8, dt=0.1, phi_star=phi_star)
         lk = 0.5 * float(np.sum((_q(g_vec, inst) - inst.b) ** 2))
-        d = kl_couplings(coupling(phi_star, inst).log_masses, coupling(g_vec, inst).log_masses)
+        d = kl(coupling(phi_star, inst).log_masses, coupling(g_vec, inst).log_masses)
         assert res.vs[0] == pytest.approx(1.7**2 / 2.0 * lk + 2.0 * d, rel=1e-12)
 
     def test_conjugate_bregman_equals_kl(self, inst, oracle_cache):
@@ -116,7 +116,7 @@ class TestLyapunov:
         def conj_value(g):
             pi = coupling(g, inst)
             h = np.tile(g, (inst.n, 1))
-            return float(np.sum(pi.masses * h)) - primal_value(pi, inst)
+            return float(np.sum(pi.masses * h)) - kl(pi.log_masses, log_reference(inst))
 
         pi_star = coupling(phi_star, inst)
         h_g = np.tile(g_vec, (inst.n, 1))
@@ -124,7 +124,7 @@ class TestLyapunov:
         bregman = conj_value(g_vec) - conj_value(phi_star) - float(
             np.sum(pi_star.masses * (h_g - h_star))
         )
-        direct = kl_couplings(pi_star.log_masses, coupling(g_vec, inst).log_masses)
+        direct = kl(pi_star.log_masses, coupling(g_vec, inst).log_masses)
         assert bregman == pytest.approx(direct, rel=1e-10)
 
 

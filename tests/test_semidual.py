@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otmatch.logops import logsumexp
+from otmatch.logops import kl, logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch import semidual
 from otmatch.semidual import (
@@ -19,9 +19,7 @@ from otmatch.semidual import (
     log_marginal_y,
     log_reference,
     marginal_y,
-    minus_transform,
     plus_transform,
-    primal_value,
     semidual_value,
 )
 from otmatch.verify import random_instance, variance_identity_residual
@@ -70,24 +68,6 @@ class TestTransforms:
             plus_transform(phi, small_instance) + shift,
             rtol=1e-12,
         )
-
-    def test_minus_zero_cost_zero_potential(self):
-        inst = zero_cost_instance()
-        np.testing.assert_allclose(minus_transform(np.zeros(inst.n), inst), 0.0, atol=1e-15)
-
-    def test_minus_single_cell(self):
-        inst = single_cell_instance(cost=2.0, epsilon=1.0)
-        assert minus_transform(np.array([1.0]), inst)[0] == pytest.approx(-3.0, abs=1e-15)
-
-    def test_minus_matches_naive_sum(self, small_instance):
-        inst = small_instance
-        rng = np.random.default_rng(3)
-        psi = rng.normal(0, 1, inst.n)
-        naive = np.array([
-            -np.log(sum(inst.a[i] * np.exp(psi[i] + inst.cost[i, j] / inst.epsilon) for i in range(inst.n)))
-            for j in range(inst.m)
-        ])
-        np.testing.assert_allclose(minus_transform(psi, inst), naive, rtol=1e-12)
 
     def test_rejects_nonfinite(self, small_instance):
         with pytest.raises(ValueError):
@@ -320,6 +300,11 @@ class TestCoupling:
     def test_coupling_type_rejects_wrong_mass(self):
         with pytest.raises(ValueError):
             Coupling(log_masses=np.log(np.full((2, 2), 0.3)))
+
+
+def primal_value(pi, inst):
+    """Primal value of a coupling: its KL divergence from the Gibbs reference."""
+    return kl(pi.log_masses, log_reference(inst))
 
 
 class TestPrimalValue:

@@ -13,7 +13,6 @@ from otmatch.solvers import (
     log_link,
     match_step,
     oracle_solve,
-    proj_sga_step,
     run,
     sign_sga_step,
     t_next,
@@ -195,19 +194,25 @@ class TestSignStep:
             sign_sga_step(np.zeros(small_instance.m), small_instance, 2.0, 0)
 
 
+def _proj_step(phi, inst, B, eta):
+    """One projected step, taken by the runner."""
+    cfg = SolverConfig(method="proj_sga", bound_B=B, eta=eta, max_iter=1, tol_l1=0.0)
+    return run(inst, cfg, phi).phi
+
+
 class TestProjStep:
     def test_no_clamp_inside_box(self, medium_instance):
         phi = np.zeros(medium_instance.m)
         p = marginal_y(phi, medium_instance)
         eta = 1e-3
-        out = proj_sga_step(phi, medium_instance, B=10.0, eta=eta)
+        out = _proj_step(phi, medium_instance, B=10.0, eta=eta)
         np.testing.assert_allclose(
             out, phi + eta * (medium_instance.b - p) / medium_instance.b, atol=1e-15
         )
 
     def test_clamps_to_box(self, medium_instance):
         phi = np.zeros(medium_instance.m)
-        out = proj_sga_step(phi, medium_instance, B=1e-9, eta=1.0)
+        out = _proj_step(phi, medium_instance, B=1e-9, eta=1.0)
         assert np.max(np.abs(out)) <= 1e-9
 
     def test_theorem_step_never_decreases_objective(self):
@@ -217,23 +222,23 @@ class TestProjStep:
             eta = float(np.exp(-lambda_bound(inst, B)))
             phi = np.zeros(inst.m)
             for _ in range(10):
-                new = proj_sga_step(phi, inst, B, eta)
+                new = _proj_step(phi, inst, B, eta)
                 assert semidual_value(new, inst) >= semidual_value(phi, inst) - 1e-10
                 phi = new
 
     def test_requires_start_inside_box(self, small_instance):
         with pytest.raises(ValueError):
-            proj_sga_step(np.full(small_instance.m, 5.0), small_instance, B=1.0, eta=0.1)
+            _proj_step(np.full(small_instance.m, 5.0), small_instance, B=1.0, eta=0.1)
 
 
 class TestRunner:
     @pytest.mark.parametrize(
         "cfg",
         [
-            SolverConfig.sinkhorn(),
-            SolverConfig(method="match", link=Link.identity(), eta=0.8),
-            SolverConfig.sga(),
-            SolverConfig.chi2(),
+            SolverConfig(method="sinkhorn"),
+            SolverConfig(method="eta_sinkhorn", eta=0.8),
+            SolverConfig(method="sga"),
+            SolverConfig(method="chi2"),
             SolverConfig(method="sign_sga"),
             SolverConfig(method="proj_sga"),
             SolverConfig(method="proj_sga_pp"),
@@ -251,7 +256,7 @@ class TestRunner:
     def test_zero_cost_ksga(self):
         inst = zero_cost_instance()
         g = gram(KernelSpec("identity"), inst.nu.points)
-        res = run(inst, SolverConfig.ksga(g, max_iter=2, tol_l1=1e-12))
+        res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=2, tol_l1=1e-12))
         assert res.converged and res.iterations <= 2
 
     def test_matches_independent_classical_solver(self):
@@ -265,7 +270,7 @@ class TestRunner:
 
     def test_trace_cadence_and_final_record(self):
         inst = random_instance(np.random.default_rng(31), 6, 6, 0.5)
-        res = run(inst, SolverConfig.sga(max_iter=47, tol_l1=0.0, record_every=10))
+        res = run(inst, SolverConfig(method="sga", max_iter=47, tol_l1=0.0, record_every=10))
         iters = res.trace.iterations()
         assert iters[0] == 0 and iters[-1] == 47
         assert np.all(np.diff(iters) > 0)
@@ -273,7 +278,7 @@ class TestRunner:
 
     def test_trace_csv_columns(self):
         inst = random_instance(np.random.default_rng(32), 4, 4, 0.8)
-        res = run(inst, SolverConfig.sinkhorn(max_iter=3, tol_l1=0.0))
+        res = run(inst, SolverConfig(method="sinkhorn", max_iter=3, tol_l1=0.0))
         lines = res.trace.to_csv().strip().split("\n")
         assert lines[0] == "iter,J,l1_residual,mmd_sq,kl_y,elapsed_s"
         # no gram configured, no timings requested: both fields empty
@@ -285,7 +290,7 @@ class TestRunner:
     def test_mmd_column_present_with_gram(self):
         inst = random_instance(np.random.default_rng(33), 5, 5, 0.6)
         g = gram(KernelSpec("gaussian", 0.4), inst.nu.points)
-        res = run(inst, SolverConfig.ksga(g, max_iter=5, tol_l1=0.0))
+        res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=5, tol_l1=0.0))
         assert not np.any(np.isnan(res.trace.column("mmd_sq")))
 
     def test_x_marginal_invariant_along_iterates(self):
@@ -308,7 +313,7 @@ class TestRunner:
             "ksga": match_step(phi, inst, Link.exp_kernel(g), 0.5) - phi,
             "chi2": match_step(phi, inst, Link.chi_square(), 0.5) - phi,
             "sign": sign_sga_step(phi, inst, 1.0, 0) - phi,
-            "proj": proj_sga_step(centered, inst, B, float(np.exp(-lambda_bound(inst, B)))) - centered,
+            "proj": _proj_step(centered, inst, B, float(np.exp(-lambda_bound(inst, B)))) - centered,
         }
         for name, move in moves.items():
             assert np.max(np.abs(move)) <= 10 * tol, name
@@ -316,12 +321,17 @@ class TestRunner:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(method="match")
+        with pytest.raises(ValueError, match="ksga needs a kernel"):
+            SolverConfig(method="ksga")
+        with pytest.raises(ValueError, match="sinkhorn runs at unit step"):
+            SolverConfig(method="sinkhorn", eta=0.5)
         with pytest.raises(ValueError):
-            SolverConfig(method="sign_sga", link=Link.exp())
+            SolverConfig(method="sga", eta="fast")
         with pytest.raises(ValueError):
-            SolverConfig(method="match", link=Link.exp(), eta="fast")
-        with pytest.raises(ValueError):
-            SolverConfig(method="match", link=Link.exp(), record_every=0)
+            SolverConfig(method="sga", record_every=0)
+        for method, eta in [("sga", 1.5), ("sign_sga", 2.0), ("proj_sga", 0.0), ("proj_sga", np.inf)]:
+            with pytest.raises(ValueError, match="step size"):
+                SolverConfig(method=method, eta=eta)
 
     def test_projected_methods_reject_negative_cost(self):
         inst = zero_cost_instance()

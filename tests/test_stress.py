@@ -62,7 +62,7 @@ class TestExtremeRatio:
 class TestSmallRegularizationSolve:
     def test_sinkhorn_converges(self):
         inst = random_instance(np.random.default_rng(4), 10, 10, 0.02)
-        res = run(inst, SolverConfig.sinkhorn(max_iter=20_000, tol_l1=1e-10))
+        res = run(inst, SolverConfig(method="sinkhorn", max_iter=20_000, tol_l1=1e-10))
         assert res.converged
         assert res.trace.records[-1].l1_residual <= 1e-10
 
@@ -79,7 +79,7 @@ class TestAbsorption:
         inst = harsh_instance()
         tol = 1e-12
         with mock.patch.object(semidual, "_row_pass", wraps=semidual._row_pass) as passes:
-            res = run(inst, SolverConfig.sinkhorn(max_iter=20_000, tol_l1=tol))
+            res = run(inst, SolverConfig(method="sinkhorn", max_iter=20_000, tol_l1=tol))
         assert passes.call_count >= 3
         assert res.converged
         # the cached evaluation's residual is the exact two-pass one to rounding
@@ -108,7 +108,7 @@ class TestSkewedWeights:
         from otmatch.measures import cost_matrix
 
         inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.3)
-        res = run(inst, SolverConfig.sinkhorn(max_iter=5000, tol_l1=1e-11))
+        res = run(inst, SolverConfig(method="sinkhorn", max_iter=5000, tol_l1=1e-11))
         assert res.converged
 
 
@@ -116,8 +116,8 @@ class TestReentrancy:
     def test_concurrent_runs_on_shared_instance_match_serial(self):
         inst = random_instance(np.random.default_rng(7), 12, 12, 0.4)
         serial = [
-            run(inst, SolverConfig.sinkhorn(max_iter=40, tol_l1=0.0)).phi,
-            run(inst, SolverConfig.sga(max_iter=40, tol_l1=0.0)).phi,
+            run(inst, SolverConfig(method="sinkhorn", max_iter=40, tol_l1=0.0)).phi,
+            run(inst, SolverConfig(method="sga", max_iter=40, tol_l1=0.0)).phi,
         ]
         results = [None, None]
 
@@ -125,8 +125,8 @@ class TestReentrancy:
             results[k] = run(inst, cfg).phi
 
         threads = [
-            threading.Thread(target=work, args=(0, SolverConfig.sinkhorn(max_iter=40, tol_l1=0.0))),
-            threading.Thread(target=work, args=(1, SolverConfig.sga(max_iter=40, tol_l1=0.0))),
+            threading.Thread(target=work, args=(0, SolverConfig(method="sinkhorn", max_iter=40, tol_l1=0.0))),
+            threading.Thread(target=work, args=(1, SolverConfig(method="sga", max_iter=40, tol_l1=0.0))),
         ]
         for t in threads:
             t.start()

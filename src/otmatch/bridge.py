@@ -16,7 +16,12 @@ reduces to plain exp(phi) on the grid.
 
 Propagation uses grid convolution with the exact heat kernel (spectrally
 accurate for smooth data, unconditionally stable); Gaussian tails beyond
-the grid are dropped, so grids must extend well past the support.
+the grid are dropped, so grids must extend well past the support.  The
+bridge's terminal data vanishes off the m target nodes, so its heat pass
+sums over those columns only, with the squared distances built once for
+all time nodes; :func:`heat_propagate` takes the full-grid path through
+the same helper.  The simulation interpolates the drift by grid index on
+the uniform nodes, with the values ``np.interp`` gives.
 """
 
 from __future__ import annotations
@@ -144,10 +149,18 @@ class DriftField:
         return "\n".join(lines) + "\n"
 
 
-def _log_heat(log_terminal: np.ndarray, s: float, x: np.ndarray, dx: float) -> np.ndarray:
-    """log of the heat propagation of exp(log_terminal) dx by time s (variance s)."""
-    d2 = (x[:, None] - x[None, :]) ** 2
-    kern = -0.5 * d2 / s - 0.5 * np.log(2.0 * np.pi * s)
+def _neg_half_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``-0.5 (x_i - y_k)^2``, the exponent of the heat kernel at unit time."""
+    return -0.5 * (x[:, None] - y[None, :]) ** 2
+
+
+def _log_heat(neg_half_sq: np.ndarray, log_terminal: np.ndarray, s: float, dx: float) -> np.ndarray:
+    """log of the heat propagation of exp(log_terminal) dx by time s (variance s).
+
+    ``neg_half_sq`` is :func:`_neg_half_sq` between the output nodes and
+    the nodes that carry ``log_terminal``.
+    """
+    kern = neg_half_sq / s - 0.5 * np.log(2.0 * np.pi * s)
     return logsumexp(kern + log_terminal[None, :] + np.log(dx), axis=1)
 
 
@@ -169,7 +182,7 @@ def heat_propagate(phi_T: np.ndarray, t: float, T: float, x: np.ndarray) -> np.n
     if t == T:
         return np.exp(phi_T)
     dx = float(x[1] - x[0])
-    return np.exp(_log_heat(phi_T, T - t, x, dx))
+    return np.exp(_log_heat(_neg_half_sq(x, x), phi_T, T - t, dx))
 
 
 @dataclass(frozen=True)
@@ -186,9 +199,11 @@ def simulate_em(
     """Euler-Maruyama simulation of dX = v dt + dB from the atoms of mu.
 
     Drift is linearly interpolated on the spatial grid (held constant
-    beyond the ends).  A particle that leaves the grid by more than one
-    spacing is clamped to the boundary node and counted; a clamp fraction
-    above 1% is flagged.  Output is bit-identical for a fixed seed.
+    beyond the ends) by :func:`_interp_uniform`, which gives the values of
+    ``np.interp`` without its search.  A particle that leaves the grid by
+    more than one spacing is clamped to the boundary node and counted; a
+    clamp fraction above 1% is flagged.  Output is bit-identical for a
+    fixed seed.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
@@ -201,13 +216,24 @@ def simulate_em(
     lo, hi = g.x[0], g.x[-1]
     dt = g.dt
     sqdt = np.sqrt(dt)
+    slopes = _slopes(g.x, drift.values)
+    work = (np.empty(n_particles), np.empty(n_particles), np.empty(n_particles, np.intp),
+            np.empty(n_particles, bool))
+    noise = np.empty(n_particles)
+    low = np.empty(n_particles, bool)
+    high = np.empty(n_particles, bool)
     n_clamped = 0
     for k in range(g.n_t - 1):
-        v = np.interp(x_pos, g.x, drift.values[k])
-        x_pos = x_pos + v * dt + sqdt * rng.standard_normal(n_particles)
-        low = x_pos < lo - g.dx
-        high = x_pos > hi + g.dx
-        n_clamped += int(low.sum() + high.sum())
+        # x + v dt + sqrt(dt) z, in place and in that order
+        step = _interp_uniform(x_pos, g.x, drift.values[k], slopes[k], work)
+        step *= dt
+        x_pos += step
+        rng.standard_normal(out=noise)
+        noise *= sqdt
+        x_pos += noise
+        np.less(x_pos, lo - g.dx, out=low)
+        np.greater(x_pos, hi + g.dx, out=high)
+        n_clamped += int(np.count_nonzero(low) + np.count_nonzero(high))
         x_pos[low] = lo
         x_pos[high] = hi
     frac = n_clamped / (n_particles * (g.n_t - 1))
@@ -217,6 +243,43 @@ def simulate_em(
         clamp_fraction=frac,
         clamp_excessive=frac > CLAMP_REPORT_FRACTION,
     )
+
+
+def _slopes(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-row slopes of ``values`` over the segments of ``x``, with 0 after the last node."""
+    slopes = np.zeros_like(values)
+    slopes[:, :-1] = np.diff(values, axis=1) / np.diff(x)
+    return slopes
+
+
+def _interp_uniform(pts, x, vals, slopes, work):
+    """``np.interp(pts, x, vals)`` on equispaced nodes ``x``, by index arithmetic.
+
+    Points are clamped into [x_0, x_last], so the ends hold their values.
+    The segment index comes from the uniform spacing and is then moved by
+    one where rounding put it next to the segment ``np.interp`` finds (the
+    largest j with x_j <= pt).  The value is ``vals[j] + (pt - x[j]) *
+    slopes[j]``, the operations of ``np.interp`` with its precomputed
+    slopes, so the results agree exactly.  ``work`` holds two float, one
+    index and one boolean array of ``pts``' shape, reused across calls so
+    that no large temporary is allocated; the result is its first array.
+    """
+    out, c, j, mask = work
+    np.clip(pts, x[0], x[-1], out=c)
+    np.subtract(c, x[0], out=out)
+    out *= (x.size - 1) / (x[-1] - x[0])
+    np.copyto(j, out, casting="unsafe")  # truncation: the floor of a value >= 0
+    np.minimum(j, x.size - 2, out=j)
+    # j is in range from here on, so mode="clip" only skips the bounds check
+    np.greater(x.take(j, out=out, mode="clip"), c, out=mask)
+    j -= mask
+    np.less_equal(x[1:].take(j, out=out, mode="clip"), c, out=mask)
+    j += mask
+    c -= x.take(j, out=out, mode="clip")
+    c *= slopes.take(j, out=out, mode="clip")
+    out = vals.take(j, out=out, mode="clip")
+    out += c
+    return out
 
 
 def _support_node_indices(points: np.ndarray, grid: SpaceTimeGrid, what: str) -> np.ndarray:
@@ -258,12 +321,13 @@ def bridge_from_potential(phi: np.ndarray, inst: Instance, grid: SpaceTimeGrid) 
     if grid.x[0] > support_lo - margin + 1e-9 or grid.x[-1] < support_hi + margin - 1e-9:
         raise GridError(f"grid must extend {margin:.3f} beyond the supports on each side")
 
-    log_term = np.full(grid.n_x, -np.inf)
-    log_term[y_idx] = phi + inst.log_b + np.log(inst.m)
+    # the terminal data is -inf off the target nodes, so propagate from those only
+    neg_half_sq = _neg_half_sq(grid.x, grid.x[y_idx])
+    log_term = phi + inst.log_b + np.log(inst.m)
     rows = np.empty((grid.n_t, grid.n_x))
     for k, t in enumerate(grid.times):
         s = max(T - float(t), grid.dt)
-        rows[k] = _log_heat(log_term, s, grid.x, grid.dx)
+        rows[k] = _log_heat(neg_half_sq, log_term, s, grid.dx)
     v = np.gradient(rows, grid.dx, axis=1)
     return DriftField(grid=grid, values=v)
 

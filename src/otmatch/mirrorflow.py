@@ -27,6 +27,16 @@ where ``p(g)`` is the Y-marginal of rho(g).  The classical 4th-order scheme
 is linear in the state, so integrating (q, g) gives the column sums of the
 (pi_hat, g) integration up to rounding.  It runs with a fixed step from a
 small positive start time (the r/t coefficient is singular at zero).
+
+The only nonlinearity is p(g), so every stage's g and the new (q, g) of a
+step are fixed scalar combinations of the rows (q, g, b, p1, p2, p3, p4),
+where p_i is the marginal at stage i.  The run computes these stage
+coefficients for a block of steps at once and then takes each step as
+three stage combinations, four evaluations of p and one combination for
+the new state.  p(g) comes from one :class:`~otmatch.semidual.InducedCache`:
+``v * ((a / (E @ v)) @ E)`` with ``v = exp(g - g_ref)`` on the Gibbs
+matrix ``E`` of a reference potential, re-absorbed once g moves farther
+than ``ABSORB_AT`` from it.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import numpy as np
 
 from .logops import kl
 from .measures import Instance
-from .semidual import _row_pass, coupling
+from .semidual import InducedCache, coupling
 from .solvers import oracle_solve
 
 __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
@@ -49,34 +59,62 @@ class FlowBlowupError(RuntimeError):
     """The integrator produced a non-finite state."""
 
 
-def _marginal(g: np.ndarray, inst: Instance) -> np.ndarray:
-    """Y-marginal p(g) of the coupling induced by g: the column sums of rho(g)."""
-    e, s, _ = _row_pass(g, inst)
-    return (inst.a / s) @ e
+# Basis rows of the stage form: the state (q, g), the target b and the
+# marginals p1..p4 of the four stages.
+_Q, _G, _B, _P1, _P2, _P3, _P4 = np.eye(7)
 
 
-def _rk4_step(t, q, g, h, inst: Instance, r: float, acc=None):
-    """One classical 4-stage step of size h from (t, q, g).
+def _stage_coefficients(t, h, r):
+    """Classical RK4 tableau over the basis rows, for steps from times ``t`` of sizes ``h``.
 
-    With ``acc`` it also advances the integral of s^(r-1) p(g(s)) ds with
-    the same stages; returns ``(q, g, acc)``.
+    Returns the rows of the stage potentials g2, g3, g4 (each (k, 7)) and of
+    the new q, the new g and the step's increment of the integral of
+    s^(r-1) p(g(s)) ds ((k, 3, 7)).  Once the stage marginals are fixed the
+    field is linear, so the textbook stages applied to basis rows are exact.
     """
+    t, h = t[:, None], h[:, None]
 
-    def field(t, q, g):
-        p = _marginal(g, inst)
-        return (r / t) * (p - q), -(t / r) * (q - inst.b), p
+    def field(s, q, p):
+        return (r / s) * (p - q), -(s / r) * (q - _B)
 
-    k1q, k1g, p1 = field(t, q, g)
-    k2q, k2g, p2 = field(t + h / 2, q + h / 2 * k1q, g + h / 2 * k1g)
-    k3q, k3g, p3 = field(t + h / 2, q + h / 2 * k2q, g + h / 2 * k2g)
-    k4q, k4g, p4 = field(t + h, q + h * k3q, g + h * k3g)
-    q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    if acc is not None:
-        acc = acc + h / 6 * (
-            t ** (r - 1) * p1 + 2 * (t + h / 2) ** (r - 1) * (p2 + p3) + (t + h) ** (r - 1) * p4
-        )
-    return q, g, acc
+    k1q, k1g = field(t, _Q, _P1)
+    k2q, k2g = field(t + h / 2, _Q + h / 2 * k1q, _P2)
+    g2 = _G + h / 2 * k1g
+    k3q, k3g = field(t + h / 2, _Q + h / 2 * k2q, _P3)
+    g3 = _G + h / 2 * k2g
+    k4q, k4g = field(t + h, _Q + h * k3q, _P4)
+    g4 = _G + h * k3g
+    q_new = _Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    g_new = _G + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+    acc = h / 6 * (
+        t ** (r - 1) * _P1 + 2 * (t + h / 2) ** (r - 1) * (_P2 + _P3) + (t + h) ** (r - 1) * _P4
+    )
+    return g2, g3, g4, np.stack([q_new, g_new, acc], axis=1)
+
+
+def _rk4_steps(t, q, g, hs, r, b, marginal, acc=None):
+    """Classical 4-stage steps of sizes ``hs`` from (t, q, g); returns ``(t, q, g, acc)``.
+
+    ``marginal(g)`` evaluates p(g).  Times advance by repeated addition of
+    the steps.  With ``acc`` it also advances the integral of
+    s^(r-1) p(g(s)) ds with the same stages.
+    """
+    hs = np.asarray(hs, dtype=np.float64)
+    ts = np.add.accumulate(np.concatenate(([t], hs)))
+    g2, g3, g4, new = _stage_coefficients(ts[:-1], hs, r)
+    new = new[:, : 2 if acc is None else 3]
+    rows = np.empty((7, q.size))
+    rows[0], rows[1], rows[2] = q, g, b
+    for c2, c3, c4, c_new in zip(g2, g3, g4, new):
+        rows[3] = marginal(rows[1])
+        rows[4] = marginal(c2.dot(rows))
+        rows[5] = marginal(c3.dot(rows))
+        rows[6] = marginal(c4.dot(rows))
+        out = c_new.dot(rows)
+        rows[:2] = out[:2]
+        if acc is not None:
+            acc = acc + out[2]
+    return float(ts[-1]), rows[0].copy(), rows[1].copy(), acc
 
 
 @dataclass
@@ -136,8 +174,9 @@ def flow_run(
     d_star_init = kl(lps, log_pi0)
     d_init_star = kl(log_pi0, lps)
 
+    cache = InducedCache(inst)
     t = float(t0)
-    q = q0 = _marginal(phi0, inst)
+    q = q0 = cache.marginal(phi0)
     g = phi0.copy()
     acc = np.zeros_like(q) if check_average else None
     avg_dev = 0.0 if check_average else None
@@ -162,12 +201,12 @@ def flow_run(
             avg_dev = max(avg_dev, float(dev))
 
     record()
-    for k in range(n_steps):
-        h = dt if k < n_full else last
-        q, g, acc = _rk4_step(t, q, g, h, inst, r, acc)
-        t = t + h
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            record()
+    for start in range(0, n_steps, record_every):
+        hs = np.full(min(record_every, n_steps - start), dt)
+        if start + hs.size > n_full:
+            hs[-1] = last
+        t, q, g, acc = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal, acc)
+        record()
 
     ts_a = np.array(ts)
     lks_a = np.array(lks)

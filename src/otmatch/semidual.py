@@ -203,15 +203,14 @@ def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.nd
     falls below ``P_FLOOR``, which are recomputed by that column logsumexp.
     """
     phi = _check_finite(phi, "phi")
-    return _absorb(phi, inst)[2:]
+    _, _, phi_plus, p = _absorb(phi, inst)
+    return phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
 
 
 def _absorb(phi, inst):
-    """The exponential pass at phi: ``(E, rowmax, phi_plus, log p)``."""
+    """The exponential pass at phi: ``(E, rowmax, phi_plus, p)``."""
     e, s, rowmax = _row_pass(phi, inst)
-    phi_plus = np.log(s) + rowmax
-    p = (inst.a / s) @ e
-    return e, rowmax, phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
+    return e, rowmax, np.log(s) + rowmax, (inst.a / s) @ e
 
 
 class InducedCache:
@@ -221,8 +220,9 @@ class InducedCache:
     absorption point, makes the exponential pass of :func:`induced_marginal`
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
-    to rounding.  A cache belongs to one run: it is neither thread-safe nor
-    meant to be stored on the shared :class:`Instance`.
+    to rounding.  :meth:`marginal` returns the masses p alone under the
+    same absorption rule.  A cache belongs to one run: it is neither
+    thread-safe nor meant to be stored on the shared :class:`Instance`.
     """
 
     def __init__(self, inst: Instance):
@@ -231,22 +231,46 @@ class InducedCache:
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = _check_finite(phi, "phi")
-        if self._e is not None:
-            delta = phi - self._phi_ref
-            if np.max(np.abs(delta)) <= ABSORB_AT:
-                return self._shifted(phi, delta)
-            self._e = None  # free the old matrix before the pass allocates a new one
-        self._e, self._rowmax, phi_plus, log_p = _absorb(phi, self._inst)
-        self._phi_ref = phi.copy()
-        return phi_plus, log_p
-
-    def _shifted(self, phi, delta):
+        delta = self._delta(phi)
+        if delta is None:
+            phi_plus, p = self._absorb(phi)
+            return phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, self._inst)
         inst = self._inst
         v = np.exp(delta)
         t = self._e @ v
         phi_plus = self._rowmax + np.log(t)
         p = v * ((inst.a / t) @ self._e)
         return phi_plus, _log_mass(p, CACHED_P_FLOOR, phi, phi_plus, inst)
+
+    def marginal(self, phi: np.ndarray) -> np.ndarray:
+        """Y-marginal masses p at phi, without their log or its floor.
+
+        An absorption returns ``(a / s) @ E`` of the exponential pass, a
+        cached call ``v * ((a / t) @ E)``.  This is the mirror flow's
+        right-hand side, so phi is not checked: a non-finite entry
+        propagates into p, where the flow reports it.
+        """
+        delta = self._delta(phi)
+        if delta is None:
+            return self._absorb(phi)[1]
+        v = np.exp(delta)
+        return v * (self._inst.a / self._e.dot(v)).dot(self._e)
+
+    def _delta(self, phi):
+        """``phi - phi_ref`` if phi lies within ``ABSORB_AT`` of the reference, else None."""
+        if self._e is not None:
+            delta = phi - self._phi_ref
+            # the 2-norm bounds the sup norm and is one call where m is small
+            if delta.dot(delta) <= ABSORB_AT**2 or abs(delta).max() <= ABSORB_AT:
+                return delta
+            self._e = None  # free the old matrix before the pass allocates a new one
+        return None
+
+    def _absorb(self, phi):
+        """Make phi the reference; return its ``(phi_plus, p)``."""
+        self._e, self._rowmax, phi_plus, p = _absorb(phi, self._inst)
+        self._phi_ref = phi.copy()
+        return phi_plus, p
 
 
 def _log_mass(p, floor, phi, phi_plus, inst):

@@ -16,6 +16,7 @@ one row of ``METHODS``, which gives its update, step rule and guard:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -130,8 +131,7 @@ def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
 
 def match_step(phi: np.ndarray, inst: Instance, link: Link, eta: float) -> np.ndarray:
     """One marginal-matching update with step size ``eta`` in (0, 1]."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"matching step size must lie in (0, 1], got {eta}")
+    next(m for m in METHODS.values() if m.link == link.kind).check_eta(eta, "matching")
     _, log_p = induced_marginal(phi, inst)
     return _match_update(phi, log_p, inst, link, eta)
 
@@ -172,7 +172,7 @@ def t_next(t: float) -> float:
     """Momentum counter recursion (1 + sqrt(1 + 4 t^2)) / 2, for t >= 1."""
     if t < 1.0:
         raise ValueError(f"momentum counter must be >= 1, got {t}")
-    return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,7 @@ def sign_sga_step(phi: np.ndarray, inst: Instance, eta: float, anchor: int) -> n
     (the objective is shift-invariant; anchoring kills the flat direction).
     ``sign(0) = 0``, which makes an optimal potential a literal fixed point.
     """
-    if not 0.0 < eta < 2.0:
-        raise ValueError(f"sign step size must lie in (0, 2), got {eta}")
+    METHODS["sign_sga"].check_eta(eta, "sign")
     if not 0 <= anchor < inst.m:
         raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
     delta = inst.b - np.exp(induced_marginal(phi, inst)[1])
@@ -236,8 +235,12 @@ class Method:
     eta_max_open: bool
     guard: Callable[[float, Instance, float | None], bool]
 
-    def eta_range(self) -> str:
-        return f"(0, {self.eta_max:g}{')' if self.eta_max_open else ']'}"
+    def check_eta(self, eta: float, name: str) -> None:
+        """Raise ``ValueError`` unless ``eta`` is a finite step in this method's range."""
+        in_range = 0.0 < eta < self.eta_max or (eta == self.eta_max and not self.eta_max_open)
+        if not (np.isfinite(eta) and in_range):
+            bracket = ")" if self.eta_max_open else "]"
+            raise ValueError(f"{name} step size must be finite in (0, {self.eta_max:g}{bracket}, got {eta}")
 
 
 def _proj_eta(inst: Instance, B: float) -> float:
@@ -306,9 +309,7 @@ class SolverConfig:
             eta = float(self.eta)
             if self.method == "sinkhorn" and eta != 1.0:
                 raise ValueError("sinkhorn runs at unit step; use eta_sinkhorn for other steps")
-            in_range = 0.0 < eta < spec.eta_max or (eta == spec.eta_max and not spec.eta_max_open)
-            if not (np.isfinite(eta) and in_range):
-                raise ValueError(f"{self.method} step size must be finite in {spec.eta_range()}, got {eta}")
+            spec.check_eta(eta, self.method)
         if self.bound_B is not None and not (np.isfinite(self.bound_B) and self.bound_B >= 0.0):
             raise ValueError(f"box radius B must be finite and >= 0, got {self.bound_B}")
         if not (self.max_iter >= 0 and self.record_every >= 1 and self.tol_l1 >= 0.0):

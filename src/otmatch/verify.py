@@ -263,9 +263,10 @@ def check_kernel_smoothness(seed: int, pairs: int = 500) -> PropertyResult:
     rng = _rng(seed, 7)
     pts = rng.uniform(0.0, 1.0, (8, 2))
     specs = [KernelSpec("identity"), KernelSpec("gaussian", 0.4), KernelSpec("laplace", 0.3)]
-    worst = -np.inf
+    grams = [gram(spec, pts) for spec in specs]
+    worst_upper = worst_lower = -np.inf
     for k in range(pairs):
-        g = gram(specs[k % len(specs)], pts)
+        g = grams[k % len(grams)]
         target = rng.dirichlet(np.ones(8))
         xi = rng.dirichlet(np.ones(8))
         xi_bar = rng.dirichlet(np.ones(8))
@@ -275,8 +276,14 @@ def check_kernel_smoothness(seed: int, pairs: int = 500) -> PropertyResult:
         lin = float((g.matrix @ (xi - target)) @ (xi_bar - xi))
         gap = lk(xi_bar) - lk(xi) - lin
         upper = 2.0 * g.c_k * kl(np.log(xi_bar), np.log(xi))
-        worst = max(worst, gap - upper, -gap)
-    return PropertyResult("kernel_smoothness", worst <= 1e-10, worst, f"max violation over {pairs} pairs")
+        worst_upper = max(worst_upper, gap - upper)
+        worst_lower = max(worst_lower, -gap)
+    worst = max(worst_upper, worst_lower)
+    return PropertyResult(
+        "kernel_smoothness", worst <= 1e-10, worst,
+        f"max violation over {pairs} pairs; upper side max(gap - 2 c_k KL) {worst_upper:.3e},"
+        f" lower side max(-gap) {worst_lower:.3e}",
+    )
 
 
 def check_ksga_rate(seed: int, n: int = 24, iters: int = 300) -> PropertyResult:

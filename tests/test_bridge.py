@@ -5,6 +5,10 @@ from otmatch.bridge import (
     DriftField,
     GridError,
     SpaceTimeGrid,
+    _interp_uniform,
+    _log_heat,
+    _neg_half_sq,
+    _slopes,
     bridge_from_potential,
     bridge_grid_for,
     heat_propagate,
@@ -136,7 +140,46 @@ class TestSimulate:
         assert sim.clamp_excessive
 
 
+class TestInterpolation:
+    @pytest.mark.parametrize("n_x", [2, 3, 64, 333])
+    def test_equals_np_interp(self, n_x):
+        rng = np.random.default_rng(n_x)
+        x0, dx = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5)
+        x = SpaceTimeGrid.covering(x0, x0 + dx * (n_x - 1), dx, T=1.0, n_t=2, margin=0.0).x
+        assert x.size == n_x
+        vals = rng.normal(size=(2, n_x))
+        lo, hi = x[0], x[-1]
+        pts = np.concatenate([
+            rng.uniform(lo - 3 * dx, hi + 3 * dx, 20_000),  # inside and beyond both ends
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),  # at and next to every node
+            [lo, hi, lo - 1e9, hi + 1e9],
+        ])
+        work = (np.empty(pts.size), np.empty(pts.size), np.empty(pts.size, np.intp), np.empty(pts.size, bool))
+        slopes = _slopes(x, vals)
+        for k in range(2):
+            got = _interp_uniform(pts, x, vals[k], slopes[k], work)
+            np.testing.assert_array_equal(got, np.interp(pts, x, vals[k]))
+
+
 class TestBridgeFromPotential:
+    @pytest.mark.parametrize("uniform_target", [True, False])
+    def test_support_columns_match_full_grid_heat_pass(self, uniform_target):
+        # the terminal data is -inf off the target nodes; propagating it over
+        # the whole grid must give the same drift as over the targets only
+        inst = make_demo_instance(n_points=48, uniform_target=uniform_target)
+        grid = bridge_grid_for(inst, n_t=31)
+        phi = oracle_solve(inst)
+        y_idx = np.round((inst.nu.points[:, 0] - grid.x[0]) / grid.dx).astype(int)
+        log_term = np.full(grid.n_x, -np.inf)
+        log_term[y_idx] = phi + inst.log_b + np.log(inst.m)
+        full = _neg_half_sq(grid.x, grid.x)
+        rows = np.array([
+            _log_heat(full, log_term, max(grid.T - float(t), grid.dt), grid.dx) for t in grid.times
+        ])
+        expected = np.gradient(rows, grid.dx, axis=1)
+        got = bridge_from_potential(phi, inst, grid).values
+        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+
     def test_zero_potential_drift_antisymmetric_for_symmetric_instance(self):
         inst = make_demo_instance(n_points=33, mu_center=0.0, mu_width=0.5)
         grid = bridge_grid_for(inst, n_t=21)

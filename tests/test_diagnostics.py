@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl
 from otmatch.semidual import coupling, semidual_value
 from otmatch.solvers import SolverConfig, Trace, TraceRecord, default_bound, oracle_solve, run
-from otmatch.verify import random_instance
+from otmatch.verify import check_kernel_smoothness, random_instance
 
 from conftest import zero_cost_instance
 
@@ -197,3 +198,15 @@ class TestRateFit:
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=300, tol_l1=0.0))
         slope = rate_fit(res.trace, "mmd_sq", (20, 300))
         assert slope <= -1.0 + 0.2
+
+
+class TestKernelSmoothnessCheck:
+    def test_reports_the_upper_side_margin(self):
+        # the lower side -gap dominates the worst value; the detail also
+        # shows how close the 2 c_k KL upper bound comes
+        res = check_kernel_smoothness(42, pairs=60)
+        upper = float(re.search(r"upper side max\(gap - 2 c_k KL\) (\S+),", res.detail).group(1))
+        lower = float(re.search(r"lower side max\(-gap\) (\S+)$", res.detail).group(1))
+        assert res.passed
+        assert upper < lower < 0.0
+        assert res.worst == pytest.approx(lower, rel=1e-3)

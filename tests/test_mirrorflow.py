@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from otmatch import semidual
 from otmatch.logops import kl
-from otmatch.mirrorflow import _rk4_step, flow_run
-from otmatch.semidual import coupling, log_reference
+from otmatch.mirrorflow import _rk4_steps, flow_run
+from otmatch.semidual import InducedCache, coupling, log_reference
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -17,6 +18,12 @@ def inst():
 def _q(phi, inst):
     """Y-marginal of the coupling induced by phi."""
     return coupling(phi, inst).masses.sum(axis=0)
+
+
+def _rk4_step(t, q, g, h, inst, r, cache):
+    """One step of the flow's integrator; returns the new (q, g)."""
+    _, q, g, _ = _rk4_steps(t, q, g, [h], r, inst.b, cache.marginal)
+    return q, g
 
 
 class TestFlowInit:
@@ -48,16 +55,16 @@ class TestFlowStep:
     def test_fixed_point_is_stationary(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
         q = _q(phi_star, inst)
-        q1, g1, _ = _rk4_step(1.0, q, phi_star, 1e-3, inst, 2.0)
+        q1, g1 = _rk4_step(1.0, q, phi_star, 1e-3, inst, 2.0, InducedCache(inst))
         assert np.max(np.abs(q1 - q)) <= 1e-12
         assert np.max(np.abs(g1 - phi_star)) <= 1e-12
 
     def test_fourth_order_convergence(self, inst):
         # integrate a fixed window at dt and dt/2; global error should drop ~16x
         def integrate(dt):
-            t, q, g = 0.2, _q(np.zeros(inst.m), inst), np.zeros(inst.m)
+            t, q, g, cache = 0.2, _q(np.zeros(inst.m), inst), np.zeros(inst.m), InducedCache(inst)
             while t < 0.7 - 1e-12:
-                q, g, _ = _rk4_step(t, q, g, dt, inst, 2.0)
+                q, g = _rk4_step(t, q, g, dt, inst, 2.0, cache)
                 t += dt
             return q
 
@@ -67,10 +74,8 @@ class TestFlowStep:
         assert 10.0 <= err1 / err2 <= 24.0
 
     def test_mass_conserved_over_many_steps(self, inst):
-        t, q, g = 0.01, _q(np.zeros(inst.m), inst), np.zeros(inst.m)
-        for _ in range(10_000):
-            q, g, _ = _rk4_step(t, q, g, 1e-3, inst, 2.0)
-            t += 1e-3
+        q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
+        _, q, g, _ = _rk4_steps(0.01, q, g, np.full(10_000, 1e-3), 2.0, inst.b, InducedCache(inst).marginal)
         assert abs(q.sum() - 1.0) <= 1e-10
 
     def test_parameter_validation(self, inst):
@@ -196,3 +201,50 @@ class TestFlowRun:
         assert len(res.lks) == n + 1
         assert max(lks) > 1e-4
         np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=1e-15)
+
+    def test_matches_textbook_rk4_on_the_coupling_marginal(self, inst, oracle_cache):
+        # reference: the classical stages written out on (q, g), with p(g)
+        # summed from the induced coupling; the stage-coefficient form on
+        # the cached Gibbs matrix must follow it step by step
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        r, t0, dt, n = 3.0, 2.0**-7, 2.0**-10, 2000
+        phi0 = np.random.default_rng(67).normal(0, 0.5, inst.m)
+        lps = coupling(phi_star, inst).log_masses
+
+        def rhs(t, q, g):
+            return (r / t) * (_q(g, inst) - q), -(t / r) * (q - inst.b)
+
+        t, q, g, lks, vs = t0, _q(phi0, inst), phi0.copy(), [], []
+        for k in range(1, n + 1):
+            k1 = rhs(t, q, g)
+            k2 = rhs(t + dt / 2, q + dt / 2 * k1[0], g + dt / 2 * k1[1])
+            k3 = rhs(t + dt / 2, q + dt / 2 * k2[0], g + dt / 2 * k2[1])
+            k4 = rhs(t + dt, q + dt * k3[0], g + dt * k3[1])
+            q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            g = g + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += dt
+            if k % 10 == 0:
+                lks.append(0.5 * float(np.sum((q - inst.b) ** 2)))
+                vs.append(t**2 / r * lks[-1] + r * kl(lps, coupling(g, inst).log_masses))
+        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=dt, record_every=10, phi_star=phi_star)
+        assert len(res.lks) == n // 10 + 1
+        assert max(lks) > 1e-4
+        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.vs[1:], vs, rtol=0, atol=1e-12)
+
+    def test_reabsorbing_often_changes_nothing(self, inst, oracle_cache, monkeypatch):
+        # a small radius makes the cache re-absorb every few steps; each
+        # absorption only moves the reference, not the marginal it gives
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        args = dict(r=2.0, t0=0.01, t_end=4.0, dt=1e-3, record_every=20, phi_star=phi_star, check_average=True)
+        default = flow_run(inst, np.zeros(inst.m), **args)
+        absorb = semidual._absorb
+        calls = []
+        monkeypatch.setattr(semidual, "_absorb", lambda phi, inst: calls.append(1) or absorb(phi, inst))
+        monkeypatch.setattr(semidual, "ABSORB_AT", 1e-3)
+        small = flow_run(inst, np.zeros(inst.m), **args)
+        assert len(calls) > 100
+        np.testing.assert_array_equal(small.ts, default.ts)
+        np.testing.assert_allclose(small.lks, default.lks, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(small.vs, default.vs, rtol=0, atol=1e-12)
+        assert small.average_identity_dev_max <= 1e-6

@@ -96,8 +96,10 @@ class TestMatchStep:
         )
 
     def test_step_size_range(self, small_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"matching step size must be finite in \(0, 1\], got 1.5"):
             match_step(np.zeros(small_instance.m), small_instance, Link.exp(), 1.5)
+        with pytest.raises(ValueError, match=r"sga step size must be finite in \(0, 1\], got 1.5"):
+            SolverConfig(method="sga", eta=1.5)
 
 
 class TestStepRules:
@@ -190,8 +192,10 @@ class TestSignStep:
         assert after - before >= 0.5 * np.abs(delta).sum() ** 2 - 1e-10
 
     def test_eta_range(self, small_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"sign step size must be finite in \(0, 2\), got 2.0"):
             sign_sga_step(np.zeros(small_instance.m), small_instance, 2.0, 0)
+        with pytest.raises(ValueError, match=r"sign_sga step size must be finite in \(0, 2\), got 2.0"):
+            SolverConfig(method="sign_sga", eta=2.0)
 
 
 def _proj_step(phi, inst, B, eta):

@@ -16,6 +16,7 @@ is passed, so a fixed invocation produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -249,7 +250,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="otmatch", description="Entropic transport solver toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 

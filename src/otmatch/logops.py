@@ -31,15 +31,18 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return out + np.squeeze(amax_safe, axis=axis)
 
 
-def kl(log_p: np.ndarray, log_q: np.ndarray) -> float:
+def kl(log_p: np.ndarray, log_q: np.ndarray, p: np.ndarray | None = None) -> float:
     """KL divergence sum p log(p/q) between mass arrays given by their logs.
 
     Zero masses contribute nothing (0 log 0 = 0); mass of p where q has
     none gives ``inf``.  The plain sum is taken first; a zero mass of p
     makes it NaN (0 times an infinite log ratio), and only then are the
-    zero masses masked out.
+    zero masses masked out.  A caller that already holds the masses
+    ``p = exp(log_p)`` passes them to skip that exponential.
     """
-    val = float(np.sum(np.exp(log_p) * (log_p - log_q)))
+    if p is None:
+        p = np.exp(log_p)
+    val = float((p * (log_p - log_q)).sum())
     if val == val:
         return val
     live = log_p > -np.inf

@@ -308,11 +308,13 @@ def load_instance(path) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceError("instance file must contain a JSON object")
     # numpy reads a boolean among numbers as 0 or 1, so look for booleans by
-    # element; that walk is slow on a dense cost, so it runs only when a byte
-    # of "true" or "false" occurs that numbers and this format's keys never
-    # hold.  One-byte scans are memchr passes, several times faster than
-    # scanning for the words themselves.
-    if b"u" in raw or b"a" in raw:
+    # element; that walk is slow on a dense cost, so it runs only when the
+    # file spells out "true" or "false".  Numbers, this format's keys and its
+    # cost kinds hold neither "r" nor "f", and one-byte scans are memchr
+    # passes, several times faster than scanning for the words themselves,
+    # so the words are looked for only where one of those bytes occurs
+    # ("f" does in "half_sqeuclidean").
+    if (b"r" in raw or b"f" in raw) and (b"true" in raw or b"false" in raw):
         for key in ("x_points", "x_weights", "y_points", "y_weights", "cost"):
             if _holds_bool(doc.get(key)):
                 raise InstanceError(f"{key} must be numbers, got a boolean")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .logops import kl
 from .measures import Instance
-from .semidual import InducedCache, coupling
+from .semidual import InducedCache, coupling, plus_transform
 from .solvers import oracle_solve
 
 __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
@@ -169,10 +169,16 @@ def flow_run(
     phi0 = np.asarray(phi0, dtype=np.float64)
     if phi_star is None:
         phi_star = oracle_solve(inst)
-    lps = coupling(phi_star, inst).log_masses
+    pi_star = coupling(phi_star, inst)
+    lps = pi_star.log_masses
     log_pi0 = coupling(phi0, inst).log_masses
     d_star_init = kl(lps, log_pi0)
     d_init_star = kl(log_pi0, lps)
+    # log(pi_star / rho(g))_ij = (phi_star_j - g_j) - (phi_star_plus_i - g_plus_i),
+    # and pi_star has marginals a and q_star, so
+    # KL(pi_star || rho(g)) = kl_const - <q_star, g> + <a, g_plus>
+    q_star = pi_star.marginal_y()
+    kl_const = float(q_star @ phi_star - inst.a @ plus_transform(phi_star, inst))
 
     cache = InducedCache(inst)
     t = float(t0)
@@ -194,7 +200,8 @@ def flow_run(
         d = q - inst.b
         ts.append(t)
         lks.append(0.5 * float(d @ d))
-        vs.append((t**2 / r) * lks[-1] + r * kl(lps, coupling(g, inst).log_masses))
+        kl_g = kl_const - float(q_star @ g) + float(inst.a @ cache.transform(g))
+        vs.append((t**2 / r) * lks[-1] + r * kl_g)
         if check_average:
             implied = (t0**r * q0 + r * acc) / t**r
             dev = np.max(np.abs(implied - q)) / max(np.max(np.abs(q)), 1e-300)

@@ -230,10 +230,12 @@ class InducedCache:
         self._e = self._rowmax = self._phi_ref = None
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi = _check_finite(phi, "phi")
+        phi = np.asarray(phi, dtype=np.float64)
+        # a NaN or infinite entry fails the radius test, so a cached call has
+        # a finite phi and only an absorption needs the check
         delta = self._delta(phi)
         if delta is None:
-            phi_plus, p = self._absorb(phi)
+            phi_plus, p = self._absorb(_check_finite(phi, "phi"))
             return phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, self._inst)
         inst = self._inst
         v = np.exp(delta)
@@ -256,6 +258,19 @@ class InducedCache:
         v = np.exp(delta)
         return v * (self._inst.a / self._e.dot(v)).dot(self._e)
 
+    def transform(self, phi: np.ndarray) -> np.ndarray:
+        """``phi_plus`` at phi without making phi the reference.
+
+        Within ``ABSORB_AT`` of the reference it is ``rowmax + log(E @ v)``,
+        one matrix-vector product; farther out the old matrix is dropped as
+        on any far call, and :func:`plus_transform` gives it.  The next call
+        at phi then makes the same absorption as without this one.
+        """
+        delta = self._delta(phi)
+        if delta is None:
+            return plus_transform(phi, self._inst)
+        return self._rowmax + np.log(self._e.dot(np.exp(delta)))
+
     def _delta(self, phi):
         """``phi - phi_ref`` if phi lies within ``ABSORB_AT`` of the reference, else None."""
         if self._e is not None:
@@ -275,6 +290,8 @@ class InducedCache:
 
 def _log_mass(p, floor, phi, phi_plus, inst):
     """``log p``, with columns below ``floor`` recomputed by the column logsumexp."""
+    if p.min() >= floor:
+        return np.log(p)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
     low = np.flatnonzero(p < floor)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
     where the mass itself underflows to 0.
     """
     log_xi = np.asarray(log_xi, dtype=np.float64)
-    if link.kind in ("identity", "chi_square") and np.any(log_xi == -np.inf):
+    if link.kind in ("identity", "chi_square") and (log_xi == -np.inf).any():
         raise ValueError(f"{link.kind.replace('_', '-')} link needs a strictly positive mass vector")
     if link.kind == "identity":
         return log_xi.copy()
@@ -133,10 +133,6 @@ def match_step(phi: np.ndarray, inst: Instance, link: Link, eta: float) -> np.nd
     """One marginal-matching update with step size ``eta`` in (0, 1]."""
     next(m for m in METHODS.values() if m.link == link.kind).check_eta(eta, "matching")
     _, log_p = induced_marginal(phi, inst)
-    return _match_update(phi, log_p, inst, link, eta)
-
-
-def _match_update(phi, log_p, inst, link, eta):
     return phi - eta * (log_link(link, log_p, inst.log_b) - log_link(link, inst.log_b, inst.log_b))
 
 
@@ -201,13 +197,13 @@ def _sign_update(phi, delta, eta, anchor):
     return out
 
 
-def _proj_update(phi, p, inst, B, eta):
+def _proj_update(phi, p, b, B, eta):
     """Weight-rescaled ascent step ``phi + eta (b - p)/b`` clamped into [-B, B].
 
     Clamping is the exact L2(nu)-projection onto the box because the
     constraint is separable.
     """
-    cand = phi + eta * (inst.b - p) / inst.b
+    cand = phi + eta * (b - p) / b
     return np.clip(cand, -B, B)
 
 
@@ -316,8 +312,9 @@ class SolverConfig:
             raise ValueError("max_iter >= 0, record_every >= 1, tol_l1 >= 0 required")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One recorded iteration of :func:`run`."""
+
     iteration: int
     J: float
     l1_residual: float
@@ -345,10 +342,10 @@ class Trace:
     def to_csv(self, include_timings: bool = False) -> str:
         """Delimiter-separated trace; empty field for unconfigured diagnostics."""
         lines = [",".join(TRACE_COLUMNS)]
-        for r in self.records:
-            mmd = "" if r.mmd_sq is None else repr(r.mmd_sq)
-            elapsed = repr(r.elapsed_s) if include_timings else ""
-            lines.append(f"{r.iteration},{r.J!r},{r.l1_residual!r},{mmd},{r.kl_y!r},{elapsed}")
+        for it, j_val, resid, mmd, kl_y, elapsed in self.records:
+            mmd = "" if mmd is None else repr(mmd)
+            elapsed = repr(elapsed) if include_timings else ""
+            lines.append(f"{it},{j_val!r},{resid!r},{mmd},{kl_y!r},{elapsed}")
         return "\n".join(lines) + "\n"
 
 
@@ -403,8 +400,10 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     max_iter = 0 if eta == 0.0 else cfg.max_iter
     gram = cfg.gram
     guard = spec.guard(eta, inst, B)
+    a, b, log_b = inst.a, inst.b, inst.log_b
     if spec.family == "match":
         link = Link(spec.link, gram if spec.link == "exp_kernel" else None)
+        target = log_link(link, log_b, log_b)  # the link of b, constant over the run
     elif spec.family == "proj_pp":
         bar_prev = phi.copy()  # projected iterate sequence starts at phi0
         inner = phi.copy()  # extrapolated point the gradient is taken at
@@ -420,8 +419,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     while True:
         phi_plus, lp = evaluate(phi)
         p = np.exp(lp)
-        resid = float(np.abs(inst.b - p).sum())
-        j_val = float(inst.b @ phi - inst.a @ phi_plus)
+        resid = float(np.abs(b - p).sum())
+        j_val = float(b @ phi - a @ phi_plus)
 
         if guard and j_val < prev_j - DIVERGENCE_GUARD:
             raise DivergenceError(
@@ -434,23 +433,23 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         if final or it % cfg.record_every == 0:
             mmd = None
             if gram is not None:
-                d = p - inst.b
+                d = p - b
                 mmd = 0.5 * float(d @ gram.matrix @ d)
             trace.records.append(
-                TraceRecord(it, j_val, resid, mmd, kl(lp, inst.log_b), time.perf_counter() - start)
+                TraceRecord(it, j_val, resid, mmd, kl(lp, log_b, p), time.perf_counter() - start)
             )
         if final:
             break
 
         if spec.family == "match":
-            phi = _match_update(phi, lp, inst, link, eta)
+            phi = phi - eta * (log_link(link, lp, log_b) - target)
         elif spec.family == "sign":
-            phi = _sign_update(phi, inst.b - p, eta, anchor)
+            phi = _sign_update(phi, b - p, eta, anchor)
         elif spec.family == "proj":
-            phi = _proj_update(phi, p, inst, B, eta)
+            phi = _proj_update(phi, p, b, B, eta)
         else:  # proj_pp: gradient at the extrapolated point, trace the projected one
             p_inner = np.exp(evaluate(inner)[1])
-            bar = _proj_update(inner, p_inner, inst, B, eta)
+            bar = _proj_update(inner, p_inner, b, B, eta)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
             bar_prev = bar

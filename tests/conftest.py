@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from otmatch import semidual
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.solvers import oracle_solve
 from otmatch.verify import random_instance
@@ -32,6 +33,24 @@ def single_cell_instance(cost: float = 2.0, epsilon: float = 1.0) -> Instance:
     mu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
     nu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
     return Instance(mu=mu, nu=nu, cost=np.array([[cost]]), epsilon=epsilon)
+
+
+def underflow_instance() -> Instance:
+    """2+2 atoms whose Y-marginal mass at y = 5 is exp(-1200.69): 0 in float64."""
+    mu = DiscreteMeasure(points=np.array([[0.0], [0.1]]), weights=np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(points=np.array([[0.0], [5.0]]), weights=np.array([0.5, 0.5]))
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
+
+
+def floor_path_log_mass(p, floor, phi, phi_plus, inst):
+    """``semidual._log_mass`` without its fast return: log p, then the column
+    logsumexp for every mass below ``floor``."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    low = np.flatnonzero(p < floor)
+    if low.size:
+        log_p[low] = semidual._log_marginal_cols(phi, phi_plus, inst, low)
+    return log_p
 
 
 @pytest.fixture(scope="session")

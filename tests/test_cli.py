@@ -236,6 +236,47 @@ class TestSolve:
         assert "objective fell" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once; no flag of one call reaches the next."""
+
+    def _solve(self, instance_file, out: Path, *flags):
+        trace, summary = out.with_suffix(".csv"), out.with_suffix(".json")
+        code = main([
+            "solve", "--instance", str(instance_file), "--method", "sga", "--max-iter", "25",
+            "--trace", str(trace), "--summary", str(summary), *flags,
+        ])
+        return code, trace.read_text(), summary.read_text()
+
+    def _alone(self, instance_file, out: Path, *flags):
+        cli._parser.cache_clear()
+        return self._solve(instance_file, out, *flags)
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_timings_do_not_carry_over(self, instance_file, tmp_path):
+        plain = self._alone(instance_file, tmp_path / "plain")
+        cli._parser.cache_clear()
+        code, trace, summary = self._solve(instance_file, tmp_path / "timed", "--timings")
+        assert self._solve(instance_file, tmp_path / "after") == plain
+        # the timed call differs from a plain one in its wall times only
+        doc = json.loads(summary)
+        assert float(doc["wall_time_s"]) > 0.0
+        assert (code, {**doc, "wall_time_s": None}) == (plain[0], json.loads(plain[2]))
+        rows = [line.rsplit(",", 1) for line in trace.splitlines()[1:]]
+        assert all(float(elapsed) >= 0.0 for _, elapsed in rows)
+        assert [head + "," for head, _ in rows] == plain[1].splitlines()[1:]
+
+    def test_kernel_does_not_carry_over(self, instance_file, tmp_path):
+        kernel = ("--kernel", "gaussian:0.25")
+        plain = self._alone(instance_file, tmp_path / "plain")
+        with_kernel = self._alone(instance_file, tmp_path / "kernel", *kernel)
+        assert with_kernel != plain  # the kernel adds the mmd_sq column
+        cli._parser.cache_clear()
+        assert self._solve(instance_file, tmp_path / "first", *kernel) == with_kernel
+        assert self._solve(instance_file, tmp_path / "second") == plain
+
+
 class TestDigest:
     def _instance(self, x=(0.0, 1.0), a=(0.25, 0.75), y=(0.0, 2.0, 3.0), b=(0.2, 0.3, 0.5),
                   cost=((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)), epsilon=0.5):

@@ -1,11 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmatch.cli import _digest, main
+from otmatch import measures
 from otmatch.kernels import KernelSpec, gram, median_pairwise_distance
 from otmatch.measures import (
     DiscreteMeasure,
@@ -319,12 +321,14 @@ class TestMalformedFiles:
             _doc_bytes(y_points=[[0.0], [1.0]], y_weights=[0.5, 0.5], cost=[["1", 0], [0, 1]]),
             _doc_bytes(x_points=[[True], [False]]),
             _doc_bytes(x_points=[[True], [0.5]]),
+            _doc_bytes(x_points=[[False], [0.5]]),
+            _doc_bytes(x_weights=[0.5, False], cost="half_sqeuclidean"),
         ],
         ids=[
             "huge_epsilon", "huge_point", "cost_object", "points_object", "weights_object",
             "ragged_points", "string_cost", "boolean_epsilon", "non_utf8",
             "string_points", "string_weights", "string_epsilon", "string_explicit_cost", "boolean_points",
-            "boolean_among_numbers",
+            "boolean_among_numbers", "false_among_numbers", "false_beside_a_cost_kind",
         ],
     )
     def test_rejected_with_a_one_line_error(self, tmp_path, capsys, data):
@@ -335,6 +339,16 @@ class TestMalformedFiles:
         assert main(["validate", "--instance", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+    @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
+    def test_no_boolean_walk_without_a_boolean_literal(self, tmp_path, kind):
+        # both cost kinds hold bytes of "true" and "false", not the words
+        path = tmp_path / "ok.json"
+        path.write_bytes(_doc_bytes(cost=kind))
+        with mock.patch.object(measures, "_holds_bool", wraps=measures._holds_bool) as walk:
+            load_instance(path)
+        assert walk.call_count == 0
 
 
 _FMAX = int(np.finfo(float).max)

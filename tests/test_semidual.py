@@ -24,7 +24,7 @@ from otmatch.semidual import (
 )
 from otmatch.verify import random_instance, variance_identity_residual
 
-from conftest import single_cell_instance, zero_cost_instance
+from conftest import floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance
 
 
 def naive_plus(phi, inst):
@@ -109,13 +109,6 @@ def skewed_instance(rng, n: int, m: int, max_cost_over_eps: float) -> Instance:
     mu, nu = measure(n), measure(m)
     cost = cost_matrix(mu, nu, "half_sqeuclidean")
     return Instance(mu=mu, nu=nu, cost=cost, epsilon=max(cost.max(), 1e-12) / max_cost_over_eps)
-
-
-def underflow_instance() -> Instance:
-    """2+2 atoms whose Y-marginal mass at y = 5 is exp(-1200.69): 0 in float64."""
-    mu = DiscreteMeasure(points=np.array([[0.0], [0.1]]), weights=np.array([0.5, 0.5]))
-    nu = DiscreteMeasure(points=np.array([[0.0], [5.0]]), weights=np.array([0.5, 0.5]))
-    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
 
 
 class TestInducedMarginal:
@@ -217,6 +210,69 @@ class TestInducedCache:
         cache(np.zeros(small_instance.m))
         with pytest.raises(ValueError):
             cache(np.full(small_instance.m, np.inf))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shift", [0.5 * ABSORB_AT, 2.0 * ABSORB_AT], ids=["within", "beyond"])
+    def test_warm_cache_rejects_one_non_finite_entry(self, medium_instance, bad, shift):
+        # only an absorption checks phi; a NaN or inf entry must fail the
+        # radius test wherever the finite entries lie
+        inst = medium_instance
+        rng = np.random.default_rng(16)
+        phi = rng.normal(0, 1, inst.m)
+        cache = InducedCache(inst)
+        cache(phi)
+        far = phi + shift
+        far[3] = bad
+        with pytest.raises(ValueError, match="phi must be finite"):
+            cache(far)
+        near = phi + rng.uniform(-1, 1, inst.m)
+        phi_plus, log_p = cache(near)
+        ref_plus, ref_log_p = induced_marginal(near, inst)
+        assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
+        assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * (1.0 + np.abs(ref_log_p)))
+
+    def test_transform_does_not_move_the_reference(self, medium_instance):
+        # a transform between marginal calls leaves their bits as they were
+        inst = medium_instance
+        rng = np.random.default_rng(17)
+        phi = rng.normal(0, 1, inst.m)
+        plain, probed = InducedCache(inst), InducedCache(inst)
+        plain.marginal(phi)
+        probed.marginal(phi)
+        far = phi + 2.0 * ABSORB_AT
+        for x in (phi + rng.uniform(-1, 1, inst.m), far, far + rng.uniform(-1, 1, inst.m)):
+            got, ref = probed.transform(x), plus_transform(x, inst)
+            assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+            if x is far:  # beyond the radius: the exact pass, bit for bit
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(probed.marginal(x), plain.marginal(x))
+
+
+class TestLogMass:
+    @given(seed=st.integers(0, 2**32 - 1), cached=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_floor_path(self, seed, cached):
+        # with every mass above the floor the fast return must give the
+        # floor path's bits; below it both take the column logsumexp
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 40, size=2)
+        inst = skewed_instance(rng, int(n), int(m), 10.0 ** rng.uniform(0, 4))
+        phi = rng.normal(0, 3, inst.m)
+        _, _, phi_plus, p = semidual._absorb(phi, inst)
+        floor = CACHED_P_FLOOR if cached else P_FLOOR
+        got = semidual._log_mass(p, floor, phi, phi_plus, inst)
+        np.testing.assert_array_equal(got, floor_path_log_mass(p, floor, phi, phi_plus, inst))
+
+    def test_underflow_instance_takes_the_column_logsumexp(self):
+        inst = underflow_instance()
+        phi = np.zeros(inst.m)
+        cols = mock.patch.object(semidual, "_log_marginal_cols", wraps=semidual._log_marginal_cols)
+        with cols as spy:
+            _, log_p = induced_marginal(phi, inst)
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(spy.call_args.args[3], [1])
+        assert log_p[1] == log_marginal_y(phi, inst)[1]
+        assert log_p[1] == pytest.approx(-1200.693, abs=1e-3)
 
 
 class TestMarginalAndVariation:

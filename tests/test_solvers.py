@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from otmatch import semidual
 from otmatch.kernels import Gram, KernelSpec, gram
 from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
 from otmatch.solvers import (
+    METHODS,
+    TRACE_COLUMNS,
     Link,
     OracleError,
     SolverConfig,
@@ -19,7 +24,7 @@ from otmatch.solvers import (
 )
 from otmatch.verify import classic_log_sinkhorn, random_instance
 
-from conftest import single_cell_instance, zero_cost_instance
+from conftest import floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance
 
 
 class TestLogLink:
@@ -342,6 +347,106 @@ class TestRunner:
         neg = type(inst)(mu=inst.mu, nu=inst.nu, cost=inst.cost - 1.0, epsilon=1.0)
         with pytest.raises(ValueError):
             run(neg, SolverConfig(method="proj_sga", max_iter=3))
+
+
+class _ReferenceCache:
+    """The cached evaluation as first written: every call checks phi, and
+    log p always takes the floor path."""
+
+    def __init__(self, inst):
+        self.inst, self.e = inst, None
+
+    def __call__(self, phi):
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi must be finite everywhere")
+        inst = self.inst
+        if self.e is not None:
+            delta = phi - self.phi_ref
+            if delta.dot(delta) <= semidual.ABSORB_AT**2 or abs(delta).max() <= semidual.ABSORB_AT:
+                v = np.exp(delta)
+                t = self.e @ v
+                phi_plus = self.rowmax + np.log(t)
+                p = v * ((inst.a / t) @ self.e)
+                return phi_plus, floor_path_log_mass(p, semidual.CACHED_P_FLOOR, phi, phi_plus, inst)
+        self.e, self.rowmax, phi_plus, p = semidual._absorb(phi, inst)
+        self.phi_ref = phi.copy()
+        return phi_plus, floor_path_log_mass(p, semidual.P_FLOOR, phi, phi_plus, inst)
+
+
+def _reference_run(inst, cfg):
+    """The runner's loop as first written: the link of b, exp(log p) for the
+    KL column and every ``inst`` attribute taken afresh each iteration.
+    Returns the trace CSV, the final phi, the iteration count and whether
+    the run converged."""
+    spec = METHODS[cfg.method]
+    phi = np.zeros(inst.m)
+    B = default_bound(inst) if spec.family in ("proj", "proj_pp") else None
+    anchor = int(np.argmax(inst.b)) if spec.family == "sign" else None
+    eta = spec.auto_eta(cfg.gram, inst, B)
+    max_iter = 0 if eta == 0.0 else cfg.max_iter
+    if spec.family == "match":
+        link = Link(spec.link, cfg.gram if spec.link == "exp_kernel" else None)
+    bar_prev, inner, t_mom = phi.copy(), phi.copy(), 1.0
+    evaluate = _ReferenceCache(inst)
+    lines, it = [",".join(TRACE_COLUMNS)], 0
+    while True:
+        phi_plus, lp = evaluate(phi)
+        p = np.exp(lp)
+        resid = float(np.abs(inst.b - p).sum())
+        j_val = float(inst.b @ phi - inst.a @ phi_plus)
+        converged = resid <= cfg.tol_l1
+        final = converged or it >= max_iter
+        if final or it % cfg.record_every == 0:
+            mmd = ""
+            if cfg.gram is not None:
+                d = p - inst.b
+                mmd = repr(0.5 * float(d @ cfg.gram.matrix @ d))
+            kl_y = float(np.sum(np.exp(lp) * (lp - inst.log_b)))
+            lines.append(f"{it},{j_val!r},{resid!r},{mmd},{kl_y!r},")
+        if final:
+            break
+        if spec.family == "match":
+            phi = phi - eta * (log_link(link, lp, inst.log_b) - log_link(link, inst.log_b, inst.log_b))
+        elif spec.family == "sign":
+            delta = inst.b - p
+            half = phi + eta * np.abs(delta).sum() * np.sign(delta)
+            out = half - (half[anchor] - phi[anchor])
+            out[anchor] = phi[anchor]
+            phi = out
+        elif spec.family == "proj":
+            phi = np.clip(phi + eta * (inst.b - p) / inst.b, -B, B)
+        else:
+            p_inner = np.exp(evaluate(inner)[1])
+            bar = np.clip(inner + eta * (inst.b - p_inner) / inst.b, -B, B)
+            t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
+            inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
+            bar_prev, t_mom, phi = bar, t_new, bar
+        it += 1
+    return "\n".join(lines) + "\n", phi, it, converged
+
+
+class TestRunnerBits:
+    """The runner gives the bits of its loop as first written."""
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("which", ["cloud", "underflow"])
+    def test_trace_and_phi_match_the_reference_loop(self, method, which, monkeypatch):
+        if which == "cloud":
+            inst = random_instance(np.random.default_rng(38), 12, 16, 0.05)
+            # a small radius makes the cache re-absorb along the run
+            monkeypatch.setattr(semidual, "ABSORB_AT", 0.3)
+        else:
+            inst = underflow_instance()
+        spec = KernelSpec("gaussian", 0.25) if method == "ksga" else KernelSpec("identity")
+        for g, record_every in ((gram(spec, inst.nu.points), 1), (None, 7)):
+            if g is None and method == "ksga":
+                continue
+            cfg = SolverConfig(method=method, max_iter=300, tol_l1=1e-6, record_every=record_every, gram=g)
+            res = run(inst, cfg)
+            csv, phi, iterations, converged = _reference_run(inst, cfg)
+            assert res.trace.to_csv() == csv
+            np.testing.assert_array_equal(res.phi, phi)
+            assert (res.iterations, res.converged) == (iterations, converged)
 
 
 class TestOracle:

@@ -6,11 +6,12 @@ property suite, machine-readable report), ``bridge`` and ``flow`` (demo
 runs emitting their trace formats), ``validate`` (instance file check).
 
 Exit codes: 0 success/convergence, 2 no convergence (iteration budget
-exhausted, a step size that underflows to zero, a diverging ascent or a
-failed reference solve), 1 input or usage error.  Output files are written
-atomically (temp file + rename), and all randomness sits behind
-``--seed``.  Wall times are measured but only written when ``--timings``
-is passed, so a fixed invocation produces byte-identical files.
+exhausted, a step size that underflows to zero, a diverging ascent, a
+failed reference solve or a mirror flow that blows up), 1 input or usage
+error.  Output files are written atomically (temp file + rename), and all
+randomness sits behind ``--seed``.  Wall times are measured but only
+written when ``--timings`` is passed, so a fixed invocation produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge as bridge_mod
-from .diagnostics import BoundReport
 from .kernels import gram, parse_kernel_spec
 from .measures import InstanceError, Instance, load_instance
-from .mirrorflow import flow_run
+from .mirrorflow import FlowBlowupError, flow_run
 from .semidual import marginal_y
 from .solvers import (
     METHODS,
@@ -96,9 +96,10 @@ def _build_config(args, inst: Instance) -> SolverConfig:
     )
 
 
-def _summary_doc(inst, result, wall_s, bound_reports=(), extra=None):
-    doc = {
+def _summary_doc(inst, result, method, wall_s):
+    return {
         "instance_digest": _digest(inst),
+        "method": method,
         "iterations": result.iterations,
         "converged": bool(result.converged),
         "eta": repr(float(result.eta)),
@@ -106,12 +107,9 @@ def _summary_doc(inst, result, wall_s, bound_reports=(), extra=None):
         "anchor_index": result.anchor_index,
         "final_J": repr(float(result.trace.records[-1].J)),
         "final_l1_residual": repr(float(result.trace.records[-1].l1_residual)),
-        "bound_reports": [r.as_dict() if isinstance(r, BoundReport) else r for r in bound_reports],
+        "bound_reports": [],
         "wall_time_s": wall_s,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def cmd_solve(args) -> int:
@@ -125,9 +123,7 @@ def cmd_solve(args) -> int:
             f"error: {args.method}: the auto step exp(-log λ) underflows to 0.0 "
             "(log λ above about 745); no update was made\n"
         )
-    doc = _summary_doc(
-        inst, result, repr(wall) if args.timings else None, extra={"method": args.method},
-    )
+    doc = _summary_doc(inst, result, args.method, repr(wall) if args.timings else None)
     if args.trace:
         _atomic_write(args.trace, result.trace.to_csv(include_timings=args.timings))
     if args.summary:
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OracleError, DivergenceError) as exc:
+    except (OracleError, DivergenceError, FlowBlowupError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
     except (InstanceError, bridge_mod.GridError, ValueError) as exc:

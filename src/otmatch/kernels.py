@@ -70,10 +70,6 @@ class Gram:
         object.__setattr__(self, "matrix", k)
         object.__setattr__(self, "c_k", float(diag.max()))
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def gram(spec: KernelSpec, points: np.ndarray) -> Gram:
     """Build the Gram matrix of ``spec`` on ``points`` ((m, d) or (m,))."""

@@ -158,8 +158,8 @@ def flow_run(
     deviation of q from the running average it implies,
     t^r q(t) = t0^r q(t0) + r * integral.
     """
-    if r < 2.0:
-        raise ValueError(f"momentum parameter must satisfy r >= 2, got {r}")
+    if not (np.isfinite(r) and r >= 2.0):
+        raise ValueError(f"momentum parameter must be finite with r >= 2, got {r}")
     if not (np.isfinite(t0) and np.isfinite(t_end) and 0.0 < t0 < t_end):
         raise ValueError(f"need finite 0 < t0 < t_end, got t0={t0}, t_end={t_end}")
     if not (np.isfinite(dt) and dt > 0.0):
@@ -208,12 +208,14 @@ def flow_run(
             avg_dev = max(avg_dev, float(dev))
 
     record()
-    for start in range(0, n_steps, record_every):
-        hs = np.full(min(record_every, n_steps - start), dt)
-        if start + hs.size > n_full:
-            hs[-1] = last
-        t, q, g, acc = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal, acc)
-        record()
+    # a state that overflows is caught by record(), which raises FlowBlowupError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, record_every):
+            hs = np.full(min(record_every, n_steps - start), dt)
+            if start + hs.size > n_full:
+                hs[-1] = last
+            t, q, g, acc = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal, acc)
+            record()
 
     ts_a = np.array(ts)
     lks_a = np.array(lks)

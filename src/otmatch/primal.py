@@ -11,8 +11,6 @@ make the equivalences executable.  Everything operates in log domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .logops import logsumexp
@@ -21,7 +19,6 @@ from .semidual import Coupling, log_reference
 from .solvers import Link, log_link
 
 __all__ = [
-    "DualPair",
     "project_y",
     "project_x",
     "v_link",
@@ -30,25 +27,6 @@ __all__ = [
     "mirror_bwd",
     "separability_residual",
 ]
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """Separable matrix f(x) + g(y), stored by its two factors."""
-
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.float64).reshape(-1)
-        g = np.asarray(self.g, dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise ValueError("dual pair factors must be finite")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-
-    def matrix(self) -> np.ndarray:
-        return self.f[:, None] + self.g[None, :]
 
 
 def _log_masses(pi: Coupling) -> np.ndarray:

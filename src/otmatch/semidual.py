@@ -8,15 +8,19 @@ first variation (a signed mass vector), and the coupling induced by a
 potential.  All reductions run in stabilized log domain with a fixed
 summation order, so traces are reproducible bit-for-bit.
 
-Every solver iteration needs the transform ``phi_plus`` and the induced
-Y-marginal ``p``; :func:`induced_marginal` produces both from one
-exponential pass over ``w = log b + phi - C/eps``.  Each row is shifted by
-its maximum and exponentiated once, giving ``E`` and row sums ``s``; then
-``phi_plus = log s + rowmax`` and ``p = (a / s) @ E``.  A column whose
-``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow, so its
-``log p_j`` is recomputed exactly by the column logsumexp that
-:func:`log_marginal_y` evaluates; that function remains the two-pass
-reference.
+Every quantity of the coupling induced by phi derives from one Gibbs
+exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, the only
+reader of ``C/eps`` here): the coupling's log masses are
+``w + log a - phi_plus``, and the Gibbs reference of the primal side is
+``w + log a`` at phi = 0.  Every solver iteration needs the transform
+``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
+produces both from one exponential pass over ``w``.  Each row is shifted
+by its maximum and exponentiated once, giving ``E`` and row sums ``s``;
+then ``phi_plus = log s + rowmax`` (which is also how
+:func:`plus_transform` computes it) and ``p = (a / s) @ E``.  A column
+whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow,
+so its ``log p_j`` is recomputed exactly as the logsumexp over rows of the
+coupling's log masses in that column.
 
 A solver run evaluates many nearby potentials, so it builds one
 :class:`InducedCache`, which keeps the ``E`` and row maxima of its last
@@ -33,7 +37,7 @@ first evaluation equals :func:`induced_marginal` bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +48,6 @@ __all__ = [
     "Coupling",
     "plus_transform",
     "semidual_value",
-    "log_marginal_y",
     "induced_marginal",
     "InducedCache",
     "marginal_y",
@@ -101,7 +104,6 @@ class Coupling:
     """
 
     log_masses: np.ndarray
-    total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lm = np.asarray(self.log_masses, dtype=np.float64)
@@ -115,15 +117,10 @@ class Coupling:
         lm = lm.copy()
         lm.setflags(write=False)
         object.__setattr__(self, "log_masses", lm)
-        object.__setattr__(self, "total_mass", total)
 
     @property
     def masses(self) -> np.ndarray:
         return np.exp(self.log_masses)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.log_masses.shape
 
     def marginal_x(self) -> np.ndarray:
         return np.exp(logsumexp(self.log_masses, axis=1))
@@ -139,12 +136,15 @@ class Coupling:
 def plus_transform(phi: np.ndarray, inst: Instance) -> np.ndarray:
     """Soft-max transform sending a Y-potential to an X-potential.
 
-    Component i is ``logsumexp_j(log b_j + phi_j - C_ij / eps)``.  This is
-    the partial maximizer of the two-potential dual objective in its first
-    argument, which is what makes the semi-dual a function of phi alone.
+    Component i is ``logsumexp_j(log b_j + phi_j - C_ij / eps)``, computed
+    as ``log s + rowmax`` of the exponential pass :func:`_row_pass`.  This
+    is the partial maximizer of the two-potential dual objective in its
+    first argument, which is what makes the semi-dual a function of phi
+    alone.
     """
     phi = _check_finite(phi, "phi")
-    return logsumexp(inst.log_b[None, :] + phi[None, :] - inst.cost_over_eps, axis=1)
+    _, s, rowmax = _row_pass(phi, inst)
+    return np.log(s) + rowmax
 
 
 # ---------------------------------------------------------------------------
@@ -161,33 +161,29 @@ def semidual_value(phi: np.ndarray, inst: Instance) -> float:
     return float(inst.b @ phi - inst.a @ plus_transform(phi, inst))
 
 
-def log_marginal_y(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None = None) -> np.ndarray:
-    """Log of the Y-marginal of the coupling induced by phi.
+def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None)) -> np.ndarray:
+    """Exponent ``w = (log b + phi)[cols] - C[:, cols]/eps`` of the coupling induced by phi.
 
-    log p_j = log b_j + phi_j + logsumexp_i(log a_i - phi_plus_i - C_ij/eps).
-    The result is a probability vector within 1e-12 because each row of the
-    induced coupling is normalized against the same transform.
+    The one formula every induced-coupling quantity derives from, and the
+    only reader of ``C/eps`` in this module.  A fresh n x len(cols) array.
     """
-    phi = _check_finite(phi, "phi")
-    if phi_plus is None:
-        phi_plus = plus_transform(phi, inst)
-    return _log_marginal_cols(phi, phi_plus, inst, slice(None))
+    return (inst.log_b + phi)[cols] - inst.cost_over_eps[:, cols]
 
 
 def _log_marginal_cols(phi, phi_plus, inst, cols):
-    col = logsumexp(inst.log_a[:, None] - phi_plus[:, None] - inst.cost_over_eps[:, cols], axis=0)
-    return inst.log_b[cols] + phi[cols] + col
+    """Exact ``log p`` on ``cols``: the column logsumexp of the coupling's log masses."""
+    return logsumexp(_log_coupling(phi, phi_plus, inst, cols), axis=0)
 
 
 def _row_pass(phi: np.ndarray, inst: Instance):
     """Row-shifted Gibbs matrix ``E``, its row sums and row maxima.
 
-    ``E_ij = exp(w_ij - max_j w_ij)`` with ``w = log b + phi - C/eps``, so
+    ``E_ij = exp(w_ij - max_j w_ij)`` with ``w`` the Gibbs exponent, so
     every row holds a 1 and ``s_i >= 1``; the coupling induced by phi is
     ``E * (a / s)[:, None]``.  One n x m array is allocated and overwritten
     in place.
     """
-    e = (inst.log_b + phi) - inst.cost_over_eps
+    e = _gibbs_exponent(phi, inst)
     rowmax = e.max(axis=1, keepdims=True)
     e -= rowmax
     np.exp(e, out=e)
@@ -197,10 +193,10 @@ def _row_pass(phi: np.ndarray, inst: Instance):
 def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """``(phi_plus, log p)`` of the coupling induced by phi, from one exp pass.
 
-    ``phi_plus`` equals :func:`plus_transform` bit for bit (same shifted
-    terms, same row reduction).  ``log p`` agrees with
-    :func:`log_marginal_y` to rounding, and exactly on columns whose mass
-    falls below ``P_FLOOR``, which are recomputed by that column logsumexp.
+    ``phi_plus`` equals :func:`plus_transform` bit for bit (the same
+    pass).  ``log p`` agrees with the column logsumexp of the induced
+    coupling's log masses to rounding, and exactly on columns whose mass
+    falls below ``P_FLOOR``, which are recomputed by that logsumexp.
     """
     phi = _check_finite(phi, "phi")
     _, _, phi_plus, p = _absorb(phi, inst)
@@ -300,19 +296,19 @@ def _log_mass(p, floor, phi, phi_plus, inst):
     return log_p
 
 
-def marginal_y(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None = None) -> np.ndarray:
-    """Y-marginal mass vector of the coupling induced by phi."""
-    return np.exp(log_marginal_y(phi, inst, phi_plus))
+def marginal_y(phi: np.ndarray, inst: Instance) -> np.ndarray:
+    """Y-marginal mass vector of the coupling induced by phi (:func:`induced_marginal`)."""
+    return np.exp(induced_marginal(phi, inst)[1])
 
 
-def first_variation(phi: np.ndarray, inst: Instance, phi_plus: np.ndarray | None = None) -> np.ndarray:
+def first_variation(phi: np.ndarray, inst: Instance) -> np.ndarray:
     """First variation of J at phi, as a signed mass vector: b - marginal.
 
     Entries sum to zero (both terms are probability vectors), vanishes
     exactly at an optimal potential, and one representation serves the
     plain, kernel-smoothed, and matching-style updates alike.
     """
-    return inst.b - marginal_y(phi, inst, phi_plus)
+    return inst.b - marginal_y(phi, inst)
 
 
 def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
@@ -325,15 +321,9 @@ def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
     return Coupling(log_masses=_log_coupling(phi, plus_transform(phi, inst), inst))
 
 
-def _log_coupling(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> np.ndarray:
-    """Log masses ``log a_i + log b_j + phi_j - phi_plus_i - C_ij/eps``."""
-    return (
-        inst.log_a[:, None]
-        + inst.log_b[None, :]
-        + phi[None, :]
-        - phi_plus[:, None]
-        - inst.cost_over_eps
-    )
+def _log_coupling(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance, cols=slice(None)) -> np.ndarray:
+    """Log masses ``w_ij + log a_i - phi_plus_i`` of the induced coupling on ``cols``."""
+    return _gibbs_exponent(phi, inst, cols) + (inst.log_a - phi_plus)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +331,11 @@ def _log_coupling(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> np.n
 # ---------------------------------------------------------------------------
 
 def log_reference(inst: Instance) -> np.ndarray:
-    """Log masses of the normalized Gibbs reference exp(-C/eps) * (a x b) / Z."""
-    lr = inst.log_a[:, None] + inst.log_b[None, :] - inst.cost_over_eps
+    """Log masses of the normalized Gibbs reference exp(-C/eps) * (a x b) / Z.
+
+    Unnormalized, these are the coupling's log masses at phi = 0 with
+    ``phi_plus = 0``: the Gibbs exponent at phi = 0 plus ``log a``.
+    """
+    lr = _gibbs_exponent(np.zeros(inst.m), inst) + inst.log_a[:, None]
     z = logsumexp(lr.reshape(-1))
     return lr - z

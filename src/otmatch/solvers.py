@@ -485,8 +485,8 @@ def oracle_solve(
     the residual target if needed.  The result is normalized so its first
     entry is zero.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     phi = np.zeros(inst.m)
     target = tol
     evaluate = InducedCache(inst)
@@ -507,8 +507,10 @@ def oracle_solve(
 
 
 def _duality_gap(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> float:
-    lpi = _log_coupling(phi, phi_plus, inst)
-    pi = np.exp(lpi)
-    primal = float(np.sum(pi * inst.cost_over_eps) + np.sum(pi * (lpi - inst.log_a[:, None] - inst.log_b[None, :])))
-    dual = float(inst.b @ phi - inst.a @ phi_plus)
-    return abs(dual - primal)
+    """|J(phi) - KL(pi || a x b e^{-C/eps})| for the coupling pi induced by phi.
+
+    The reference is the coupling formula at phi = 0 with phi_plus = 0.
+    """
+    gibbs = _log_coupling(np.zeros(inst.m), np.zeros(inst.n), inst)
+    primal = kl(_log_coupling(phi, phi_plus, inst), gibbs)
+    return abs(float(inst.b @ phi - inst.a @ phi_plus) - primal)

@@ -35,7 +35,7 @@ from .primal import (
     separability_residual,
     v_link,
 )
-from .semidual import _row_pass, coupling, first_variation, marginal_y, semidual_value
+from .semidual import _row_pass, coupling, first_variation, log_reference, marginal_y, semidual_value
 from .solvers import (
     Link,
     SolverConfig,
@@ -75,18 +75,11 @@ class PropertyResult:
         }
 
 
-def random_instance(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    epsilon: float,
-    dim: int = 2,
-    kind: str = "half_sqeuclidean",
-) -> Instance:
-    """Instance with uniform points in [0, 1]^dim and Dirichlet(1) weights."""
-    mu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (n, dim)), weights=rng.dirichlet(np.ones(n)))
-    nu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (m, dim)), weights=rng.dirichlet(np.ones(m)))
-    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, kind), epsilon=epsilon)
+def random_instance(rng: np.random.Generator, n: int, m: int, epsilon: float) -> Instance:
+    """Instance with uniform points in [0, 1]^2, Dirichlet(1) weights and the half_sqeuclidean cost."""
+    mu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (n, 2)), weights=rng.dirichlet(np.ones(n)))
+    nu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (m, 2)), weights=rng.dirichlet(np.ones(m)))
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
 
 
 def classic_log_sinkhorn(
@@ -125,11 +118,7 @@ def variance_identity_residual(
     """
     phi = np.asarray(phi, dtype=np.float64)
     phi_bar = np.asarray(phi_bar, dtype=np.float64)
-    gap = (
-        semidual_value(phi_bar, inst)
-        - semidual_value(phi, inst)
-        - float(first_variation(phi, inst) @ (phi_bar - phi))
-    )
+    gap = _bregman_gap(phi, phi_bar, inst)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     ts = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
@@ -236,6 +225,7 @@ def check_update_equivalences(seed: int, instances: int = 20) -> PropertyResult:
         g_kernel = gram(KernelSpec("gaussian", 0.5), inst.nu.points)
         phi = rng.normal(0.0, 0.8, inst.m)
         pi_n = coupling(phi, inst)
+        log_ref = log_reference(inst)
         for link in links:
             if link is None:
                 link = Link.exp_kernel(g_kernel)
@@ -251,7 +241,7 @@ def check_update_equivalences(seed: int, instances: int = 20) -> PropertyResult:
                 for lm in (dual, proj, root, mirr):
                     marg = np.exp(logsumexp(lm, axis=1))
                     worst_marg = max(worst_marg, float(np.max(np.abs(marg - inst.a))))
-                    worst_log = max(worst_log, separability_residual(lm - (-inst.cost_over_eps + inst.log_a[:, None] + inst.log_b[None, :])))
+                    worst_log = max(worst_log, separability_residual(lm - log_ref))
     ok = worst_log <= 1e-10 and worst_marg <= 1e-12
     return PropertyResult(
         "update_equivalences", ok, max(worst_log, worst_marg),

@@ -346,6 +346,14 @@ class TestOracle:
         assert float(doc["phi"][0]) == 0.0
         assert float(doc["l1_residual"]) <= 1e-12
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12"], ids=["tol_nan", "tol_zero", "tol_negative"])
+    def test_bad_tolerance_is_input_error(self, instance_file, tmp_path, capsys, tol):
+        out = tmp_path / "phi.json"
+        assert main(["oracle", "--instance", str(instance_file), f"--tol={tol}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_failed_reference_solve_is_exit_two(self, instance_file, monkeypatch, capsys):
         def exhaust(inst, tol):
             raise OracleError("no convergence in 3 iterations")
@@ -409,14 +417,25 @@ class TestFlowCommand:
 
     @pytest.mark.parametrize(
         "args",
-        [["--dt", "-1", "--t-end", "0.5"], ["--dt", "0"], ["--record-every", "0"], ["--t-end", "inf"]],
-        ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf"],
+        [["--dt", "-1", "--t-end", "0.5"], ["--dt", "0"], ["--record-every", "0"], ["--t-end", "inf"],
+         ["--r", "nan"], ["--r", "inf"]],
+        ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf", "r_nan", "r_inf"],
     )
     def test_bad_step_arguments_are_input_errors(self, tmp_path, capsys, args):
         summary = tmp_path / "s.json"
         assert main(["flow", *args, "--summary", str(summary)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not summary.exists()
+
+    # the state must be caught by the flow's own check, not by a warning
+    @pytest.mark.filterwarnings("error")
+    def test_blowup_is_exit_two(self, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        code = main(["flow", "--t0", "0.5", "--dt", "2", "--r", "1e6", "--t-end", "50", "--summary", str(summary)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite state") and err.count("\n") == 1, err
         assert not summary.exists()
 
 

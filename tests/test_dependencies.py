@@ -53,3 +53,29 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def _attribute_readers(path: Path, attr: str) -> set[str]:
+    """Qualified names of the functions and classes of a module that read ``.attr``."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Attribute) and node.attr == attr:
+            readers.add(".".join((path.stem,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return readers
+
+
+def test_cost_over_eps_has_one_semidual_reader():
+    # every induced-coupling quantity derives from the one Gibbs exponent;
+    # lambda_bound's +C/eps term is a different quantity
+    readers = set()
+    for path in sorted((REPO / "src" / "otmatch").glob("*.py")):
+        readers |= _attribute_readers(path, "cost_over_eps")
+    outside = {r for r in readers if not r.startswith("measures.Instance")}
+    assert outside == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(outside)

@@ -4,7 +4,6 @@ import pytest
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import logsumexp
 from otmatch.primal import (
-    DualPair,
     mirror_bwd,
     mirror_fwd,
     project_x,
@@ -148,7 +147,7 @@ class TestMirrorMaps:
         h = mirror_fwd(coupling(phi, inst), inst)
         assert separability_residual(h) <= 1e-12
         z_ref = logsumexp(inst.log_a[:, None] + inst.log_b[None, :] - inst.cost_over_eps)
-        expected = DualPair(f=-plus_transform(phi, inst) + z_ref, g=phi).matrix()
+        expected = (z_ref - plus_transform(phi, inst))[:, None] + phi[None, :]
         np.testing.assert_allclose(h, expected, atol=1e-12)
 
     def test_forward_matches_elementwise_oracle(self, inst, pi_random):
@@ -169,7 +168,7 @@ class TestMirrorMaps:
     def test_backward_of_potential_pair_is_induced_coupling(self, inst):
         rng = np.random.default_rng(54)
         phi = rng.normal(0, 1, inst.m)
-        h = DualPair(f=np.zeros(inst.n), g=phi).matrix()
+        h = np.zeros(inst.n)[:, None] + phi[None, :]
         np.testing.assert_allclose(
             mirror_bwd(h, inst).log_masses, coupling(phi, inst).log_masses, atol=1e-12
         )
@@ -193,15 +192,7 @@ class TestMirrorMaps:
             np.testing.assert_allclose(out.marginal_x(), inst.a, atol=1e-12)
 
 
-class TestDualPair:
-    def test_matrix_form(self):
-        dp = DualPair(f=np.array([1.0, 2.0]), g=np.array([10.0, 20.0, 30.0]))
-        np.testing.assert_array_equal(dp.matrix(), [[11.0, 21.0, 31.0], [12.0, 22.0, 32.0]])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            DualPair(f=np.array([np.inf]), g=np.array([0.0]))
-
+class TestSeparabilityResidual:
     def test_separability_residual_detects_nonseparable(self):
         m = np.array([[0.0, 0.0], [0.0, 1.0]])
         assert separability_residual(m) == 1.0

@@ -41,6 +41,7 @@ __all__ = [
     "simulate_em",
     "bridge_from_potential",
     "terminal_histogram",
+    "tv_tolerance_terms",
     "make_demo_instance",
     "GridError",
 ]
@@ -338,6 +339,13 @@ def terminal_histogram(positions: np.ndarray, support: np.ndarray) -> np.ndarray
     step = s[1] - s[0]
     j = np.clip(np.round((positions - s[0]) / step).astype(int), 0, s.size - 1)
     return np.bincount(j, minlength=s.size) / positions.size
+
+
+def tv_tolerance_terms(particles: int, support: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo term 3/sqrt(particles) and discretization term 2 dx of the
+    tolerance on the TV distance between a simulated terminal law and the
+    static marginal over equispaced ``support``; the tolerance is their sum."""
+    return float(3.0 / np.sqrt(particles)), 2.0 * float(support[1] - support[0])
 
 
 def make_demo_instance(

@@ -1,9 +1,11 @@
-"""Per-theorem bound checkers and empirical rate fitting.
+"""Per-theorem bound checkers, the shared result type and rate fitting.
 
-Bound checkers compare a recorded trace against the matching proven rate,
-with a fixed absolute tolerance of 1e-10 to absorb rounding.  A checker
-whose hypothesis is unmet (e.g. the box radius is smaller than the optimal
-potential) reports inconclusive rather than failed.
+Every checker of a paper statement, here and in :mod:`otmatch.verify`,
+returns a :class:`CheckResult` whose signed ``margin`` has the tolerance
+folded in: >= 0 means pass.  Bound checkers compare a recorded trace with
+the proven rate at a fixed absolute tolerance of 1e-10.  A checker whose
+hypothesis is unmet (e.g. the box radius is smaller than the optimal
+potential) reports inconclusive, which never counts as a pass.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .semidual import coupling, semidual_value
 from .solvers import Trace, lambda_bound, oracle_solve
 
 __all__ = [
-    "BoundReport",
+    "CheckResult",
     "check_thm_ksga_rate",
     "check_thm_proj_rate",
     "check_thm_acc_rate",
+    "descent_margin",
     "rate_fit",
     "centered_box_potential",
 ]
@@ -31,44 +34,38 @@ BOUND_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one theorem check over a trace."""
+class CheckResult:
+    """Outcome of checking one paper statement; ``passed`` is ``margin >= 0`` and not inconclusive."""
 
-    theorem: str
-    iterations: np.ndarray
-    observed: np.ndarray
-    bound: np.ndarray
-    worst_slack: float  # min over iterations of bound - observed (+tol already applied in passed)
-    passed: bool
+    name: str
+    margin: float
+    detail: str = ""
     inconclusive: bool = False
-    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0) and not self.inconclusive
 
     def as_dict(self) -> dict:
         return {
-            "theorem": self.theorem,
-            "passed": bool(self.passed),
+            "name": self.name,
+            "passed": self.passed,
             "inconclusive": bool(self.inconclusive),
-            "worst_slack": repr(float(self.worst_slack)),
-            "checked_points": int(len(self.iterations)),
-            "note": self.note,
+            "margin": repr(float(self.margin)),
+            "detail": self.detail,
         }
 
 
-def _report(theorem: str, iters, observed, bound, note="") -> BoundReport:
-    iters = np.asarray(iters)
-    observed = np.asarray(observed, dtype=np.float64)
-    bound = np.asarray(bound, dtype=np.float64)
-    slack = bound - observed
-    worst = float(slack.min()) if slack.size else float("inf")
-    return BoundReport(
-        theorem=theorem,
-        iterations=iters,
-        observed=observed,
-        bound=bound,
-        worst_slack=worst,
-        passed=bool(np.all(observed <= bound + BOUND_TOL)),
-        note=note,
-    )
+def _bound_result(name: str, observed, bound) -> CheckResult:
+    """Margin min(bound + BOUND_TOL - observed), +inf over no points."""
+    margin = np.asarray(bound, dtype=np.float64) + BOUND_TOL - np.asarray(observed, dtype=np.float64)
+    worst = float(margin.min()) if margin.size else float("inf")
+    return CheckResult(name, worst, f"bound checked at {margin.size} iterations")
+
+
+def descent_margin(values: np.ndarray, tol: float) -> float:
+    """``tol`` minus the largest per-step increase of ``values`` (minus a sequence checks ascent)."""
+    return tol - float(np.max(np.diff(values))) if len(values) > 1 else np.inf
 
 
 def check_thm_ksga_rate(
@@ -77,7 +74,7 @@ def check_thm_ksga_rate(
     g: Gram,
     phi0: np.ndarray,
     phi_star: np.ndarray | None = None,
-) -> BoundReport:
+) -> CheckResult:
     """Kernel-ascent rate: mmd_sq at iteration N is at most max{2 c_k, 1}/N times
     the KL divergence of the optimal coupling from the initial one."""
     if phi_star is None:
@@ -89,7 +86,7 @@ def check_thm_ksga_rate(
     keep = iters >= 1
     d0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
-    return _report("ksga_rate", iters[keep], mmd[keep], bound)
+    return _bound_result("ksga_rate", mmd[keep], bound)
 
 
 def centered_box_potential(phi_star: np.ndarray, B: float) -> np.ndarray | None:
@@ -112,20 +109,14 @@ def _gap_check(
     start: np.ndarray,
     phi_star: np.ndarray | None,
     bound_fn,
-) -> BoundReport:
+) -> CheckResult:
     if phi_star is None:
         phi_star = oracle_solve(inst)
     target = centered_box_potential(phi_star, B)
     if target is None:
-        return BoundReport(
-            theorem=theorem,
-            iterations=np.array([], dtype=np.int64),
-            observed=np.array([]),
-            bound=np.array([]),
-            worst_slack=float("nan"),
-            passed=False,
+        return CheckResult(
+            theorem, float("nan"), f"optimal potential exceeds the box radius {B}; hypothesis unmet",
             inconclusive=True,
-            note=f"optimal potential exceeds the box radius {B}; hypothesis unmet",
         )
     j_star = semidual_value(target, inst)
     dist_sq = float(np.sum(inst.b * (start - target) ** 2))
@@ -133,7 +124,7 @@ def _gap_check(
     keep = iters >= 1
     gaps = j_star - trace.column("J")[keep]
     bound = bound_fn(iters[keep].astype(np.float64), dist_sq)
-    return _report(theorem, iters[keep], gaps, bound)
+    return _bound_result(theorem, gaps, bound)
 
 
 def check_thm_proj_rate(
@@ -142,7 +133,7 @@ def check_thm_proj_rate(
     B: float,
     phi0: np.ndarray,
     phi_star: np.ndarray | None = None,
-) -> BoundReport:
+) -> CheckResult:
     """Projected-ascent rate: gap(N) <= lambda(B) |phi0 - target|^2_{L2(b)} / (2N)."""
     lam = np.exp(lambda_bound(inst, B))
     return _gap_check(
@@ -157,7 +148,7 @@ def check_thm_acc_rate(
     B: float,
     phibar0: np.ndarray,
     phi_star: np.ndarray | None = None,
-) -> BoundReport:
+) -> CheckResult:
     """Accelerated rate: gap(N) <= 2 lambda(3B) |phibar0 - target|^2_{L2(b)} / (N+1)^2."""
     lam3 = np.exp(lambda_bound(inst, 3.0 * B))
     return _gap_check(
@@ -166,15 +157,15 @@ def check_thm_acc_rate(
     )
 
 
-def rate_fit(trace: Trace, column: str, window: tuple[int, int]) -> float:
-    """Least-squares slope of log(metric) against log(iteration).
+def rate_fit(iters: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> float:
+    """Least-squares slope of log(values) against log(iters).
 
-    ``window`` is the inclusive iteration range; metric values in the
-    window must be strictly positive.
+    ``window`` is the inclusive iteration range; values in the window must
+    be strictly positive.
     """
     lo, hi = window
-    iters = trace.iterations()
-    vals = trace.column(column)
+    iters = np.asarray(iters)
+    vals = np.asarray(values, dtype=np.float64)
     keep = (iters >= lo) & (iters <= hi) & (iters >= 1)
     if keep.sum() < 2:
         raise ValueError(f"window [{lo}, {hi}] selects fewer than two records")

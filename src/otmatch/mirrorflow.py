@@ -131,6 +131,11 @@ class FlowRunResult:
     rate_violation_swapped_max: float  # same against kl_init_vs_star
     average_identity_dev_max: float | None = None
 
+    @property
+    def slack(self) -> float:
+        """Rounding allowance 1e-8 (1 + V(t0)) on the V increase and the rate violations."""
+        return float(1e-8 * (1.0 + self.vs[0]))
+
     def to_csv(self) -> str:
         lines = [",".join(FLOW_COLUMNS)]
         for t, lk, v in zip(self.ts, self.lks, self.vs):

@@ -160,7 +160,12 @@ def lambda_bound(inst: Instance, B: float) -> float:
 
 
 def default_bound(inst: Instance) -> float:
-    """Sup-norm radius 1.5 * max|c| that is guaranteed to contain an optimal potential."""
+    """Sup-norm radius 1.5 * max|c| of the projected methods' box, in cost units.
+
+    Potentials live in C/eps units, so for eps < 1 this box need not contain
+    any optimal potential; the box-constrained rate checks then report
+    inconclusive.
+    """
     return 1.5 * float(np.max(np.abs(inst.cost)))
 
 
@@ -308,8 +313,8 @@ class SolverConfig:
             spec.check_eta(eta, self.method)
         if self.bound_B is not None and not (np.isfinite(self.bound_B) and self.bound_B >= 0.0):
             raise ValueError(f"box radius B must be finite and >= 0, got {self.bound_B}")
-        if not (self.max_iter >= 0 and self.record_every >= 1 and self.tol_l1 >= 0.0):
-            raise ValueError("max_iter >= 0, record_every >= 1, tol_l1 >= 0 required")
+        if not (self.max_iter >= 0 and self.record_every >= 1 and 0.0 <= self.tol_l1 < math.inf):
+            raise ValueError("max_iter >= 0, record_every >= 1 and a finite tol_l1 >= 0 required")
 
 
 class TraceRecord(NamedTuple):
@@ -485,8 +490,8 @@ def oracle_solve(
     the residual target if needed.  The result is normalized so its first
     entry is zero.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     phi = np.zeros(inst.m)
     target = tol
     evaluate = InducedCache(inst)

@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from otmatch import cli
+from otmatch import cli, verify
 from otmatch.cli import METHODS, _atomic_write, _digest, main
+from otmatch.diagnostics import CheckResult
 from otmatch.measures import DiscreteMeasure, Instance, load_instance, save_instance
 from otmatch.semidual import semidual_value
 from otmatch.kernels import gram, parse_kernel_spec
@@ -187,10 +188,11 @@ class TestSolve:
             ["--method", "proj_sga", "--B", "inf"],
             ["--method", "proj_sga", "--B", "-1"],
             ["--method", "sinkhorn", "--tol", "nan"],
+            ["--method", "sinkhorn", "--tol", "inf"],
             ["--method", "sign_sga", "--eta", "2"],
         ],
         ids=["proj_eta_inf", "proj_pp_eta_inf", "eta_nan", "B_nan", "B_inf", "B_negative", "tol_nan",
-             "sign_eta_out_of_range"],
+             "tol_inf", "sign_eta_out_of_range"],
     )
     def test_bad_step_box_and_tolerance_are_input_errors(self, instance_file, tmp_path, capsys, args):
         summary = tmp_path / "s.json"
@@ -346,7 +348,9 @@ class TestOracle:
         assert float(doc["phi"][0]) == 0.0
         assert float(doc["l1_residual"]) <= 1e-12
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12"], ids=["tol_nan", "tol_zero", "tol_negative"])
+    @pytest.mark.parametrize(
+        "tol", ["nan", "inf", "0", "-1e-12"], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative"]
+    )
     def test_bad_tolerance_is_input_error(self, instance_file, tmp_path, capsys, tol):
         out = tmp_path / "phi.json"
         assert main(["oracle", "--instance", str(instance_file), f"--tol={tol}", "--out", str(out)]) == 1
@@ -378,6 +382,14 @@ class TestVerify:
 
     def test_unknown_property_is_input_error(self):
         assert main(["verify", "--only", "nonexistent_property"]) == 1
+
+    def test_inconclusive_property_fails_the_suite(self, capsys, monkeypatch):
+        unchecked = CheckResult("momentum_counters", float("nan"), "hypothesis unmet", inconclusive=True)
+        monkeypatch.setitem(verify._CHECKS, "momentum_counters", lambda seed: unchecked)
+        assert main(["verify", "--only", "momentum"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_passed"] is False
+        assert doc["properties"][0]["inconclusive"] is True
 
 
 class TestBridgeCommand:

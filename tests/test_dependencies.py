@@ -79,3 +79,18 @@ def test_cost_over_eps_has_one_semidual_reader():
         readers |= _attribute_readers(path, "cost_over_eps")
     outside = {r for r in readers if not r.startswith("measures.Instance")}
     assert outside == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(outside)
+
+
+def test_criteria_call_the_shared_checkers():
+    # the acceptance criteria check each paper statement through the checker
+    # verify uses; importing a loop primitive would let a criterion grow its
+    # own copy of that check again
+    primitives = {"sign_sga_step", "match_step", "t_next", "Trace", "TraceRecord", "classic_log_sinkhorn"}
+    tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & primitives, sorted(imported & primitives)

@@ -4,11 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from otmatch import verify
 from otmatch.diagnostics import (
+    CheckResult,
     centered_box_potential,
     check_thm_acc_rate,
     check_thm_ksga_rate,
     check_thm_proj_rate,
+    descent_margin,
     rate_fit,
 )
 from otmatch.kernels import KernelSpec, gram
@@ -18,15 +21,6 @@ from otmatch.solvers import SolverConfig, Trace, TraceRecord, default_bound, ora
 from otmatch.verify import check_kernel_smoothness, random_instance
 
 from conftest import zero_cost_instance
-
-
-def synthetic_trace(values, column="mmd_sq"):
-    records = []
-    for n, v in enumerate(values, start=1):
-        fields = {"J": 0.0, "l1_residual": 0.0, "mmd_sq": None, "kl_y": 0.0}
-        fields[column] = float(v)
-        records.append(TraceRecord(iteration=n, elapsed_s=0.0, **fields))
-    return Trace(records=records)
 
 
 def log(masses):
@@ -92,7 +86,7 @@ class TestKsgaRateCheck:
         g = gram(KernelSpec("gaussian", 0.3), inst.nu.points)
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=200, tol_l1=0.0))
         rep = check_thm_ksga_rate(res.trace, inst, g, np.zeros(inst.m), phi_star)
-        assert rep.passed and rep.worst_slack >= 0.0
+        assert rep.passed and rep.margin >= 0.0
 
     def test_corrupted_trace_fails(self, oracle_cache):
         inst = random_instance(np.random.default_rng(3), 16, 16, 0.4)
@@ -106,7 +100,7 @@ class TestKsgaRateCheck:
             ]
         )
         rep = check_thm_ksga_rate(doubled, inst, g, np.zeros(inst.m), phi_star)
-        assert not rep.passed
+        assert not rep.passed and rep.margin < 0.0
 
     def test_missing_mmd_column_rejected(self):
         inst = zero_cost_instance()
@@ -122,14 +116,14 @@ class TestGapChecks:
         phi_star = oracle_cache("diag-12x12", inst)
         res = run(inst, SolverConfig(method="proj_sga", max_iter=200, tol_l1=0.0))
         rep = check_thm_proj_rate(res.trace, inst, res.bound_B, np.zeros(inst.m), phi_star)
-        assert rep.passed
+        assert rep.passed and rep.margin >= 0.0
 
     def test_acc_rate_passes(self, oracle_cache):
         inst = random_instance(np.random.default_rng(4), 12, 12, 0.5)
         phi_star = oracle_cache("diag-12x12", inst)
         res = run(inst, SolverConfig(method="proj_sga_pp", max_iter=200, tol_l1=0.0))
         rep = check_thm_acc_rate(res.trace, inst, res.bound_B, np.zeros(inst.m), phi_star)
-        assert rep.passed
+        assert rep.passed and rep.margin >= 0.0
 
     def test_corrupted_gap_fails(self, oracle_cache):
         inst = random_instance(np.random.default_rng(4), 12, 12, 0.5)
@@ -142,7 +136,7 @@ class TestGapChecks:
             ]
         )
         rep = check_thm_proj_rate(sabotaged, inst, res.bound_B, np.zeros(inst.m), phi_star)
-        assert not rep.passed
+        assert not rep.passed and rep.margin < 0.0
 
     def test_small_box_is_inconclusive_not_failed(self, oracle_cache):
         inst = random_instance(np.random.default_rng(4), 12, 12, 0.5)
@@ -174,39 +168,53 @@ class TestGapChecks:
 class TestRateFit:
     def test_recovers_slope_minus_one(self):
         ns = np.arange(1, 400)
-        tr = synthetic_trace(1.0 / ns)
-        assert rate_fit(tr, "mmd_sq", (1, 399)) == pytest.approx(-1.0, abs=1e-6)
+        assert rate_fit(ns, 1.0 / ns, (1, 399)) == pytest.approx(-1.0, abs=1e-6)
 
     def test_recovers_slope_minus_two(self):
         ns = np.arange(1, 400)
-        tr = synthetic_trace(1.0 / ns**2)
-        assert rate_fit(tr, "mmd_sq", (1, 399)) == pytest.approx(-2.0, abs=1e-6)
+        assert rate_fit(ns, 1.0 / ns**2, (1, 399)) == pytest.approx(-2.0, abs=1e-6)
 
     def test_rejects_nonpositive_values(self):
-        tr = synthetic_trace([1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            rate_fit(tr, "mmd_sq", (1, 3))
+            rate_fit(np.arange(1, 4), [1.0, 0.0, 1.0], (1, 3))
 
     def test_rejects_tiny_window(self):
-        tr = synthetic_trace([1.0, 0.5, 0.25])
         with pytest.raises(ValueError):
-            rate_fit(tr, "mmd_sq", (7, 9))
+            rate_fit(np.arange(1, 4), [1.0, 0.5, 0.25], (7, 9))
 
     def test_benchmark_run_decays_at_least_linearly(self):
         inst = random_instance(np.random.default_rng(5), 16, 16, 0.4)
         g = gram(KernelSpec("identity"), inst.nu.points)
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=300, tol_l1=0.0))
-        slope = rate_fit(res.trace, "mmd_sq", (20, 300))
+        slope = rate_fit(res.trace.iterations(), res.trace.column("mmd_sq"), (20, 300))
         assert slope <= -1.0 + 0.2
 
 
 class TestKernelSmoothnessCheck:
     def test_reports_the_upper_side_margin(self):
-        # the lower side -gap dominates the worst value; the detail also
+        # the lower side -gap sets the margin; the detail also
         # shows how close the 2 c_k KL upper bound comes
         res = check_kernel_smoothness(42, pairs=60)
         upper = float(re.search(r"upper side max\(gap - 2 c_k KL\) (\S+),", res.detail).group(1))
         lower = float(re.search(r"lower side max\(-gap\) (\S+)$", res.detail).group(1))
         assert res.passed
         assert upper < lower < 0.0
-        assert res.worst == pytest.approx(lower, rel=1e-3)
+        assert res.margin == pytest.approx(1e-10 - lower, rel=1e-3)
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("name", verify.all_property_names())
+    def test_passed_is_the_sign_of_a_finite_margin(self, name):
+        res = verify._CHECKS[name](3)
+        assert res.name == name
+        assert np.isfinite(res.margin)
+        assert res.passed == (res.margin >= 0.0 and not res.inconclusive)
+
+    def test_inconclusive_never_passes(self):
+        assert not CheckResult("x", 1.0, inconclusive=True).passed
+        assert not CheckResult("x", float("nan")).passed
+        assert CheckResult("x", 0.0).passed
+
+    def test_descent_margin_is_signed(self):
+        assert descent_margin(np.array([3.0, 2.0, 2.0]), 0.0) == 0.0
+        assert descent_margin(np.array([3.0, 2.0, 2.5]), 0.1) == pytest.approx(-0.4)

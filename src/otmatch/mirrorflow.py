@@ -103,7 +103,9 @@ def _rk4_steps(t, q, g, hs, r, b, marginal, acc=None):
     ts = np.add.accumulate(np.concatenate(([t], hs)))
     g2, g3, g4, new = _stage_coefficients(ts[:-1], hs, r)
     new = new[:, : 2 if acc is None else 3]
-    rows = np.empty((7, q.size))
+    # zeros, not empty: the first stage's dot product reads the unwritten
+    # rows p2..p4 with coefficient 0, and 0 * NaN would poison the step
+    rows = np.zeros((7, q.size))
     rows[0], rows[1], rows[2] = q, g, b
     for c2, c3, c4, c_new in zip(g2, g3, g4, new):
         rows[3] = marginal(rows[1])

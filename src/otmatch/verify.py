@@ -1,14 +1,16 @@
 """The one checker of each paper statement, and the seeded ``verify`` suite.
 
 Every ``check_*`` function checks one proven statement of the solver theory
-on the instances, sizes, iteration counts and tolerance it is given, and
-returns a :class:`~otmatch.diagnostics.CheckResult`: a signed ``margin``
-with the tolerance folded in, so ``margin >= 0`` means pass.  The
+on the instances, sizes and iteration counts it is given, and returns a
+:class:`~otmatch.diagnostics.CheckResult`: a signed ``margin`` with the
+statement's tolerance folded in, so ``margin >= 0`` means pass.  The
 acceptance criteria call these checkers at their own sizes; the ``verify``
 suite calls each one on instances regenerated from the seed (``_CHECKS``).
-An inconclusive result (a hypothesis of the statement unmet) fails the
-suite.  Reports contain no wall-clock data, so a fixed seed reproduces them
-byte for byte.
+Partial results combine through NaN-propagating ``np.maximum`` and
+``np.minimum``, so a NaN anywhere gives a NaN margin, which fails.  An
+inconclusive result (a hypothesis of the statement unmet) fails the suite.
+Reports contain no wall-clock data, so a fixed seed reproduces them byte
+for byte.
 
 The checks at a glance: concavity and the two lower Bregman bounds of the
 semi-dual, the finite-difference gradient test, the exact variance
@@ -140,7 +142,7 @@ def _bregman_gap(phi, phi_bar, inst) -> float:
     )
 
 
-def check_concavity(seed: int, pairs: int = 300, tol: float = 1e-10) -> CheckResult:
+def check_concavity(seed: int, pairs: int = 300) -> CheckResult:
     """J is concave: its Bregman gap is <= 0 on random pairs of 4x6 instances."""
     rng = _rng(seed, 1)
     worst = -np.inf
@@ -148,11 +150,11 @@ def check_concavity(seed: int, pairs: int = 300, tol: float = 1e-10) -> CheckRes
         inst = random_instance(rng, 4, 6, float(rng.uniform(0.2, 2.0)))
         phi = rng.normal(0.0, 1.0, inst.m)
         phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
-        worst = max(worst, _bregman_gap(phi, phi_bar, inst))
-    return CheckResult("concavity", tol - worst, f"max Bregman gap {worst:.3e} over {pairs} pairs")
+        worst = np.maximum(worst, _bregman_gap(phi, phi_bar, inst))
+    return CheckResult("concavity", 1e-10 - worst, f"max Bregman gap {worst:.3e} over {pairs} pairs")
 
 
-def check_linf_lower(seed: int, pairs: int = 300, tol: float = 1e-10) -> CheckResult:
+def check_linf_lower(seed: int, pairs: int = 300) -> CheckResult:
     """The Bregman gap of J is >= -|phi_bar - phi|_inf^2 / 2 on random pairs."""
     rng = _rng(seed, 2)
     worst = -np.inf
@@ -162,11 +164,11 @@ def check_linf_lower(seed: int, pairs: int = 300, tol: float = 1e-10) -> CheckRe
         phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
         gap = _bregman_gap(phi, phi_bar, inst)
         lower = -0.5 * float(np.max(np.abs(phi_bar - phi))) ** 2
-        worst = max(worst, lower - gap)
-    return CheckResult("linf_lower", tol - worst, f"max (lower bound - gap) {worst:.3e} over {pairs} pairs")
+        worst = np.maximum(worst, lower - gap)
+    return CheckResult("linf_lower", 1e-10 - worst, f"max (lower bound - gap) {worst:.3e} over {pairs} pairs")
 
 
-def check_weighted_lower(seed: int, pairs: int = 300, tol: float = 1e-10) -> CheckResult:
+def check_weighted_lower(seed: int, pairs: int = 300) -> CheckResult:
     """The Bregman gap of J is >= -lambda(B) |phi_bar - phi|^2_{L2(b)} / 2 inside the box [-B, B]."""
     rng = _rng(seed, 3)
     worst = -np.inf
@@ -178,11 +180,11 @@ def check_weighted_lower(seed: int, pairs: int = 300, tol: float = 1e-10) -> Che
         lam = np.exp(lambda_bound(inst, B))
         gap = _bregman_gap(phi, phi_bar, inst)
         lower = -0.5 * lam * float(inst.b @ (phi_bar - phi) ** 2)
-        worst = max(worst, lower - gap)
-    return CheckResult("weighted_lower", tol - worst, f"max (lower bound - gap) {worst:.3e} over {pairs} pairs")
+        worst = np.maximum(worst, lower - gap)
+    return CheckResult("weighted_lower", 1e-10 - worst, f"max (lower bound - gap) {worst:.3e} over {pairs} pairs")
 
 
-def check_gradient_fd(seed: int, cases: int = 12, tol: float = 1e-5) -> CheckResult:
+def check_gradient_fd(seed: int, cases: int = 12) -> CheckResult:
     """The first variation b - p matches central differences of J (relative error)."""
     rng = _rng(seed, 4)
     h = 1e-5
@@ -194,11 +196,11 @@ def check_gradient_fd(seed: int, cases: int = 12, tol: float = 1e-5) -> CheckRes
         chi -= chi.mean()
         exact = float(first_variation(phi, inst) @ chi)
         fd = (semidual_value(phi + h * chi, inst) - semidual_value(phi - h * chi, inst)) / (2 * h)
-        worst = max(worst, abs(exact - fd) / max(abs(exact), 1e-300))
-    return CheckResult("gradient_fd", tol - worst, f"max relative error {worst:.3e} over {cases} directions")
+        worst = np.maximum(worst, abs(exact - fd) / max(abs(exact), 1e-300))
+    return CheckResult("gradient_fd", 1e-5 - worst, f"max relative error {worst:.3e} over {cases} directions")
 
 
-def check_variance_identity(seed: int, cases: int = 12, tol: float = 1e-6) -> CheckResult:
+def check_variance_identity(seed: int, cases: int = 12) -> CheckResult:
     """The Bregman gap equals its conditional-variance integral (relative residual)."""
     rng = _rng(seed, 5)
     worst = 0.0
@@ -206,13 +208,11 @@ def check_variance_identity(seed: int, cases: int = 12, tol: float = 1e-6) -> Ch
         inst = random_instance(rng, 3, 4, float(rng.uniform(0.3, 1.5)))
         phi = rng.normal(0.0, 1.0, inst.m)
         phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
-        worst = max(worst, variance_identity_residual(phi, phi_bar, inst))
-    return CheckResult("variance_identity", tol - worst, f"max relative residual {worst:.3e} over {cases} pairs")
+        worst = np.maximum(worst, variance_identity_residual(phi, phi_bar, inst))
+    return CheckResult("variance_identity", 1e-6 - worst, f"max relative residual {worst:.3e} over {cases} pairs")
 
 
-def check_update_equivalences(
-    seed: int, instances: int = 20, log_tol: float = 1e-10, marginal_tol: float = 1e-12
-) -> CheckResult:
+def check_update_equivalences(seed: int, instances: int = 20) -> CheckResult:
     """The matching update equals its projection, root and mirror forms, which
     keep the X-marginal and separability against the Gibbs reference."""
     rng = _rng(seed, 6)
@@ -236,18 +236,18 @@ def check_update_equivalences(
                     mirror_fwd(pi_n, inst) - eta * v_link(pi_n, inst, link), inst
                 ).log_masses
                 for other in (proj, root, mirr):
-                    worst_log = max(worst_log, float(np.max(np.abs(dual - other))))
+                    worst_log = np.maximum(worst_log, float(np.max(np.abs(dual - other))))
                 for lm in (dual, proj, root, mirr):
                     marg = np.exp(logsumexp(lm, axis=1))
-                    worst_marg = max(worst_marg, float(np.max(np.abs(marg - inst.a))))
-                    worst_log = max(worst_log, separability_residual(lm - log_ref))
+                    worst_marg = np.maximum(worst_marg, float(np.max(np.abs(marg - inst.a))))
+                    worst_log = np.maximum(worst_log, separability_residual(lm - log_ref))
     return CheckResult(
-        "update_equivalences", min(log_tol - worst_log, marginal_tol - worst_marg),
+        "update_equivalences", np.minimum(1e-10 - worst_log, 1e-12 - worst_marg),
         f"max log-domain disagreement {worst_log:.3e}, max X-marginal error {worst_marg:.3e}",
     )
 
 
-def check_kernel_smoothness(seed: int, pairs: int = 500, tol: float = 1e-10) -> CheckResult:
+def check_kernel_smoothness(seed: int, pairs: int = 500) -> CheckResult:
     """The kernel loss's Bregman gap lies in [0, 2 c_k KL] for three kernels."""
     rng = _rng(seed, 7)
     pts = rng.uniform(0.0, 1.0, (8, 2))
@@ -265,29 +265,32 @@ def check_kernel_smoothness(seed: int, pairs: int = 500, tol: float = 1e-10) -> 
         lin = float((g.matrix @ (xi - target)) @ (xi_bar - xi))
         gap = lk(xi_bar) - lk(xi) - lin
         upper = 2.0 * g.c_k * kl(np.log(xi_bar), np.log(xi))
-        worst_upper = max(worst_upper, gap - upper)
-        worst_lower = max(worst_lower, -gap)
+        worst_upper = np.maximum(worst_upper, gap - upper)
+        worst_lower = np.maximum(worst_lower, -gap)
     return CheckResult(
-        "kernel_smoothness", tol - max(worst_upper, worst_lower),
+        "kernel_smoothness", 1e-10 - np.maximum(worst_upper, worst_lower),
         f"max violation over {pairs} pairs; upper side max(gap - 2 c_k KL) {worst_upper:.3e},"
         f" lower side max(-gap) {worst_lower:.3e}",
     )
 
 
-def check_ksga_rate(inst: Instance, iters: int, descent_tol: float = 1e-12) -> CheckResult:
+def check_ksga_rate(inst: Instance, iters: int) -> CheckResult:
     """Kernel ascent from phi = 0, identity and Gaussian(0.25) kernels: rate bound and per-step MMD descent."""
     phi_star = oracle_solve(inst)
     phi0 = np.zeros(inst.m)
-    rate = descent = np.inf
+    rates, descents = [], []
     for spec in (KernelSpec("identity"), KernelSpec("gaussian", 0.25)):
         g = gram(spec, inst.nu.points)
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=iters, tol_l1=0.0), phi0)
-        rate = min(rate, check_thm_ksga_rate(res.trace, inst, g, phi0, phi_star).margin)
-        descent = min(descent, descent_margin(res.trace.column("mmd_sq"), descent_tol))
-    return CheckResult("ksga_rate", min(rate, descent), f"rate margin {rate:.3e}, MMD descent margin {descent:.3e}")
+        rates.append(check_thm_ksga_rate(res.trace, inst, g, phi0, phi_star).margin)
+        descents.append(descent_margin(res.trace.column("mmd_sq"), 1e-12))
+    rate, descent = np.min(rates), np.min(descents)
+    return CheckResult(
+        "ksga_rate", np.minimum(rate, descent), f"rate margin {rate:.3e}, MMD descent margin {descent:.3e}"
+    )
 
 
-def check_sign_ascent(inst: Instance, iters: int, tol: float = 1e-10) -> CheckResult:
+def check_sign_ascent(inst: Instance, iters: int) -> CheckResult:
     """Unit-step sign ascent from phi = 0 gains >= |dJ|_1^2 / 2 per step and keeps the anchor fixed."""
     anchor = int(np.argmax(inst.b))
     phi = np.zeros(inst.m)
@@ -299,9 +302,9 @@ def check_sign_ascent(inst: Instance, iters: int, tol: float = 1e-10) -> CheckRe
         if new[anchor] != phi[anchor]:
             return CheckResult("sign_ascent", -np.inf, f"anchor entry moved at step {k}")
         gain = semidual_value(new, inst) - j0 - 0.5 * float(np.abs(delta).sum()) ** 2
-        worst = min(worst, gain)
+        worst = np.minimum(worst, gain)
         phi = new
-    return CheckResult("sign_ascent", worst + tol, f"min per-step ascent slack {worst:.3e} over {iters} steps")
+    return CheckResult("sign_ascent", worst + 1e-10, f"min per-step ascent slack {worst:.3e} over {iters} steps")
 
 
 def check_proj_rate(
@@ -315,7 +318,7 @@ def check_proj_rate(
         return rate
     ascent = descent_margin(-res.trace.column("J"), ascent_tol)
     return CheckResult(
-        "proj_rate", min(rate.margin, ascent), f"gap bound margin {rate.margin:.3e}, J ascent margin {ascent:.3e}"
+        "proj_rate", np.minimum(rate.margin, ascent), f"gap bound margin {rate.margin:.3e}, J ascent margin {ascent:.3e}"
     )
 
 
@@ -335,7 +338,7 @@ def check_flow(
         inst, np.zeros(inst.m), r=r, t0=0.01, t_end=t_end, dt=1e-3,
         record_every=record_every, phi_star=phi_star,
     )
-    worst = max(res.v_increase_max, res.rate_violation_max, res.rate_violation_swapped_max)
+    worst = np.max([res.v_increase_max, res.rate_violation_max, res.rate_violation_swapped_max])
     return CheckResult(
         "flow_rate", res.slack - worst,
         f"r={r:g}: V increase {res.v_increase_max:.1e}, rate violation {res.rate_violation_max:.1e}"
@@ -356,7 +359,7 @@ def check_bridge_marginal(inst: Instance, n_t: int, particles: int, seed: int) -
         hist = bridge_mod.terminal_histogram(sim.positions, inst.nu.points[:, 0])
         tvs.append(0.5 * float(np.abs(hist - marginal_y(phi, inst)).sum()))
     return CheckResult(
-        "bridge_marginal", tol - max(tvs),
+        "bridge_marginal", tol - np.max(tvs),
         f"terminal TV {tvs[0]:.4f} (zero potential), {tvs[1]:.4f} (optimal) vs tolerance {tol:.4f}",
     )
 
@@ -373,15 +376,15 @@ def check_momentum_counters(n_max: int) -> CheckResult:
         coeff = (t - 1.0) / t_new
         if not (0.0 <= coeff < 1.0):
             return CheckResult("momentum_counters", -np.inf, f"coefficient {coeff!r} out of [0,1) at n={n}")
-        growth = min(growth, t_new - (n + 2) / 2.0)
+        growth = min(growth, t_new - (n + 2) / 2.0)  # a NaN t_new fails the coefficient test above
         t = t_new
     return CheckResult(
-        "momentum_counters", min(start, growth),
+        "momentum_counters", np.minimum(start, growth),
         f"golden-ratio start margin {start:.3e}; t_n >= (n+1)/2 margin {growth:.3e} up to n={n_max + 1}",
     )
 
 
-def check_sinkhorn_conformance(inst: Instance, iters: int, tol: float = 1e-12) -> CheckResult:
+def check_sinkhorn_conformance(inst: Instance, iters: int) -> CheckResult:
     """Identity-link unit-step matching from phi = 0 reproduces :func:`classic_log_sinkhorn`."""
     reference = classic_log_sinkhorn(inst.a, inst.b, inst.cost, inst.epsilon, iters)
     phi = np.zeros(inst.m)
@@ -389,9 +392,9 @@ def check_sinkhorn_conformance(inst: Instance, iters: int, tol: float = 1e-12) -
     link = Link.identity()
     for ref in reference:
         phi = match_step(phi, inst, link, 1.0)
-        worst = max(worst, float(np.max(np.abs(phi - ref))))
+        worst = np.maximum(worst, float(np.max(np.abs(phi - ref))))
     return CheckResult(
-        "sinkhorn_conformance", tol - worst, f"max potential deviation {worst:.3e} over {iters} sweeps"
+        "sinkhorn_conformance", 1e-12 - worst, f"max potential deviation {worst:.3e} over {iters} sweeps"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -214,6 +215,29 @@ class TestCheckResult:
         assert not CheckResult("x", 1.0, inconclusive=True).passed
         assert not CheckResult("x", float("nan")).passed
         assert CheckResult("x", 0.0).passed
+
+    def test_a_nan_part_gives_a_failing_nan_margin(self, monkeypatch):
+        # sabotage one part of each combined margin; the combination must keep the NaN
+        nan = float("nan")
+        real_flow_run = verify.flow_run
+        monkeypatch.setattr(verify, "descent_margin", lambda values, tol: nan)
+        monkeypatch.setattr(
+            verify, "flow_run",
+            lambda *a, **k: dataclasses.replace(real_flow_run(*a, **k), rate_violation_swapped_max=nan),
+        )
+        monkeypatch.setattr(verify, "_bregman_gap", lambda phi, phi_bar, inst: nan)
+        inst = random_instance(np.random.default_rng(4), 8, 8, 0.5)
+        results = [
+            verify.check_ksga_rate(inst, 20),
+            verify.check_proj_rate(inst, 20),
+            verify.check_flow(inst, 2.0, 0.2, 20),
+            verify.check_concavity(1, pairs=3),
+            verify.check_linf_lower(1, pairs=3),
+            verify.check_weighted_lower(1, pairs=3),
+        ]
+        for res in results:
+            assert not res.inconclusive, res.name
+            assert math.isnan(res.margin) and not res.passed, res.name
 
     def test_descent_margin_is_signed(self):
         assert descent_margin(np.array([3.0, 2.0, 2.0]), 0.0) == 0.0

@@ -78,6 +78,15 @@ class TestFlowStep:
         _, q, g, _ = _rk4_steps(0.01, q, g, np.full(10_000, 1e-3), 2.0, inst.b, InducedCache(inst).marginal)
         assert abs(q.sum() - 1.0) <= 1e-10
 
+    def test_stale_buffer_memory_never_enters_a_step(self, inst, monkeypatch):
+        # a fresh buffer may hold NaN bits; the stage rows not yet written
+        # enter the first dot product with coefficient 0, and 0 * NaN = NaN
+        real_full = np.full
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: real_full(shape, np.nan, dtype))
+        q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
+        _, q, g, _ = _rk4_steps(0.01, q, g, np.full(3, 1e-3), 2.0, inst.b, InducedCache(inst).marginal)
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(g))
+
     def test_parameter_validation(self, inst):
         with pytest.raises(ValueError):
             flow_run(inst, np.zeros(inst.m), r=1.5, t0=0.1, t_end=1.0, dt=1e-3)

@@ -7,8 +7,9 @@ runs emitting their trace formats), ``validate`` (instance file check).
 
 Exit codes: 0 success/convergence, 2 no convergence (iteration budget
 exhausted, a step size that underflows to zero, a diverging ascent, a
-failed reference solve or a mirror flow that blows up; for ``verify``, a
-property that failed or was inconclusive), 1 input or usage error.
+failed reference solve, a mirror flow that blows up or an array too large
+for memory; for ``verify``, a property that failed or was inconclusive),
+1 input or usage error.
 Output files are written atomically (temp file + rename), and all
 randomness sits behind ``--seed``.  Wall times are measured but only
 written when ``--timings`` is passed, so a fixed invocation produces
@@ -65,8 +66,13 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def _emit(doc, path) -> None:
+    """Write ``doc`` as JSON to ``path`` atomically, or to stdout without one."""
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if path:
+        _atomic_write(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _digest(inst: Instance) -> str:
@@ -127,10 +133,7 @@ def cmd_solve(args) -> int:
     doc = _summary_doc(inst, result, args.method, repr(wall) if args.timings else None)
     if args.trace:
         _atomic_write(args.trace, result.trace.to_csv(include_timings=args.timings))
-    if args.summary:
-        _atomic_write(args.summary, _json_text(doc))
-    else:
-        sys.stdout.write(_json_text(doc))
+    _emit(doc, args.summary)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -144,10 +147,7 @@ def cmd_oracle(args) -> int:
         "l1_residual": repr(residual),
         "phi": [repr(float(v)) for v in phi],
     }
-    if args.out:
-        _atomic_write(args.out, _json_text(doc))
-    else:
-        sys.stdout.write(_json_text(doc))
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -158,11 +158,7 @@ def cmd_verify(args) -> int:
         "properties": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    text = _json_text(doc)
-    if args.report:
-        _atomic_write(args.report, text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, args.report)
     return EXIT_OK if doc["all_passed"] else EXIT_NO_CONVERGENCE
 
 
@@ -196,10 +192,7 @@ def cmd_bridge(args) -> int:
     }
     if args.drift:
         _atomic_write(args.drift, field.to_csv())
-    if args.summary:
-        _atomic_write(args.summary, _json_text(doc))
-    else:
-        sys.stdout.write(_json_text(doc))
+    _emit(doc, args.summary)
     return EXIT_OK
 
 
@@ -231,10 +224,7 @@ def cmd_flow(args) -> int:
     }
     if args.trace:
         _atomic_write(args.trace, res.to_csv())
-    if args.summary:
-        _atomic_write(args.summary, _json_text(doc))
-    else:
-        sys.stdout.write(_json_text(doc))
+    _emit(doc, args.summary)
     return EXIT_OK
 
 
@@ -313,7 +303,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OracleError, DivergenceError, FlowBlowupError) as exc:
+    except (OracleError, DivergenceError, FlowBlowupError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
     except (InstanceError, bridge_mod.GridError, ValueError) as exc:

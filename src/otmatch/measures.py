@@ -154,52 +154,43 @@ def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind) -> np.ndarray:
+def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind: str) -> np.ndarray:
     """Pairwise cost between the supports of ``mu`` and ``nu``.
 
-    ``kind`` is ``"half_sqeuclidean"`` (|x - y|^2 / 2), ``"euclidean"``
-    (|x - y|), or an explicit (n, m) matrix that is shape-checked and
-    passed through.
+    ``kind`` is ``"half_sqeuclidean"`` (|x - y|^2 / 2) or ``"euclidean"``
+    (|x - y|).
 
     The difference-based evaluation keeps C(mu, nu) == C(nu, mu)^T exact
-    and guarantees nonnegative entries for the built-in kinds.  Squared
-    differences are accumulated by :func:`_pairwise_sum`.
+    and guarantees nonnegative entries.  Squared differences are
+    accumulated by :func:`_pairwise_sum`.
     """
-    if isinstance(kind, str):
-        if mu.dim != nu.dim:
-            raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
-        if kind not in ("half_sqeuclidean", "euclidean"):
-            raise InstanceError(f"unknown cost kind {kind!r}")
-        sq = _pairwise_sum(mu.points, nu.points, 2)
-        if kind == "half_sqeuclidean":
-            sq *= 0.5
-        else:
-            np.sqrt(sq, out=sq)
-        return sq
-    c = _as_float_array(kind, "explicit cost")
-    if c.shape != (mu.n_atoms, nu.n_atoms):
-        raise InstanceError(f"explicit cost has shape {c.shape}, expected {(mu.n_atoms, nu.n_atoms)}")
-    if not np.all(np.isfinite(c)):
-        raise InstanceError("explicit cost contains non-finite entries")
-    return c
+    if kind not in ("half_sqeuclidean", "euclidean"):
+        raise InstanceError(f"unknown cost kind {kind!r}; expected 'half_sqeuclidean', 'euclidean' or a matrix")
+    if mu.dim != nu.dim:
+        raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
+    sq = _pairwise_sum(mu.points, nu.points, 2)
+    if kind == "half_sqeuclidean":
+        sq *= 0.5
+    else:
+        np.sqrt(sq, out=sq)
+    return sq
 
 
 @dataclass(frozen=True)
 class Instance:
     """One entropic transport problem: marginals, cost matrix, epsilon.
 
-    Derived log-domain quantities (log-weights and the cost/epsilon ratio)
-    are cached here because every solver iteration touches them.
+    The cost is validated here and stored once, as a read-only copy; the
+    ratio C/eps is formed where it is used (``semidual._gibbs_exponent``).
     """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     cost: np.ndarray
     epsilon: float
-    cost_over_eps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.cost, dtype=np.float64)
+        c = _as_float_array(self.cost, "cost")
         if c.shape != (self.mu.n_atoms, self.nu.n_atoms):
             raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
         if not np.all(np.isfinite(c)):
@@ -216,11 +207,8 @@ class Instance:
             raise InstanceError(f"epsilon must be a strictly positive real, got {self.epsilon!r}")
         c = c.copy()
         c.setflags(write=False)
-        roe = c / eps
-        roe.setflags(write=False)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "cost_over_eps", roe)
 
     @property
     def n(self) -> int:
@@ -250,9 +238,6 @@ class Instance:
 # ---------------------------------------------------------------------------
 # Instance files (JSON)
 # ---------------------------------------------------------------------------
-
-_COST_KINDS = ("half_sqeuclidean", "euclidean")
-
 
 def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasure:
     if points_key not in doc or weights_key not in doc:
@@ -322,10 +307,9 @@ def load_instance(path) -> Instance:
     nu = _load_measure(doc, "y_points", "y_weights")
     if "cost" not in doc or "epsilon" not in doc:
         raise InstanceError("instance file missing 'cost' or 'epsilon'")
-    kind = doc["cost"]
-    if isinstance(kind, str) and kind not in _COST_KINDS:
-        raise InstanceError(f"cost kind must be one of {_COST_KINDS} or an explicit matrix")
-    cost = cost_matrix(mu, nu, kind)
+    cost = doc["cost"]
+    if isinstance(cost, str):
+        cost = cost_matrix(mu, nu, cost)
     return Instance(mu=mu, nu=nu, cost=cost, epsilon=doc["epsilon"])
 
 

@@ -68,9 +68,9 @@ def _stage_coefficients(t, h, r):
     """Classical RK4 tableau over the basis rows, for steps from times ``t`` of sizes ``h``.
 
     Returns the rows of the stage potentials g2, g3, g4 (each (k, 7)) and of
-    the new q, the new g and the step's increment of the integral of
-    s^(r-1) p(g(s)) ds ((k, 3, 7)).  Once the stage marginals are fixed the
-    field is linear, so the textbook stages applied to basis rows are exact.
+    the new q and the new g ((k, 2, 7)).  Once the stage marginals are fixed
+    the field is linear, so the textbook stages applied to basis rows are
+    exact.
     """
     t, h = t[:, None], h[:, None]
 
@@ -86,23 +86,18 @@ def _stage_coefficients(t, h, r):
     g4 = _G + h * k3g
     q_new = _Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
     g_new = _G + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    acc = h / 6 * (
-        t ** (r - 1) * _P1 + 2 * (t + h / 2) ** (r - 1) * (_P2 + _P3) + (t + h) ** (r - 1) * _P4
-    )
-    return g2, g3, g4, np.stack([q_new, g_new, acc], axis=1)
+    return g2, g3, g4, np.stack([q_new, g_new], axis=1)
 
 
-def _rk4_steps(t, q, g, hs, r, b, marginal, acc=None):
-    """Classical 4-stage steps of sizes ``hs`` from (t, q, g); returns ``(t, q, g, acc)``.
+def _rk4_steps(t, q, g, hs, r, b, marginal):
+    """Classical 4-stage steps of sizes ``hs`` from (t, q, g); returns ``(t, q, g)``.
 
     ``marginal(g)`` evaluates p(g).  Times advance by repeated addition of
-    the steps.  With ``acc`` it also advances the integral of
-    s^(r-1) p(g(s)) ds with the same stages.
+    the steps.
     """
     hs = np.asarray(hs, dtype=np.float64)
     ts = np.add.accumulate(np.concatenate(([t], hs)))
     g2, g3, g4, new = _stage_coefficients(ts[:-1], hs, r)
-    new = new[:, : 2 if acc is None else 3]
     # zeros, not empty: the first stage's dot product reads the unwritten
     # rows p2..p4 with coefficient 0, and 0 * NaN would poison the step
     rows = np.zeros((7, q.size))
@@ -112,11 +107,8 @@ def _rk4_steps(t, q, g, hs, r, b, marginal, acc=None):
         rows[4] = marginal(c2.dot(rows))
         rows[5] = marginal(c3.dot(rows))
         rows[6] = marginal(c4.dot(rows))
-        out = c_new.dot(rows)
-        rows[:2] = out[:2]
-        if acc is not None:
-            acc = acc + out[2]
-    return float(ts[-1]), rows[0].copy(), rows[1].copy(), acc
+        rows[:2] = c_new.dot(rows)
+    return float(ts[-1]), rows[0].copy(), rows[1].copy()
 
 
 @dataclass
@@ -131,7 +123,6 @@ class FlowRunResult:
     v_increase_max: float  # max of V(t_{k+1}) - V(t_k); <= 0 means monotone
     rate_violation_max: float  # max of Lk - (r^2/t^2) kl_star_vs_init
     rate_violation_swapped_max: float  # same against kl_init_vs_star
-    average_identity_dev_max: float | None = None
 
     @property
     def slack(self) -> float:
@@ -154,16 +145,12 @@ def flow_run(
     dt: float = 1e-3,
     record_every: int = 50,
     phi_star: np.ndarray | None = None,
-    check_average: bool = False,
 ) -> FlowRunResult:
     """Integrate the flow from (q, g) = (p(phi0), phi0) on [t0, t_end].
 
     Takes full steps of ``dt`` plus a short last one, records every
     ``record_every``-th step plus the final one, and checks rate and
-    monotonicity.  With ``check_average`` the run carries the integral of
-    t^{r-1} p(g) on the same stages and reports the worst relative
-    deviation of q from the running average it implies,
-    t^r q(t) = t0^r q(t0) + r * integral.
+    monotonicity.
     """
     if not (np.isfinite(r) and r >= 2.0):
         raise ValueError(f"momentum parameter must be finite with r >= 2, got {r}")
@@ -189,10 +176,8 @@ def flow_run(
 
     cache = InducedCache(inst)
     t = float(t0)
-    q = q0 = cache.marginal(phi0)
+    q = cache.marginal(phi0)
     g = phi0.copy()
-    acc = np.zeros_like(q) if check_average else None
-    avg_dev = 0.0 if check_average else None
 
     n_full = int(np.floor((t_end - t0) / dt + 1e-12))
     last = (t_end - t0) - n_full * dt
@@ -201,7 +186,6 @@ def flow_run(
     ts, lks, vs = [], [], []
 
     def record():
-        nonlocal avg_dev
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
             raise FlowBlowupError(f"non-finite state; last good time {ts[-1] if ts else t0}")
         d = q - inst.b
@@ -209,10 +193,6 @@ def flow_run(
         lks.append(0.5 * float(d @ d))
         kl_g = kl_const - float(q_star @ g) + float(inst.a @ cache.transform(g))
         vs.append((t**2 / r) * lks[-1] + r * kl_g)
-        if check_average:
-            implied = (t0**r * q0 + r * acc) / t**r
-            dev = np.max(np.abs(implied - q)) / max(np.max(np.abs(q)), 1e-300)
-            avg_dev = max(avg_dev, float(dev))
 
     record()
     # a state that overflows is caught by record(), which raises FlowBlowupError
@@ -221,7 +201,7 @@ def flow_run(
             hs = np.full(min(record_every, n_steps - start), dt)
             if start + hs.size > n_full:
                 hs[-1] = last
-            t, q, g, acc = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal, acc)
+            t, q, g = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal)
             record()
 
     ts_a = np.array(ts)
@@ -239,5 +219,4 @@ def flow_run(
         v_increase_max=v_inc,
         rate_violation_max=viol,
         rate_violation_swapped_max=viol_sw,
-        average_identity_dev_max=avg_dev,
     )

@@ -9,8 +9,8 @@ potential.  All reductions run in stabilized log domain with a fixed
 summation order, so traces are reproducible bit-for-bit.
 
 Every quantity of the coupling induced by phi derives from one Gibbs
-exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, the only
-reader of ``C/eps`` here): the coupling's log masses are
+exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, which forms
+``C/eps`` in its own output buffer): the coupling's log masses are
 ``w + log a - phi_plus``, and the Gibbs reference of the primal side is
 ``w + log a`` at phi = 0.  Every solver iteration needs the transform
 ``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
@@ -165,9 +165,11 @@ def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None)) -> np.nda
     """Exponent ``w = (log b + phi)[cols] - C[:, cols]/eps`` of the coupling induced by phi.
 
     The one formula every induced-coupling quantity derives from, and the
-    only reader of ``C/eps`` in this module.  A fresh n x len(cols) array.
+    one place ``C/eps`` is formed in this module: the division writes the
+    fresh n x len(cols) result, and the subtraction overwrites it in place.
     """
-    return (inst.log_b + phi)[cols] - inst.cost_over_eps[:, cols]
+    w = inst.cost[:, cols] / inst.epsilon
+    return np.subtract((inst.log_b + phi)[cols], w, out=w)
 
 
 def _log_marginal_cols(phi, phi_plus, inst, cols):

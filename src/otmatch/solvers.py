@@ -155,7 +155,7 @@ def lambda_bound(inst: Instance, B: float) -> float:
         raise ValueError("B must be nonnegative")
     if np.any(inst.cost < 0.0):
         raise ValueError("the smoothness constant requires a nonnegative cost")
-    expo = inst.log_a[:, None] + inst.log_b[None, :] + inst.cost_over_eps
+    expo = inst.log_a[:, None] + inst.log_b[None, :] + inst.cost / inst.epsilon
     return 2.0 * float(B) + float(logsumexp(expo.reshape(-1)))
 
 

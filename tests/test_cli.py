@@ -237,6 +237,18 @@ class TestSolve:
         assert code == 2
         assert "objective fell" in capsys.readouterr().err
 
+    def test_out_of_memory_is_exit_two(self, instance_file, monkeypatch, capsys):
+        # numpy's message names the shape it could not allocate
+        msg = "Unable to allocate 32.0 GiB for an array with shape (65536, 65536) and data type float64"
+
+        def exhaust(inst, cfg):
+            raise MemoryError(msg)
+
+        monkeypatch.setattr(cli, "run", exhaust)
+        code = main(["solve", "--instance", str(instance_file), "--method", "sinkhorn"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
 
 class TestParserReuse:
     """``main`` builds its parser once; no flag of one call reaches the next."""

@@ -72,13 +72,13 @@ def _attribute_readers(path: Path, attr: str) -> set[str]:
 
 
 def test_cost_over_eps_has_one_semidual_reader():
-    # every induced-coupling quantity derives from the one Gibbs exponent;
-    # lambda_bound's +C/eps term is a different quantity
+    # C/eps is formed only where it is used: every induced-coupling quantity
+    # derives from the one Gibbs exponent, and lambda_bound's +C/eps term is
+    # a different quantity
     readers = set()
-    for path in sorted((REPO / "src" / "otmatch").glob("*.py")):
-        readers |= _attribute_readers(path, "cost_over_eps")
-    outside = {r for r in readers if not r.startswith("measures.Instance")}
-    assert outside == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(outside)
+    for name in ("semidual.py", "solvers.py"):
+        readers |= _attribute_readers(REPO / "src" / "otmatch" / name, "epsilon")
+    assert readers == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(readers)
 
 
 def test_criteria_call_the_shared_checkers():

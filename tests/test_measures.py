@@ -156,16 +156,6 @@ class TestCostMatrix:
             else:
                 assert abs(med - med_ref) <= bound * med_ref
 
-    def test_explicit_matrix_passthrough_and_checks(self):
-        mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
-        nu = DiscreteMeasure(points=np.zeros((3, 1)), weights=np.full(3, 1 / 3))
-        c = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(cost_matrix(mu, nu, c), c)
-        with pytest.raises(InstanceError):
-            cost_matrix(mu, nu, np.zeros((3, 2)))
-        with pytest.raises(InstanceError):
-            cost_matrix(mu, nu, np.full((2, 3), np.nan))
-
     def test_dimension_mismatch(self):
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
         nu = DiscreteMeasure(points=np.zeros((2, 2)), weights=np.full(2, 0.5))
@@ -188,6 +178,13 @@ class TestInstance:
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
         with pytest.raises(InstanceError):
             Instance(mu=mu, nu=mu, cost=np.zeros((2, 3)), epsilon=1.0)
+
+    def test_rejects_string_cost(self):
+        # float64 conversion would read "0.5" as a number; a file with that
+        # cost is rejected too, so a matrix handed over directly must be
+        mu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
+        with pytest.raises(InstanceError, match="cost must be numbers"):
+            Instance(mu=mu, nu=mu, cost=[["0.5"]], epsilon=1.0)
 
 
 class TestInstanceFiles:
@@ -323,12 +320,13 @@ class TestMalformedFiles:
             _doc_bytes(x_points=[[True], [0.5]]),
             _doc_bytes(x_points=[[False], [0.5]]),
             _doc_bytes(x_weights=[0.5, False], cost="half_sqeuclidean"),
+            _doc_bytes(cost="manhattan"),
         ],
         ids=[
             "huge_epsilon", "huge_point", "cost_object", "points_object", "weights_object",
             "ragged_points", "string_cost", "boolean_epsilon", "non_utf8",
             "string_points", "string_weights", "string_epsilon", "string_explicit_cost", "boolean_points",
-            "boolean_among_numbers", "false_among_numbers", "false_beside_a_cost_kind",
+            "boolean_among_numbers", "false_among_numbers", "false_beside_a_cost_kind", "unknown_cost_kind",
         ],
     )
     def test_rejected_with_a_one_line_error(self, tmp_path, capsys, data):

@@ -146,7 +146,7 @@ class TestMirrorMaps:
         phi = rng.normal(0, 1, inst.m)
         h = mirror_fwd(coupling(phi, inst), inst)
         assert separability_residual(h) <= 1e-12
-        z_ref = logsumexp(inst.log_a[:, None] + inst.log_b[None, :] - inst.cost_over_eps)
+        z_ref = logsumexp(inst.log_a[:, None] + inst.log_b[None, :] - inst.cost / inst.epsilon)
         expected = (z_ref - plus_transform(phi, inst))[:, None] + phi[None, :]
         np.testing.assert_allclose(h, expected, atol=1e-12)
 
@@ -185,7 +185,7 @@ class TestMirrorMaps:
             np.testing.assert_allclose(via_mirror.log_masses, via_dual.log_masses, atol=1e-10)
 
     def test_outputs_live_in_factorized_class(self, inst, pi_random):
-        base = -inst.cost_over_eps + inst.log_a[:, None] + inst.log_b[None, :]
+        base = -(inst.cost / inst.epsilon) + inst.log_a[:, None] + inst.log_b[None, :]
         for link in (Link.identity(), Link.exp()):
             out = root_step(pi_random, inst, link, 0.7)
             assert separability_residual(out.log_masses - base) <= 1e-10

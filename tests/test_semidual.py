@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ def two_pass_log_p(phi, inst):
 
 def written_out_plus(phi, inst):
     """Reference phi_plus: the row logsumexp of log b + phi - C/eps, written out."""
-    return logsumexp(inst.log_b[None, :] + phi[None, :] - inst.cost_over_eps, axis=1)
+    return logsumexp(inst.log_b[None, :] + phi[None, :] - inst.cost / inst.epsilon, axis=1)
 
 
 def naive_coupling(phi, inst):
@@ -102,7 +103,7 @@ class TestSemidualValue:
         phi = oracle_cache("dual-opt-4x5", inst)
         psi = plus_transform(phi, inst)
         log_mass = (
-            inst.log_a[:, None] + inst.log_b[None, :] + phi[None, :] - psi[:, None] - inst.cost_over_eps
+            inst.log_a[:, None] + inst.log_b[None, :] + phi[None, :] - psi[:, None] - inst.cost / inst.epsilon
         )
         dual = float(inst.b @ phi - inst.a @ psi - logsumexp(log_mass.reshape(-1)))
         assert semidual_value(phi, inst) == pytest.approx(dual, abs=1e-10)
@@ -149,6 +150,45 @@ class TestInducedMarginal:
     def test_rejects_non_finite_potential(self, small_instance):
         with pytest.raises(ValueError):
             induced_marginal(np.full(small_instance.m, np.nan), small_instance)
+
+
+def _traced_bytes(fn):
+    """``(held, peak)`` bytes that ``fn()`` allocates, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()  # kept alive while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - before, peak - before
+
+
+class TestAllocation:
+    N = 256
+    ARRAY = N * N * 8  # bytes of one n x m float64 array
+
+    @pytest.fixture
+    def parts(self):
+        rng = np.random.default_rng(5)
+        mu = DiscreteMeasure(points=rng.normal(size=(self.N, 2)), weights=np.full(self.N, 1 / self.N))
+        nu = DiscreteMeasure(points=rng.normal(size=(self.N, 2)), weights=np.full(self.N, 1 / self.N))
+        return mu, nu, cost_matrix(mu, nu, "half_sqeuclidean")
+
+    def test_instance_stores_one_cost_array(self, parts):
+        mu, nu, cost = parts
+        held, _ = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5))
+        assert held <= 1.1 * self.ARRAY
+
+    def test_induced_marginal_forms_c_over_eps_in_its_one_buffer(self, parts):
+        # (log b + phi) - C/eps written as two operations would hold two
+        # n x m arrays at once
+        mu, nu, cost = parts
+        inst = Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5)
+        phi = np.random.default_rng(6).normal(0, 1, inst.m)
+        _, peak = _traced_bytes(lambda: induced_marginal(phi, inst))
+        assert peak < 1.5 * self.ARRAY
 
 
 def counting_row_pass():

@@ -17,7 +17,6 @@ from .measures import (
     cost_matrix,
     load_instance,
     make_grid_measure,
-    save_instance,
 )
 from .semidual import (
     Coupling,
@@ -51,7 +50,6 @@ __all__ = [
     "cost_matrix",
     "load_instance",
     "make_grid_measure",
-    "save_instance",
     "Coupling",
     "coupling",
     "first_variation",

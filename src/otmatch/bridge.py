@@ -19,8 +19,7 @@ accurate for smooth data, unconditionally stable); Gaussian tails beyond
 the grid are dropped, so grids must extend well past the support.  The
 bridge's terminal data vanishes off the m target nodes, so its heat pass
 sums over those columns only, with the squared distances built once for
-all time nodes; :func:`heat_propagate` takes the full-grid path through
-the same helper.  The simulation interpolates the drift by grid index on
+all time nodes.  The simulation interpolates the drift by grid index on
 the uniform nodes, with the values ``np.interp`` gives.
 """
 
@@ -37,7 +36,6 @@ __all__ = [
     "SpaceTimeGrid",
     "DriftField",
     "SimulationResult",
-    "heat_propagate",
     "simulate_em",
     "bridge_from_potential",
     "terminal_histogram",
@@ -103,19 +101,11 @@ class SpaceTimeGrid:
 
     @classmethod
     def covering(
-        cls,
-        support_lo: float,
-        support_hi: float,
-        spacing: float,
-        T: float,
-        n_t: int,
-        margin: float | None = None,
+        cls, support_lo: float, support_hi: float, spacing: float, T: float, n_t: int
     ) -> "SpaceTimeGrid":
         """Grid whose lattice contains [support_lo, support_hi] and extends
-        past it by ``margin`` (default 6 sqrt(2T)) on each side."""
-        if margin is None:
-            margin = GRID_MARGIN_FACTOR * np.sqrt(2.0 * T)
-        k = int(np.ceil(margin / spacing))
+        past it by 6 sqrt(2T) on each side."""
+        k = int(np.ceil(GRID_MARGIN_FACTOR * np.sqrt(2.0 * T) / spacing))
         n_right = int(np.round((support_hi - support_lo) / spacing)) + k
         x = support_lo + spacing * np.arange(-k, n_right + 1)
         return cls(x=x, times=np.linspace(0.0, T, n_t))
@@ -163,27 +153,6 @@ def _log_heat(neg_half_sq: np.ndarray, log_terminal: np.ndarray, s: float, dx: f
     """
     kern = neg_half_sq / s - 0.5 * np.log(2.0 * np.pi * s)
     return logsumexp(kern + log_terminal[None, :] + np.log(dx), axis=1)
-
-
-def heat_propagate(phi_T: np.ndarray, t: float, T: float, x: np.ndarray) -> np.ndarray:
-    """Backward heat propagation of the terminal density exp(phi_T).
-
-    Returns g_t(y) = sum_k N(x_k; y, T - t) exp(phi_T(x_k)) dx on the nodes
-    ``x`` (unit-diffusion transition, variance T - t); t = T returns
-    exp(phi_T) exactly.  Entries of ``phi_T`` may be -inf (zero terminal
-    density there); the result is strictly positive for t < T as long as
-    some entry is finite.
-    """
-    if not 0.0 <= t <= T:
-        raise GridError(f"need 0 <= t <= T, got t={t}, T={T}")
-    phi_T = np.asarray(phi_T, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if phi_T.shape != x.shape:
-        raise GridError(f"terminal values shape {phi_T.shape} does not match grid {x.shape}")
-    if t == T:
-        return np.exp(phi_T)
-    dx = float(x[1] - x[0])
-    return np.exp(_log_heat(_neg_half_sq(x, x), phi_T, T - t, dx))
 
 
 @dataclass(frozen=True)
@@ -311,7 +280,7 @@ def bridge_from_potential(phi: np.ndarray, inst: Instance, grid: SpaceTimeGrid) 
         raise GridError(f"epsilon {inst.epsilon} must equal the grid horizon {T}")
     if inst.mu.dim != 1 or inst.nu.dim != 1:
         raise GridError("bridge construction is one-dimensional")
-    quad = 0.5 * (inst.mu.points[:, 0][:, None] - inst.nu.points[:, 0][None, :]) ** 2
+    quad = cost_matrix(inst.mu, inst.nu, "half_sqeuclidean")
     if np.max(np.abs(inst.cost - quad)) > 1e-12 * max(1.0, float(np.max(quad))):
         raise GridError("cost must be |x - y|^2 / 2 between the instance supports")
     y_idx = _support_node_indices(inst.nu.points, grid, "target")
@@ -348,21 +317,11 @@ def tv_tolerance_terms(particles: int, support: np.ndarray) -> tuple[float, floa
     return float(3.0 / np.sqrt(particles)), 2.0 * float(support[1] - support[0])
 
 
-def make_demo_instance(
-    n_points: int = 64,
-    lo: float = -2.0,
-    hi: float = 2.0,
-    epsilon: float = 1.0,
-    mu_center: float = -0.5,
-    mu_width: float = 0.4,
-    uniform_target: bool = True,
-) -> Instance:
-    """1-D quadratic-cost instance on a shared grid, ready for the bridge demo."""
-    mu = make_grid_measure(lo, hi, n_points, lambda x: np.exp(-0.5 * ((x - mu_center) / mu_width) ** 2))
-    if uniform_target:
-        nu = make_grid_measure(lo, hi, n_points, lambda x: 1.0)
-    else:
-        nu = make_grid_measure(lo, hi, n_points, lambda x: 1.0 + 0.5 * np.sin(2.0 * x))
+def make_demo_instance(n_points: int = 64, epsilon: float = 1.0) -> Instance:
+    """1-D quadratic-cost instance on [-2, 2] for the bridge demo: a Gaussian
+    source around -0.5 (width 0.4) and a uniform target on the same grid."""
+    mu = make_grid_measure(-2.0, 2.0, n_points, lambda x: np.exp(-0.5 * ((x + 0.5) / 0.4) ** 2))
+    nu = make_grid_measure(-2.0, 2.0, n_points, lambda x: 1.0)
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
 
 

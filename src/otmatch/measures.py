@@ -8,13 +8,11 @@ shared freely between solver runs.
 Instance files are UTF-8 JSON.  They are parsed from raw bytes by
 ``orjson``, which rounds every number to the nearest double as ``float()``
 does and rejects the non-finite literals (``NaN``, ``Infinity``) that
-stdlib ``json`` would accept.  They are written by stdlib ``json``, whose
-output bytes (float formatting, ``indent=1``) stay as they were.
+stdlib ``json`` would accept.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -28,7 +26,6 @@ __all__ = [
     "make_grid_measure",
     "cost_matrix",
     "load_instance",
-    "save_instance",
     "InstanceError",
 ]
 
@@ -83,7 +80,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         pts = _as_points(self.points)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        w = _as_float_array(self.weights, "weights").reshape(-1)
         if w.shape[0] != pts.shape[0]:
             raise InstanceError(f"{pts.shape[0]} points but {w.shape[0]} weights")
         if not np.all(np.isfinite(w)):
@@ -253,8 +250,8 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
         raise InstanceError(
             f"{weights_key}: weights sum to {float(w.sum())!r}; off by more than {LOAD_RENORMALIZE_TOL}"
         )
-    # weights a measure accepts as they are stay bit-exact, so that a saved
-    # instance loads back to the same arrays (and the same digest)
+    # weights a measure accepts as they are stay bit-exact, so that a file
+    # written from an instance loads back to the same arrays (and digest)
     if drift > WEIGHT_SUM_TOL:
         w = w / w.sum()
     return DiscreteMeasure(points=pts, weights=w)
@@ -273,7 +270,9 @@ def _holds_bool(value) -> bool:
 
 
 def load_instance(path) -> Instance:
-    """Read and validate an instance file (see ``save_instance``).
+    """Read and validate an instance file: a JSON object with ``x_points``,
+    ``x_weights``, ``y_points``, ``y_weights``, ``cost`` (a matrix or a
+    :func:`cost_matrix` kind) and ``epsilon``.
 
     The file must be UTF-8 JSON without non-finite literals.  Weights
     summing to one within 1e-12 are kept as written, those within 1e-9 are
@@ -311,20 +310,3 @@ def load_instance(path) -> Instance:
     if isinstance(cost, str):
         cost = cost_matrix(mu, nu, cost)
     return Instance(mu=mu, nu=nu, cost=cost, epsilon=doc["epsilon"])
-
-
-def instance_to_doc(inst: Instance) -> dict:
-    """Plain-JSON form of an instance (explicit cost matrix)."""
-    return {
-        "x_points": inst.mu.points.tolist(),
-        "x_weights": inst.mu.weights.tolist(),
-        "y_points": inst.nu.points.tolist(),
-        "y_weights": inst.nu.weights.tolist(),
-        "cost": inst.cost.tolist(),
-        "epsilon": inst.epsilon,
-    }
-
-
-def save_instance(inst: Instance, path) -> None:
-    """Write ``inst`` as JSON; ``load_instance`` inverts this exactly."""
-    Path(path).write_text(json.dumps(instance_to_doc(inst), indent=1) + "\n")

@@ -119,10 +119,9 @@ class FlowRunResult:
     lks: np.ndarray
     vs: np.ndarray
     kl_star_vs_init: float  # KL(pi_opt || pi_0): constant in the proven bound
-    kl_init_vs_star: float  # KL(pi_0 || pi_opt): the swapped reading
     v_increase_max: float  # max of V(t_{k+1}) - V(t_k); <= 0 means monotone
     rate_violation_max: float  # max of Lk - (r^2/t^2) kl_star_vs_init
-    rate_violation_swapped_max: float  # same against kl_init_vs_star
+    rate_violation_swapped_max: float  # same against KL(pi_0 || pi_opt), the swapped reading
 
     @property
     def slack(self) -> float:
@@ -215,7 +214,6 @@ def flow_run(
         lks=lks_a,
         vs=vs_a,
         kl_star_vs_init=d_star_init,
-        kl_init_vs_star=d_init_star,
         v_increase_max=v_inc,
         rate_violation_max=viol,
         rate_violation_swapped_max=viol_sw,

@@ -99,8 +99,7 @@ class Coupling:
     """Joint mass matrix over the product of the two supports.
 
     Masses are carried in log domain (geometric interpolation and Gibbs
-    reweighting are exact there); ``masses`` materializes them.  Total
-    mass must be 1 within 1e-12.
+    reweighting are exact there).  Total mass must be 1 within 1e-12.
     """
 
     log_masses: np.ndarray
@@ -117,13 +116,6 @@ class Coupling:
         lm = lm.copy()
         lm.setflags(write=False)
         object.__setattr__(self, "log_masses", lm)
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.exp(self.log_masses)
-
-    def marginal_x(self) -> np.ndarray:
-        return np.exp(logsumexp(self.log_masses, axis=1))
 
     def marginal_y(self) -> np.ndarray:
         return np.exp(logsumexp(self.log_masses, axis=0))

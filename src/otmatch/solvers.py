@@ -224,9 +224,9 @@ class Method:
     the link of kind ``link``), ``sign``, ``proj`` or ``proj_pp``.
     ``auto_eta(gram, inst, B)`` is the step for ``eta="auto"``; an explicit
     step must be finite and lie in (0, eta_max], or (0, eta_max) when
-    ``eta_max_open``.  ``guard(eta, inst, B)`` says whether the step carries
-    an ascent guarantee, which makes a falling objective a
-    :class:`DivergenceError`.
+    ``eta_max_open``.  ``guard(eta, auto)`` says whether the step ``eta``
+    carries an ascent guarantee, given the method's auto step ``auto``; a
+    guarded run that sees the objective fall raises :class:`DivergenceError`.
     """
 
     family: str
@@ -234,7 +234,7 @@ class Method:
     auto_eta: Callable[[Gram | None, Instance, float | None], float]
     eta_max: float
     eta_max_open: bool
-    guard: Callable[[float, Instance, float | None], bool]
+    guard: Callable[[float, float], bool]
 
     def check_eta(self, eta: float, name: str) -> None:
         """Raise ``ValueError`` unless ``eta`` is a finite step in this method's range."""
@@ -248,11 +248,11 @@ def _proj_eta(inst: Instance, B: float) -> float:
     return float(np.exp(-lambda_bound(inst, B)))
 
 
-def _unit_step(eta, inst, B):
+def _unit_step(eta, auto):
     return eta == 1.0  # the classical Sinkhorn map ascends
 
 
-def _no_guard(eta, inst, B):
+def _no_guard(eta, auto):
     return False
 
 
@@ -262,10 +262,10 @@ METHODS: dict[str, Method] = {
     "sga": Method("match", "exp", lambda g, inst, B: 0.5, 1.0, False, _no_guard),
     "ksga": Method("match", "exp_kernel", lambda g, inst, B: auto_eta_kernel(g), 1.0, False, _no_guard),
     "chi2": Method("match", "chi_square", lambda g, inst, B: 0.5, 1.0, False, _no_guard),
-    "sign_sga": Method("sign", None, lambda g, inst, B: 1.0, 2.0, True, lambda eta, inst, B: True),
+    "sign_sga": Method("sign", None, lambda g, inst, B: 1.0, 2.0, True, lambda eta, auto: True),
     "proj_sga": Method(
         "proj", None, lambda g, inst, B: _proj_eta(inst, B), np.inf, True,
-        lambda eta, inst, B: eta <= _proj_eta(inst, B) * (1.0 + 1e-12),
+        lambda eta, auto: eta <= auto * (1.0 + 1e-12),
     ),
     "proj_sga_pp": Method(
         "proj_pp", None, lambda g, inst, B: _proj_eta(inst, 3.0 * B), np.inf, True, _no_guard,
@@ -389,8 +389,6 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     spec = METHODS[cfg.method]
     B = None
     if spec.family in ("proj", "proj_pp"):
-        if np.any(inst.cost < 0.0):
-            raise ValueError("projected methods require a nonnegative cost")
         B = default_bound(inst) if cfg.bound_B is None else float(cfg.bound_B)
         if np.any(np.abs(phi) > B):
             raise ValueError("phi0 must lie inside the box [-B, B] for projected methods")
@@ -400,11 +398,14 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         if not 0 <= anchor < inst.m:
             raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
 
-    eta = spec.auto_eta(cfg.gram, inst, B) if isinstance(cfg.eta, str) else float(cfg.eta)
+    # resolved on every run, once: the projected methods' lambda_bound also
+    # rejects a negative cost
+    auto = spec.auto_eta(cfg.gram, inst, B)
+    eta = auto if isinstance(cfg.eta, str) else float(cfg.eta)
     # an auto step that underflowed to 0.0 would leave phi where it is
     max_iter = 0 if eta == 0.0 else cfg.max_iter
     gram = cfg.gram
-    guard = spec.guard(eta, inst, B)
+    guard = spec.guard(eta, auto)
     a, b, log_b = inst.a, inst.b, inst.log_b
     if spec.family == "match":
         link = Link(spec.link, gram if spec.link == "exp_kernel" else None)

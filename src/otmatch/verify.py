@@ -2,13 +2,15 @@
 
 Every ``check_*`` function checks one proven statement of the solver theory
 on the instances, sizes and iteration counts it is given, and returns a
-:class:`~otmatch.diagnostics.CheckResult`: a signed ``margin`` with the
-statement's tolerance folded in, so ``margin >= 0`` means pass.  The
-acceptance criteria call these checkers at their own sizes; the ``verify``
-suite calls each one on instances regenerated from the seed (``_CHECKS``).
-Partial results combine through NaN-propagating ``np.maximum`` and
-``np.minimum``, so a NaN anywhere gives a NaN margin, which fails.  An
-inconclusive result (a hypothesis of the statement unmet) fails the suite.
+:class:`CheckResult`: a signed ``margin`` with the statement's tolerance
+folded in, so ``margin >= 0`` means pass.  The ``check_thm_*`` functions
+compare a recorded trace with a proven rate at the absolute tolerance
+``_BOUND_TOL``.  The acceptance criteria call these checkers at their own
+sizes; the ``verify`` suite calls each one on instances regenerated from
+the seed (``_CHECKS``).  Partial results combine through NaN-propagating
+``np.maximum`` and ``np.minimum``, so a NaN anywhere gives a NaN margin,
+which fails.  An inconclusive result (a hypothesis of the statement unmet,
+e.g. no optimal potential fits the box) fails the suite.
 Reports contain no wall-clock data, so a fixed seed reproduces them byte
 for byte.
 
@@ -23,17 +25,12 @@ the momentum-counter recursion and conformance with classical Sinkhorn.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import bridge as bridge_mod
-from .diagnostics import (
-    CheckResult,
-    check_thm_acc_rate,
-    check_thm_ksga_rate,
-    check_thm_proj_rate,
-    descent_margin,
-)
-from .kernels import KernelSpec, gram
+from .kernels import Gram, KernelSpec, gram
 from .logops import kl, logsumexp
 from .measures import DiscreteMeasure, Instance, cost_matrix
 from .mirrorflow import flow_run
@@ -50,6 +47,7 @@ from .semidual import _row_pass, coupling, first_variation, log_reference, margi
 from .solvers import (
     Link,
     SolverConfig,
+    Trace,
     lambda_bound,
     match_step,
     oracle_solve,
@@ -59,12 +57,41 @@ from .solvers import (
 )
 
 __all__ = [
+    "CheckResult",
+    "check_thm_ksga_rate",
+    "check_thm_proj_rate",
+    "check_thm_acc_rate",
     "random_instance",
     "classic_log_sinkhorn",
     "variance_identity_residual",
     "all_property_names",
     "run_suite",
 ]
+
+_BOUND_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of checking one paper statement; ``passed`` is ``margin >= 0`` and not inconclusive."""
+
+    name: str
+    margin: float
+    detail: str = ""
+    inconclusive: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0) and not self.inconclusive
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "inconclusive": bool(self.inconclusive),
+            "margin": repr(float(self.margin)),
+            "detail": self.detail,
+        }
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, epsilon: float) -> Instance:
@@ -97,21 +124,19 @@ def classic_log_sinkhorn(
     return out
 
 
-def variance_identity_residual(
-    phi: np.ndarray, phi_bar: np.ndarray, inst: Instance, n_nodes: int = 64
-) -> float:
+def variance_identity_residual(phi: np.ndarray, phi_bar: np.ndarray, inst: Instance) -> float:
     """Relative residual of the Bregman gap against its variance form.
 
     The gap J(phi_bar) - J(phi) - <dJ(phi), phi_bar - phi> equals minus the
     integral over t in [0, 1] of (1 - t) times the mean (over the first
     marginal) conditional variance of (phi_bar - phi) under the row
     distributions induced by the interpolated potential.  Evaluated with
-    Gauss-Legendre quadrature; the integrand is analytic in t.
+    64-node Gauss-Legendre quadrature; the integrand is analytic in t.
     """
     phi = np.asarray(phi, dtype=np.float64)
     phi_bar = np.asarray(phi_bar, dtype=np.float64)
     gap = _bregman_gap(phi, phi_bar, inst)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     ts = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
     diff = phi_bar - phi
@@ -274,6 +299,107 @@ def check_kernel_smoothness(seed: int, pairs: int = 500) -> CheckResult:
     )
 
 
+def _bound_result(name: str, observed, bound) -> CheckResult:
+    """Margin min(bound + _BOUND_TOL - observed), +inf over no points."""
+    margin = np.asarray(bound, dtype=np.float64) + _BOUND_TOL - np.asarray(observed, dtype=np.float64)
+    worst = float(margin.min()) if margin.size else float("inf")
+    return CheckResult(name, worst, f"bound checked at {margin.size} iterations")
+
+
+def _descent_margin(values: np.ndarray, tol: float) -> float:
+    """``tol`` minus the largest per-step increase of ``values`` (minus a sequence checks ascent)."""
+    return tol - float(np.max(np.diff(values))) if len(values) > 1 else np.inf
+
+
+def _centered_box_potential(phi_star: np.ndarray, B: float) -> np.ndarray | None:
+    """Shift of an optimal potential with smallest sup norm, clamped into [-B, B].
+
+    Returns None when even the best shift exceeds the box, in which case a
+    box-constrained check is inconclusive.
+    """
+    centered = phi_star - (phi_star.max() + phi_star.min()) / 2.0
+    if np.max(np.abs(centered)) > B:
+        return None
+    return np.clip(centered, -B, B)
+
+
+def _gap_check(
+    theorem: str,
+    trace: Trace,
+    inst: Instance,
+    B: float,
+    start: np.ndarray,
+    phi_star: np.ndarray | None,
+    bound_fn,
+) -> CheckResult:
+    if phi_star is None:
+        phi_star = oracle_solve(inst)
+    target = _centered_box_potential(phi_star, B)
+    if target is None:
+        return CheckResult(
+            theorem, float("nan"), f"optimal potential exceeds the box radius {B}; hypothesis unmet",
+            inconclusive=True,
+        )
+    j_star = semidual_value(target, inst)
+    dist_sq = float(np.sum(inst.b * (start - target) ** 2))
+    iters = trace.iterations()
+    keep = iters >= 1
+    gaps = j_star - trace.column("J")[keep]
+    bound = bound_fn(iters[keep].astype(np.float64), dist_sq)
+    return _bound_result(theorem, gaps, bound)
+
+
+def check_thm_ksga_rate(
+    trace: Trace,
+    inst: Instance,
+    g: Gram,
+    phi0: np.ndarray,
+    phi_star: np.ndarray | None = None,
+) -> CheckResult:
+    """Kernel-ascent rate: mmd_sq at iteration N is at most max{2 c_k, 1}/N times
+    the KL divergence of the optimal coupling from the initial one."""
+    if phi_star is None:
+        phi_star = oracle_solve(inst)
+    mmd = trace.column("mmd_sq")
+    if np.any(np.isnan(mmd)):
+        raise ValueError("trace has no mmd_sq column; configure a Gram when running")
+    iters = trace.iterations()
+    keep = iters >= 1
+    d0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
+    bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
+    return _bound_result("ksga_rate", mmd[keep], bound)
+
+
+def check_thm_proj_rate(
+    trace: Trace,
+    inst: Instance,
+    B: float,
+    phi0: np.ndarray,
+    phi_star: np.ndarray | None = None,
+) -> CheckResult:
+    """Projected-ascent rate: gap(N) <= lambda(B) |phi0 - target|^2_{L2(b)} / (2N)."""
+    lam = np.exp(lambda_bound(inst, B))
+    return _gap_check(
+        "proj_rate", trace, inst, B, np.asarray(phi0, dtype=np.float64), phi_star,
+        lambda n, d2: lam * d2 / (2.0 * n),
+    )
+
+
+def check_thm_acc_rate(
+    trace: Trace,
+    inst: Instance,
+    B: float,
+    phibar0: np.ndarray,
+    phi_star: np.ndarray | None = None,
+) -> CheckResult:
+    """Accelerated rate: gap(N) <= 2 lambda(3B) |phibar0 - target|^2_{L2(b)} / (N+1)^2."""
+    lam3 = np.exp(lambda_bound(inst, 3.0 * B))
+    return _gap_check(
+        "acc_rate", trace, inst, B, np.asarray(phibar0, dtype=np.float64), phi_star,
+        lambda n, d2: 2.0 * lam3 * d2 / (n + 1.0) ** 2,
+    )
+
+
 def check_ksga_rate(inst: Instance, iters: int) -> CheckResult:
     """Kernel ascent from phi = 0, identity and Gaussian(0.25) kernels: rate bound and per-step MMD descent."""
     phi_star = oracle_solve(inst)
@@ -283,7 +409,7 @@ def check_ksga_rate(inst: Instance, iters: int) -> CheckResult:
         g = gram(spec, inst.nu.points)
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=iters, tol_l1=0.0), phi0)
         rates.append(check_thm_ksga_rate(res.trace, inst, g, phi0, phi_star).margin)
-        descents.append(descent_margin(res.trace.column("mmd_sq"), 1e-12))
+        descents.append(_descent_margin(res.trace.column("mmd_sq"), 1e-12))
     rate, descent = np.min(rates), np.min(descents)
     return CheckResult(
         "ksga_rate", np.minimum(rate, descent), f"rate margin {rate:.3e}, MMD descent margin {descent:.3e}"
@@ -316,7 +442,7 @@ def check_proj_rate(
     rate = check_thm_proj_rate(res.trace, inst, res.bound_B, phi0, phi_star)
     if rate.inconclusive:
         return rate
-    ascent = descent_margin(-res.trace.column("J"), ascent_tol)
+    ascent = _descent_margin(-res.trace.column("J"), ascent_tol)
     return CheckResult(
         "proj_rate", np.minimum(rate.margin, ascent), f"gap bound margin {rate.margin:.3e}, J ascent margin {ascent:.3e}"
     )

@@ -1,11 +1,15 @@
-"""Shared fixtures: deterministic instances and a session-wide oracle cache."""
+"""Shared fixtures and helpers: deterministic instances, instance files, heat propagation and an oracle cache."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otmatch import semidual
+from otmatch.bridge import _log_heat, _neg_half_sq
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.solvers import oracle_solve
 from otmatch.verify import random_instance
@@ -20,6 +24,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def write_instance(inst: Instance, path) -> None:
+    """Write ``inst`` as an instance file with an explicit cost matrix;
+    ``load_instance`` reads it back to the same arrays."""
+    doc = {
+        "x_points": inst.mu.points.tolist(),
+        "x_weights": inst.mu.weights.tolist(),
+        "y_points": inst.nu.points.tolist(),
+        "y_weights": inst.nu.weights.tolist(),
+        "cost": inst.cost.tolist(),
+        "epsilon": inst.epsilon,
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def heat(log_terminal: np.ndarray, s: float, x: np.ndarray) -> np.ndarray:
+    """The terminal density exp(log_terminal) on the equispaced nodes ``x``
+    after backward heat propagation for time s > 0 (variance s)."""
+    return np.exp(_log_heat(_neg_half_sq(x, x), log_terminal, s, float(x[1] - x[0])))
 
 
 def zero_cost_instance(n: int = 4, m: int = 5, seed: int = 0) -> Instance:

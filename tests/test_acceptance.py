@@ -12,12 +12,12 @@ import pytest
 
 import conftest
 
-from otmatch.bridge import bridge_grid_for, heat_propagate, make_demo_instance
+from otmatch.bridge import bridge_grid_for, make_demo_instance
 from otmatch.cli import main as cli_main
-from otmatch.diagnostics import centered_box_potential, rate_fit
 from otmatch.semidual import semidual_value
 from otmatch.solvers import SolverConfig, default_bound, oracle_solve, run
 from otmatch.verify import (
+    _centered_box_potential,
     check_acc_rate,
     check_bridge_marginal,
     check_concavity,
@@ -94,13 +94,33 @@ def test_criterion_03_projected_rate(proj_setup):
     )
 
 
+def rate_fit(iters: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> float:
+    """Least-squares slope of log(values) against log(iters).
+
+    ``window`` is the inclusive iteration range; values in the window must
+    be strictly positive.
+    """
+    lo, hi = window
+    iters = np.asarray(iters)
+    vals = np.asarray(values, dtype=np.float64)
+    keep = (iters >= lo) & (iters <= hi) & (iters >= 1)
+    if keep.sum() < 2:
+        raise ValueError(f"window [{lo}, {hi}] selects fewer than two records")
+    x = iters[keep].astype(np.float64)
+    y = vals[keep]
+    if np.any(~(y > 0.0)):
+        raise ValueError("rate fitting needs strictly positive metric values in the window")
+    slope, _ = np.polyfit(np.log(x), np.log(y), 1)
+    return float(slope)
+
+
 def test_criterion_04_accelerated_rate(proj_setup):
     t0 = time.perf_counter()
     inst, phi_star, B = proj_setup
     rep = check_acc_rate(inst, 1000)
     # the empirical slope needs the trace, which the checker does not return
     res = run(inst, SolverConfig(method="proj_sga_pp", max_iter=1000, tol_l1=0.0))
-    j_star = semidual_value(centered_box_potential(phi_star, B), inst)
+    j_star = semidual_value(_centered_box_potential(phi_star, B), inst)
     slope = rate_fit(res.trace.iterations(), j_star - res.trace.column("J"), (50, 500))
     elapsed = time.perf_counter() - t0
     _announce(
@@ -185,9 +205,9 @@ def test_criterion_10_bridge_consistency():
     semi_err = 0.0
     for _ in range(10):
         s1, s2 = rng.uniform(0.05, 0.45, 2)
-        mid = np.log(heat_propagate(phi_smooth, t=grid.T - s1, T=grid.T, x=grid.x))
-        two = heat_propagate(mid, t=0.0, T=s2, x=grid.x)
-        direct = heat_propagate(phi_smooth, t=grid.T - s1 - s2, T=grid.T, x=grid.x)
+        mid = np.log(conftest.heat(phi_smooth, s1, grid.x))
+        two = conftest.heat(mid, s2, grid.x)
+        direct = conftest.heat(phi_smooth, s1 + s2, grid.x)
         semi_err = max(semi_err, float(np.max(np.abs(two - direct)[interior] / direct[interior])))
     elapsed = time.perf_counter() - t0
     ok = rep.passed and semi_err <= 1e-8 and elapsed <= 120.0

@@ -11,18 +11,28 @@ from otmatch.bridge import (
     _slopes,
     bridge_from_potential,
     bridge_grid_for,
-    heat_propagate,
     make_demo_instance,
     simulate_em,
     terminal_histogram,
 )
-from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
+from otmatch.measures import DiscreteMeasure, Instance, cost_matrix, make_grid_measure
 from otmatch.semidual import marginal_y
 from otmatch.solvers import oracle_solve
+
+from conftest import heat
 
 
 def small_grid(T=1.0, n_t=21, span=8.0, n_x=161):
     return SpaceTimeGrid(x=np.linspace(-span, span, n_x), times=np.linspace(0.0, T, n_t))
+
+
+def grid_instance(n_points, mu_center=-0.5, mu_width=0.4, uniform_target=True):
+    """Quadratic-cost instance on [-2, 2] at epsilon 1: a Gaussian source and
+    a uniform or sinusoidally modulated target on the same grid."""
+    mu = make_grid_measure(-2.0, 2.0, n_points, lambda x: np.exp(-0.5 * ((x - mu_center) / mu_width) ** 2))
+    target = (lambda x: 1.0) if uniform_target else (lambda x: 1.0 + 0.5 * np.sin(2.0 * x))
+    nu = make_grid_measure(-2.0, 2.0, n_points, target)
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=1.0)
 
 
 class TestSpaceTimeGrid:
@@ -52,14 +62,9 @@ class TestHeatPropagate:
     def test_constant_data_is_preserved_interior(self):
         g = small_grid()
         kappa = 0.3
-        out = heat_propagate(np.full(g.n_x, kappa), t=0.0, T=1.0, x=g.x)
+        out = heat(np.full(g.n_x, kappa), 1.0, g.x)
         interior = np.abs(g.x) <= 2.0
         np.testing.assert_allclose(out[interior], np.exp(kappa), rtol=1e-9)
-
-    def test_terminal_time_is_exact(self):
-        g = small_grid()
-        phi = np.sin(g.x)
-        np.testing.assert_array_equal(heat_propagate(phi, t=1.0, T=1.0, x=g.x), np.exp(phi))
 
     def test_semigroup_composition(self):
         g = small_grid(span=12.0, n_x=241)
@@ -69,10 +74,10 @@ class TestHeatPropagate:
         interior = (g.x > g.x[0] + margin) & (g.x < g.x[-1] - margin)
         for _ in range(10):
             s1, s2 = rng.uniform(0.05, 0.45, 2)
-            mid = np.log(heat_propagate(phi, t=1.0 - s1, T=1.0, x=g.x))
+            mid = np.log(heat(phi, s1, g.x))
             # propagate the intermediate data by s2 more
-            two_step = heat_propagate(mid, t=0.0, T=s2, x=g.x)
-            direct = heat_propagate(phi, t=1.0 - s1 - s2, T=1.0, x=g.x)
+            two_step = heat(mid, s2, g.x)
+            direct = heat(phi, s1 + s2, g.x)
             rel = np.abs(two_step[interior] - direct[interior]) / direct[interior]
             assert np.max(rel) <= 1e-8
 
@@ -80,13 +85,8 @@ class TestHeatPropagate:
         g = small_grid()
         phi = np.full(g.n_x, -np.inf)
         phi[g.n_x // 2] = 0.0
-        out = heat_propagate(phi, t=0.5, T=1.0, x=g.x)
+        out = heat(phi, 0.5, g.x)
         assert np.all(out > 0.0)
-
-    def test_time_domain_check(self):
-        g = small_grid()
-        with pytest.raises(GridError):
-            heat_propagate(np.zeros(g.n_x), t=1.5, T=1.0, x=g.x)
 
 
 class TestDriftField:
@@ -145,8 +145,7 @@ class TestInterpolation:
     def test_equals_np_interp(self, n_x):
         rng = np.random.default_rng(n_x)
         x0, dx = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5)
-        x = SpaceTimeGrid.covering(x0, x0 + dx * (n_x - 1), dx, T=1.0, n_t=2, margin=0.0).x
-        assert x.size == n_x
+        x = SpaceTimeGrid(x=x0 + dx * np.arange(n_x), times=[0.0, 1.0]).x
         vals = rng.normal(size=(2, n_x))
         lo, hi = x[0], x[-1]
         pts = np.concatenate([
@@ -166,7 +165,7 @@ class TestBridgeFromPotential:
     def test_support_columns_match_full_grid_heat_pass(self, uniform_target):
         # the terminal data is -inf off the target nodes; propagating it over
         # the whole grid must give the same drift as over the targets only
-        inst = make_demo_instance(n_points=48, uniform_target=uniform_target)
+        inst = grid_instance(48, uniform_target=uniform_target)
         grid = bridge_grid_for(inst, n_t=31)
         phi = oracle_solve(inst)
         y_idx = np.round((inst.nu.points[:, 0] - grid.x[0]) / grid.dx).astype(int)
@@ -181,7 +180,7 @@ class TestBridgeFromPotential:
         assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
 
     def test_zero_potential_drift_antisymmetric_for_symmetric_instance(self):
-        inst = make_demo_instance(n_points=33, mu_center=0.0, mu_width=0.5)
+        inst = grid_instance(33, mu_center=0.0, mu_width=0.5)
         grid = bridge_grid_for(inst, n_t=21)
         field = bridge_from_potential(np.zeros(inst.m), inst, grid)
         # nu symmetric about 0 and grid symmetric: v(t, -x) == -v(t, x)
@@ -217,7 +216,7 @@ class TestBridgeFromPotential:
             bridge_from_potential(np.zeros(inst.m), bad_cost, grid)
 
     def test_terminal_marginal_matches_static_with_nonuniform_target(self):
-        inst = make_demo_instance(n_points=32, uniform_target=False)
+        inst = grid_instance(32, uniform_target=False)
         grid = bridge_grid_for(inst, n_t=51)
         phi_star = oracle_solve(inst)
         n = 20_000

@@ -11,28 +11,27 @@ import pytest
 
 from otmatch import cli, verify
 from otmatch.cli import METHODS, _atomic_write, _digest, main
-from otmatch.diagnostics import CheckResult
-from otmatch.measures import DiscreteMeasure, Instance, load_instance, save_instance
+from otmatch.measures import DiscreteMeasure, Instance, load_instance
 from otmatch.semidual import semidual_value
 from otmatch.kernels import gram, parse_kernel_spec
 from otmatch.solvers import DivergenceError, OracleError, SolverConfig, run
-from otmatch.verify import random_instance
+from otmatch.verify import CheckResult, random_instance
 
-from conftest import zero_cost_instance
+from conftest import write_instance, zero_cost_instance
 
 
 @pytest.fixture()
 def instance_file(tmp_path):
     inst = random_instance(np.random.default_rng(70), 6, 8, 0.5)
     path = tmp_path / "inst.json"
-    save_instance(inst, path)
+    write_instance(inst, path)
     return path
 
 
 @pytest.fixture()
 def zero_cost_file(tmp_path):
     path = tmp_path / "zero.json"
-    save_instance(zero_cost_instance(), path)
+    write_instance(zero_cost_instance(), path)
     return path
 
 
@@ -307,7 +306,7 @@ class TestDigest:
         # weights summing to 1 - 1.1e-16 must survive the round trip unchanged
         for inst in (first, self._instance(b=(0.7, 0.2, 0.1))):
             again = tmp_path / "again.json"
-            save_instance(inst, again)
+            write_instance(inst, again)
             assert _digest(load_instance(again)) == _digest(inst)
 
     def test_changes_with_every_field(self):

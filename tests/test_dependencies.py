@@ -94,3 +94,36 @@ def test_criteria_call_the_shared_checkers():
         for alias in node.names
     }
     assert not imported & primitives, sorted(imported & primitives)
+
+
+def _names_read(path: Path) -> set[str]:
+    """Names a module reads, as a bare name or an attribute, outside the
+    function or class that defines that name."""
+    reads = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in defining:
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in defining:
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return reads
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public name stays only if package code reads it; the re-exports in
+    # __init__.py do not count as a use
+    modules = sorted(p for p in (REPO / "src" / "otmatch").glob("*.py") if p.name != "__init__.py")
+    read = set().union(*(_names_read(p) for p in modules))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in getattr(importlib.import_module(f"otmatch.{path.stem}"), "__all__", [])
+        if name not in read
+    ]
+    assert not unused, f"exported but read only by tests: {unused}"

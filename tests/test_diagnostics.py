@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 
 from otmatch import verify
-from otmatch.diagnostics import (
-    CheckResult,
-    centered_box_potential,
-    check_thm_acc_rate,
-    check_thm_ksga_rate,
-    check_thm_proj_rate,
-    descent_margin,
-    rate_fit,
-)
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl
 from otmatch.semidual import coupling, semidual_value
 from otmatch.solvers import SolverConfig, Trace, TraceRecord, default_bound, oracle_solve, run
-from otmatch.verify import check_kernel_smoothness, random_instance
+from otmatch.verify import (
+    CheckResult,
+    _centered_box_potential,
+    _descent_margin,
+    check_kernel_smoothness,
+    check_thm_acc_rate,
+    check_thm_ksga_rate,
+    check_thm_proj_rate,
+    random_instance,
+)
 
 from conftest import zero_cost_instance
+from test_acceptance import rate_fit
 
 
 def log(masses):
@@ -150,7 +151,7 @@ class TestGapChecks:
         inst = random_instance(np.random.default_rng(4), 12, 12, 0.5)
         phi_star = oracle_cache("diag-12x12", inst)
         B = default_bound(inst)
-        centered = centered_box_potential(phi_star, B)
+        centered = _centered_box_potential(phi_star, B)
         assert centered is not None
         assert np.max(np.abs(centered)) <= B
         assert semidual_value(centered, inst) == pytest.approx(
@@ -220,7 +221,7 @@ class TestCheckResult:
         # sabotage one part of each combined margin; the combination must keep the NaN
         nan = float("nan")
         real_flow_run = verify.flow_run
-        monkeypatch.setattr(verify, "descent_margin", lambda values, tol: nan)
+        monkeypatch.setattr(verify, "_descent_margin", lambda values, tol: nan)
         monkeypatch.setattr(
             verify, "flow_run",
             lambda *a, **k: dataclasses.replace(real_flow_run(*a, **k), rate_violation_swapped_max=nan),
@@ -240,5 +241,5 @@ class TestCheckResult:
             assert math.isnan(res.margin) and not res.passed, res.name
 
     def test_descent_margin_is_signed(self):
-        assert descent_margin(np.array([3.0, 2.0, 2.0]), 0.0) == 0.0
-        assert descent_margin(np.array([3.0, 2.0, 2.5]), 0.1) == pytest.approx(-0.4)
+        assert _descent_margin(np.array([3.0, 2.0, 2.0]), 0.0) == 0.0
+        assert _descent_margin(np.array([3.0, 2.0, 2.5]), 0.1) == pytest.approx(-0.4)

@@ -16,9 +16,10 @@ from otmatch.measures import (
     cost_matrix,
     load_instance,
     make_grid_measure,
-    save_instance,
 )
 from otmatch.verify import random_instance
+
+from conftest import write_instance
 
 
 class TestDiscreteMeasure:
@@ -37,6 +38,14 @@ class TestDiscreteMeasure:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(InstanceError):
             DiscreteMeasure(points=np.array([[np.inf]]), weights=np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "points, weights", [([[0.0], [0.0]], ["0.5", "0.5"]), ([[0.0]], [True])], ids=["strings", "boolean"]
+    )
+    def test_rejects_non_numeric_weights(self, points, weights):
+        # an instance file or Instance.cost holding these values is rejected too
+        with pytest.raises(InstanceError, match="weights must be numbers"):
+            DiscreteMeasure(points=points, weights=weights)
 
     def test_immutable(self):
         m = DiscreteMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]))
@@ -191,7 +200,7 @@ class TestInstanceFiles:
     def test_roundtrip_is_identity(self, tmp_path):
         inst = random_instance(np.random.default_rng(0), 4, 5, 0.3)
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        write_instance(inst, path)
         back = load_instance(path)
         np.testing.assert_array_equal(back.mu.points, inst.mu.points)
         np.testing.assert_array_equal(back.nu.points, inst.nu.points)
@@ -208,7 +217,7 @@ class TestInstanceFiles:
         assert mu.weights.sum() != 1.0
         inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.5)
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        write_instance(inst, path)
         back = load_instance(path)
         np.testing.assert_array_equal(back.mu.weights, inst.mu.weights)
         np.testing.assert_array_equal(back.nu.weights, inst.nu.weights)
@@ -365,7 +374,7 @@ class TestParserParity:
     )
     @settings(max_examples=150, deadline=None)
     def test_loads_what_stdlib_json_reads(self, tmp_path_factory, data, n, m, seed, epsilon):
-        # files are written by stdlib json, as save_instance writes them
+        # files are written by stdlib json, as write_instance writes them
         rng = np.random.default_rng(seed)
         doc = {
             "x_points": data.draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=n, max_size=n)),

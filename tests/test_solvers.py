@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from otmatch import semidual
+from otmatch import semidual, solvers
+from otmatch.logops import logsumexp
 from otmatch.kernels import Gram, KernelSpec, gram
 from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
 from otmatch.solvers import (
@@ -307,7 +308,7 @@ class TestRunner:
         phi = np.zeros(inst.m)
         for _ in range(5):
             phi = match_step(phi, inst, Link.exp(), 0.5)
-            np.testing.assert_allclose(coupling(phi, inst).marginal_x(), inst.a, atol=1e-12)
+            np.testing.assert_allclose(np.exp(logsumexp(coupling(phi, inst).log_masses, axis=1)), inst.a, atol=1e-12)
 
     def test_one_step_stability_at_optimum(self, oracle_cache):
         inst = random_instance(np.random.default_rng(35), 8, 8, 0.5)
@@ -347,6 +348,26 @@ class TestRunner:
         neg = type(inst)(mu=inst.mu, nu=inst.nu, cost=inst.cost - 1.0, epsilon=1.0)
         with pytest.raises(ValueError):
             run(neg, SolverConfig(method="proj_sga", max_iter=3))
+
+    @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
+    @pytest.mark.parametrize("eta", ["auto", 1e-3])
+    def test_one_lambda_bound_per_projected_run(self, method, eta, small_instance, monkeypatch):
+        calls = []
+
+        def counted(inst, B):
+            calls.append(B)
+            return lambda_bound(inst, B)
+
+        monkeypatch.setattr(solvers, "lambda_bound", counted)
+        run(small_instance, SolverConfig(method=method, eta=eta, max_iter=3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
+    def test_negative_cost_rejected_with_explicit_step(self, method):
+        inst = zero_cost_instance()
+        neg = type(inst)(mu=inst.mu, nu=inst.nu, cost=inst.cost - 1.0, epsilon=1.0)
+        with pytest.raises(ValueError, match="nonnegative cost"):
+            run(neg, SolverConfig(method=method, eta=1e-3, max_iter=3))
 
 
 class _ReferenceCache:

@@ -34,10 +34,8 @@ from .solvers import (
     Trace,
     default_bound,
     lambda_bound,
-    match_step,
     oracle_solve,
     run,
-    sign_sga_step,
     t_next,
 )
 
@@ -65,10 +63,8 @@ __all__ = [
     "Trace",
     "default_bound",
     "lambda_bound",
-    "match_step",
     "oracle_solve",
     "run",
-    "sign_sga_step",
     "t_next",
     "__version__",
 ]

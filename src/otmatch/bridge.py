@@ -158,7 +158,6 @@ def _log_heat(neg_half_sq: np.ndarray, log_terminal: np.ndarray, s: float, dx: f
 @dataclass(frozen=True)
 class SimulationResult:
     positions: np.ndarray
-    n_clamped: int
     clamp_fraction: float
     clamp_excessive: bool  # more than 1% of particle-steps clamped
 
@@ -209,7 +208,6 @@ def simulate_em(
     frac = n_clamped / (n_particles * (g.n_t - 1))
     return SimulationResult(
         positions=x_pos,
-        n_clamped=n_clamped,
         clamp_fraction=frac,
         clamp_excessive=frac > CLAMP_REPORT_FRACTION,
     )
@@ -326,7 +324,10 @@ def make_demo_instance(n_points: int = 64, epsilon: float = 1.0) -> Instance:
 
 
 def bridge_grid_for(inst: Instance, n_t: int = 101) -> SpaceTimeGrid:
-    """Covering grid for an instance built by :func:`make_demo_instance`."""
-    xs = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
-    spacing = float(np.diff(np.unique(inst.nu.points[:, 0])).min())
+    """Covering grid for an instance built by :func:`make_demo_instance`, spaced by the least target gap."""
+    ys = np.unique(inst.nu.points[:, 0])
+    if ys.size < 2:
+        raise GridError(f"the bridge needs at least two distinct target atoms, got {ys.size}")
+    xs = np.concatenate([inst.mu.points[:, 0], ys])
+    spacing = float(np.diff(ys).min())
     return SpaceTimeGrid.covering(float(xs.min()), float(xs.max()), spacing, inst.epsilon, n_t)

@@ -118,9 +118,8 @@ class FlowRunResult:
     ts: np.ndarray
     lks: np.ndarray
     vs: np.ndarray
-    kl_star_vs_init: float  # KL(pi_opt || pi_0): constant in the proven bound
     v_increase_max: float  # max of V(t_{k+1}) - V(t_k); <= 0 means monotone
-    rate_violation_max: float  # max of Lk - (r^2/t^2) kl_star_vs_init
+    rate_violation_max: float  # max of Lk - (r^2/t^2) KL(pi_opt || pi_0)
     rate_violation_swapped_max: float  # same against KL(pi_0 || pi_opt), the swapped reading
 
     @property
@@ -213,7 +212,6 @@ def flow_run(
         ts=ts_a,
         lks=lks_a,
         vs=vs_a,
-        kl_star_vs_init=d_star_init,
         v_increase_max=v_inc,
         rate_violation_max=viol,
         rate_violation_swapped_max=viol_sw,

@@ -12,6 +12,9 @@ one row of ``METHODS``, which gives its update, step rule and guard:
 * projected ascent on a sup-norm box with the relative-smoothness step
   (proj_sga), and its momentum-accelerated variant (proj_sga_pp),
 * a high-precision fixed-point reference solver (oracle_solve).
+
+:func:`run` is the only code that applies a method's update; one step of a
+method from phi is ``run(inst, SolverConfig(method, ..., max_iter=1, tol_l1=0.0), phi).phi``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .kernels import Gram
 from .logops import kl, logsumexp
 from .measures import Instance
-from .semidual import InducedCache, _log_coupling, induced_marginal
+from .semidual import InducedCache, _log_coupling
 
 __all__ = [
     "Link",
@@ -38,8 +41,6 @@ __all__ = [
     "DivergenceError",
     "OracleError",
     "log_link",
-    "match_step",
-    "sign_sga_step",
     "auto_eta_kernel",
     "lambda_bound",
     "default_bound",
@@ -91,22 +92,6 @@ class Link:
         if self.kind != "exp_kernel" and self.gram is not None:
             raise ValueError(f"{self.kind} link takes no Gram matrix")
 
-    @classmethod
-    def identity(cls) -> "Link":
-        return cls(kind="identity")
-
-    @classmethod
-    def exp(cls) -> "Link":
-        return cls(kind="exp")
-
-    @classmethod
-    def exp_kernel(cls, gram: Gram) -> "Link":
-        return cls(kind="exp_kernel", gram=gram)
-
-    @classmethod
-    def chi_square(cls) -> "Link":
-        return cls(kind="chi_square")
-
 
 def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
     """Log of the link operator applied to a mass vector given by its logs.
@@ -127,13 +112,6 @@ def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
         return link.gram.matrix @ np.exp(log_xi)
     # chi_square
     return np.exp(log_xi - log_nu) - 1.0
-
-
-def match_step(phi: np.ndarray, inst: Instance, link: Link, eta: float) -> np.ndarray:
-    """One marginal-matching update with step size ``eta`` in (0, 1]."""
-    next(m for m in METHODS.values() if m.link == link.kind).check_eta(eta, "matching")
-    _, log_p = induced_marginal(phi, inst)
-    return phi - eta * (log_link(link, log_p, inst.log_b) - log_link(link, inst.log_b, inst.log_b))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +158,7 @@ def t_next(t: float) -> float:
 # Individual update maps
 # ---------------------------------------------------------------------------
 
-def sign_sga_step(phi: np.ndarray, inst: Instance, eta: float, anchor: int) -> np.ndarray:
+def _sign_update(phi, delta, eta, anchor):
     """Steepest-ascent step in L1 geometry, re-centered at an anchor atom.
 
     Moves by ``eta * |delta|_1`` along ``sign(delta)`` where ``delta`` is
@@ -188,14 +166,6 @@ def sign_sga_step(phi: np.ndarray, inst: Instance, eta: float, anchor: int) -> n
     (the objective is shift-invariant; anchoring kills the flat direction).
     ``sign(0) = 0``, which makes an optimal potential a literal fixed point.
     """
-    METHODS["sign_sga"].check_eta(eta, "sign")
-    if not 0 <= anchor < inst.m:
-        raise ValueError(f"anchor index {anchor} out of range [0, {inst.m})")
-    delta = inst.b - np.exp(induced_marginal(phi, inst)[1])
-    return _sign_update(phi, delta, eta, anchor)
-
-
-def _sign_update(phi, delta, eta, anchor):
     half = phi + eta * np.abs(delta).sum() * np.sign(delta)
     out = half - (half[anchor] - phi[anchor])
     out[anchor] = phi[anchor]  # exact, not up to rounding
@@ -235,13 +205,6 @@ class Method:
     eta_max: float
     eta_max_open: bool
     guard: Callable[[float, float], bool]
-
-    def check_eta(self, eta: float, name: str) -> None:
-        """Raise ``ValueError`` unless ``eta`` is a finite step in this method's range."""
-        in_range = 0.0 < eta < self.eta_max or (eta == self.eta_max and not self.eta_max_open)
-        if not (np.isfinite(eta) and in_range):
-            bracket = ")" if self.eta_max_open else "]"
-            raise ValueError(f"{name} step size must be finite in (0, {self.eta_max:g}{bracket}, got {eta}")
 
 
 def _proj_eta(inst: Instance, B: float) -> float:
@@ -310,7 +273,10 @@ class SolverConfig:
             eta = float(self.eta)
             if self.method == "sinkhorn" and eta != 1.0:
                 raise ValueError("sinkhorn runs at unit step; use eta_sinkhorn for other steps")
-            spec.check_eta(eta, self.method)
+            in_range = 0.0 < eta < spec.eta_max or (eta == spec.eta_max and not spec.eta_max_open)
+            if not (np.isfinite(eta) and in_range):
+                bracket = ")" if spec.eta_max_open else "]"
+                raise ValueError(f"{self.method} step size must be finite in (0, {spec.eta_max:g}{bracket}, got {eta}")
         if self.bound_B is not None and not (np.isfinite(self.bound_B) and self.bound_B >= 0.0):
             raise ValueError(f"box radius B must be finite and >= 0, got {self.bound_B}")
         if not (self.max_iter >= 0 and self.record_every >= 1 and 0.0 <= self.tol_l1 < math.inf):

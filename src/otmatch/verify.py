@@ -21,6 +21,9 @@ update with its projection/root/mirror forms, kernel smoothness bounds,
 the kernel-ascent rate, the sign-ascent mechanism, both projected-method
 rates, the mirror-flow Lyapunov decay, the bridge terminal-marginal match,
 the momentum-counter recursion and conformance with classical Sinkhorn.
+The update equivalences, the sign ascent and the Sinkhorn conformance are
+checked on the iterates and trace of :func:`~otmatch.solvers.run`, the one
+code that applies a method's update, so they guard ``otmatch solve``'s loop.
 """
 
 from __future__ import annotations
@@ -45,14 +48,14 @@ from .primal import (
 )
 from .semidual import _row_pass, coupling, first_variation, log_reference, marginal_y, semidual_value
 from .solvers import (
+    METHODS,
+    DivergenceError,
     Link,
     SolverConfig,
     Trace,
     lambda_bound,
-    match_step,
     oracle_solve,
     run,
-    sign_sga_step,
     t_next,
 )
 
@@ -241,20 +244,19 @@ def check_update_equivalences(seed: int, instances: int = 20) -> CheckResult:
     """The matching update equals its projection, root and mirror forms, which
     keep the X-marginal and separability against the Gibbs reference."""
     rng = _rng(seed, 6)
-    links = [Link.identity(), Link.exp(), None, Link.chi_square()]  # kernel link built per instance
     worst_log = 0.0
     worst_marg = 0.0
     for _ in range(instances):
         inst = random_instance(rng, 5, 7, float(rng.uniform(0.3, 1.5)))
-        g_kernel = gram(KernelSpec("gaussian", 0.5), inst.nu.points)
         phi = rng.normal(0.0, 0.8, inst.m)
         pi_n = coupling(phi, inst)
         log_ref = log_reference(inst)
-        for link in links:
-            if link is None:
-                link = Link.exp_kernel(g_kernel)
+        for method in ("eta_sinkhorn", "sga", "ksga", "chi2"):
+            g = gram(KernelSpec("gaussian", 0.5), inst.nu.points) if method == "ksga" else None
+            link = Link(METHODS[method].link, g)
             for eta in (0.3, 1.0):
-                dual = coupling(match_step(phi, inst, link, eta), inst).log_masses
+                cfg = SolverConfig(method, eta=eta, max_iter=1, tol_l1=0.0, gram=g)
+                dual = coupling(run(inst, cfg, phi).phi, inst).log_masses
                 proj = project_x(project_y(pi_n, inst, link), pi_n, inst, eta).log_masses
                 root = root_step(pi_n, inst, link, eta).log_masses
                 mirr = mirror_bwd(
@@ -417,20 +419,17 @@ def check_ksga_rate(inst: Instance, iters: int) -> CheckResult:
 
 
 def check_sign_ascent(inst: Instance, iters: int) -> CheckResult:
-    """Unit-step sign ascent from phi = 0 gains >= |dJ|_1^2 / 2 per step and keeps the anchor fixed."""
-    anchor = int(np.argmax(inst.b))
-    phi = np.zeros(inst.m)
-    worst = np.inf
-    for k in range(iters):
-        delta = first_variation(phi, inst)
-        j0 = semidual_value(phi, inst)
-        new = sign_sga_step(phi, inst, 1.0, anchor)
-        if new[anchor] != phi[anchor]:
-            return CheckResult("sign_ascent", -np.inf, f"anchor entry moved at step {k}")
-        gain = semidual_value(new, inst) - j0 - 0.5 * float(np.abs(delta).sum()) ** 2
-        worst = np.minimum(worst, gain)
-        phi = new
-    return CheckResult("sign_ascent", worst + 1e-10, f"min per-step ascent slack {worst:.3e} over {iters} steps")
+    """Unit-step sign ascent from phi = 0 gains >= |dJ|_1^2 / 2 per step (|dJ|_1 is the
+    trace's ``l1_residual``) and keeps the anchor fixed."""
+    try:
+        res = run(inst, SolverConfig("sign_sga", eta=1.0, max_iter=iters, tol_l1=0.0, record_every=1))
+    except DivergenceError as exc:
+        return CheckResult("sign_ascent", -np.inf, str(exc))
+    if res.phi[res.anchor_index] != 0.0:
+        return CheckResult("sign_ascent", -np.inf, f"anchor entry moved to {res.phi[res.anchor_index]:.3e}")
+    gains = np.diff(res.trace.column("J")) - 0.5 * res.trace.column("l1_residual")[:-1] ** 2
+    worst = np.min(gains, initial=np.inf)
+    return CheckResult("sign_ascent", worst + 1e-10, f"min per-step ascent slack {worst:.3e} over {gains.size} steps")
 
 
 def check_proj_rate(
@@ -515,9 +514,8 @@ def check_sinkhorn_conformance(inst: Instance, iters: int) -> CheckResult:
     reference = classic_log_sinkhorn(inst.a, inst.b, inst.cost, inst.epsilon, iters)
     phi = np.zeros(inst.m)
     worst = 0.0
-    link = Link.identity()
     for ref in reference:
-        phi = match_step(phi, inst, link, 1.0)
+        phi = run(inst, SolverConfig("sinkhorn", max_iter=1, tol_l1=0.0), phi).phi
         worst = np.maximum(worst, float(np.max(np.abs(phi - ref))))
     return CheckResult(
         "sinkhorn_conformance", 1e-12 - worst, f"max potential deviation {worst:.3e} over {iters} sweeps"

@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers: deterministic instances, instance files, heat propagation and an oracle cache."""
+"""Shared fixtures and helpers: deterministic instances, instance files, heat propagation, one solver step and an oracle cache."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from otmatch import semidual
 from otmatch.bridge import _log_heat, _neg_half_sq
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
-from otmatch.solvers import oracle_solve
+from otmatch.solvers import SolverConfig, oracle_solve, run
 from otmatch.verify import random_instance
 
 # pass/fail lines registered by the acceptance tests; echoed in the terminal
@@ -64,6 +64,12 @@ def underflow_instance() -> Instance:
     mu = DiscreteMeasure(points=np.array([[0.0], [0.1]]), weights=np.array([0.5, 0.5]))
     nu = DiscreteMeasure(points=np.array([[0.0], [5.0]]), weights=np.array([0.5, 0.5]))
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
+
+
+def one_step(method: str, phi: np.ndarray, inst: Instance, **fields) -> np.ndarray:
+    """One update of ``method`` from phi, taken by the runner; ``fields``
+    are further :class:`SolverConfig` fields (eta, gram, bound_B, ...)."""
+    return run(inst, SolverConfig(method=method, max_iter=1, tol_l1=0.0, **fields), phi).phi
 
 
 def floor_path_log_mass(p, floor, phi, phi_plus, inst):

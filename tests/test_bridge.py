@@ -121,7 +121,7 @@ class TestSimulate:
         sim = simulate_em(field, mu, n, seed=5)
         assert sim.positions.mean() == pytest.approx(0.0, abs=3.0 / np.sqrt(n))
         assert sim.positions.var() == pytest.approx(1.0, rel=0.1)  # unit diffusion over T=1
-        assert sim.n_clamped == 0 and not sim.clamp_excessive
+        assert sim.clamp_fraction == 0 and not sim.clamp_excessive
 
     def test_seed_determinism(self):
         g = small_grid(n_t=11)
@@ -136,7 +136,7 @@ class TestSimulate:
         field = DriftField(grid=g, values=np.full((41, 21), 50.0))
         mu = DiscreteMeasure(points=np.array([[0.0]]), weights=np.array([1.0]))
         sim = simulate_em(field, mu, 200, seed=1)
-        assert sim.n_clamped > 0
+        assert sim.clamp_fraction > 0
         assert sim.clamp_excessive
 
 

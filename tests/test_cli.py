@@ -416,6 +416,23 @@ class TestBridgeCommand:
         doc = json.loads(summary.read_text())
         assert float(doc["tv_terminal_vs_static"]) <= float(doc["tv_tolerance"])
 
+    @pytest.mark.parametrize("source", ["demo", "file"])
+    def test_one_target_atom_is_an_input_error(self, tmp_path, capsys, source):
+        # the grid spacing is the gap between target atoms, so one atom has none
+        summary = tmp_path / "s.json"
+        if source == "demo":
+            args = ["--grid-points", "1"]
+        else:
+            mu = DiscreteMeasure(points=np.array([[0.0], [0.5]]), weights=np.array([0.5, 0.5]))
+            nu = DiscreteMeasure(points=np.array([[0.25]]), weights=np.array([1.0]))
+            path = tmp_path / "one.json"
+            write_instance(Instance(mu=mu, nu=nu, cost=np.array([[0.03125], [0.03125]]), epsilon=1.0), path)
+            args = ["--instance", str(path)]
+        assert main(["bridge", *args, "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the bridge needs at least two distinct target atoms, got 1\n", err
+        assert not summary.exists()
+
 
 class TestFlowCommand:
     def test_zero_cost_flow_flatlines(self, zero_cost_file, tmp_path):

@@ -2,7 +2,9 @@
 and every name the package exports exists."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -55,14 +57,17 @@ def test_every_exported_name_resolves(module):
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
 
 
-def _attribute_readers(path: Path, attr: str) -> set[str]:
-    """Qualified names of the functions and classes of a module that read ``.attr``."""
+def _readers(path: Path, name: str) -> set[str]:
+    """Qualified names of the functions and classes of a module that read
+    ``name``, as an attribute ``.name`` or as a bare name."""
     readers = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        elif isinstance(node, ast.Attribute) and node.attr == attr:
+        elif (isinstance(node, ast.Attribute) and node.attr == name) or (
+            isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+        ):
             readers.add(".".join((path.stem,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -77,8 +82,17 @@ def test_cost_over_eps_has_one_semidual_reader():
     # a different quantity
     readers = set()
     for name in ("semidual.py", "solvers.py"):
-        readers |= _attribute_readers(REPO / "src" / "otmatch" / name, "epsilon")
+        readers |= _readers(REPO / "src" / "otmatch" / name, "epsilon")
     assert readers == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(readers)
+
+
+@pytest.mark.parametrize("update", ["_sign_update", "_proj_update"])
+def test_update_maps_are_applied_only_by_run(update):
+    # run is the one code that applies a method's update, and verify checks
+    # the update statements on run; a second caller would be a second step
+    # path that no check covers
+    readers = set().union(*(_readers(p, update) for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.run"}, sorted(readers)
 
 
 def test_criteria_call_the_shared_checkers():
@@ -115,15 +129,35 @@ def _names_read(path: Path) -> set[str]:
     return reads
 
 
+def _public_members(mod) -> list[str]:
+    """``Class.member`` for the dataclass fields and the public methods and
+    properties of every public class a module defines."""
+    members = []
+    for cls_name, cls in vars(mod).items():
+        if cls_name.startswith("_") or not inspect.isclass(cls) or cls.__module__ != mod.__name__:
+            continue
+        names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+        names += [
+            name
+            for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+        ]
+        members += [f"{cls_name}.{name}" for name in names]
+    return members
+
+
 def test_every_public_name_is_used_by_the_package():
     # a public name stays only if package code reads it; the re-exports in
-    # __init__.py do not count as a use
+    # __init__.py do not count as a use.  The same holds for the fields and
+    # public methods of public classes.
     modules = sorted(p for p in (REPO / "src" / "otmatch").glob("*.py") if p.name != "__init__.py")
     read = set().union(*(_names_read(p) for p in modules))
-    unused = [
-        f"{path.stem}.{name}"
-        for path in modules
-        for name in getattr(importlib.import_module(f"otmatch.{path.stem}"), "__all__", [])
-        if name not in read
-    ]
+    unused = []
+    for path in modules:
+        mod = importlib.import_module(f"otmatch.{path.stem}")
+        unused += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", []) if name not in read]
+        unused += [
+            f"{path.stem}.{member}" for member in _public_members(mod) if member.rsplit(".", 1)[1] not in read
+        ]
     assert not unused, f"exported but read only by tests: {unused}"

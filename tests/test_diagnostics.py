@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from otmatch import verify
+from otmatch import solvers, verify
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl
 from otmatch.semidual import coupling, semidual_value
@@ -202,6 +202,29 @@ class TestKernelSmoothnessCheck:
         assert res.passed
         assert upper < lower < 0.0
         assert res.margin == pytest.approx(1e-10 - lower, rel=1e-3)
+
+
+class TestSignAscentCheck:
+    # the check reads the trace of run itself, so a broken update in run fails it
+
+    def test_a_descending_step_fails_instead_of_raising(self, monkeypatch):
+        real = solvers._sign_update
+        monkeypatch.setattr(solvers, "_sign_update", lambda phi, delta, eta, anchor: real(phi, -delta, eta, anchor))
+        res = verify.check_sign_ascent(random_instance(np.random.default_rng(9), 6, 6, 0.5), 5)
+        assert res.margin == -np.inf and not res.passed
+        assert "objective fell" in res.detail
+
+    def test_a_moved_anchor_fails(self, monkeypatch):
+        real = solvers._sign_update
+
+        def drifting(phi, delta, eta, anchor):
+            out = real(phi, delta, eta, anchor)
+            out[anchor] += 1e-9
+            return out
+
+        monkeypatch.setattr(solvers, "_sign_update", drifting)
+        res = verify.check_sign_ascent(random_instance(np.random.default_rng(9), 6, 6, 0.5), 5)
+        assert res.margin == -np.inf and res.detail.startswith("anchor entry moved")
 
 
 class TestCheckResult:

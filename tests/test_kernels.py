@@ -21,7 +21,7 @@ def kernel_mean(g, xi):
     """Kernel mean (K xi)_j of a mass vector, as the kernel link computes it."""
     with np.errstate(divide="ignore"):
         log_xi = np.log(xi)
-    return log_link(Link.exp_kernel(g), log_xi, log_xi)
+    return log_link(Link("exp_kernel", g), log_xi, log_xi)
 
 
 def trace_mmd(g, inst, phi):

@@ -11,8 +11,10 @@ from otmatch import semidual
 from otmatch.logops import logsumexp
 from otmatch.measures import DiscreteMeasure, Instance
 from otmatch.semidual import coupling, marginal_y, plus_transform, semidual_value
-from otmatch.solvers import Link, SolverConfig, lambda_bound, match_step, oracle_solve, run
+from otmatch.solvers import SolverConfig, lambda_bound, oracle_solve, run
 from otmatch.verify import random_instance
+
+from conftest import one_step
 
 
 def harsh_instance(eps=1e-3, n=6, m=7, seed=0):
@@ -42,7 +44,7 @@ class TestExtremeRatio:
 
     def test_identity_step_well_defined(self):
         inst = harsh_instance()
-        phi = match_step(np.zeros(inst.m), inst, Link.identity(), 1.0)
+        phi = one_step("sinkhorn", np.zeros(inst.m), inst)
         assert np.all(np.isfinite(phi))
         assert np.isfinite(semidual_value(phi, inst))
 

@@ -78,8 +78,13 @@ def v_link(pi: Coupling, inst: Instance, link: Link) -> np.ndarray:
 
 
 def root_step(pi: Coupling, inst: Instance, link: Link, eta: float) -> Coupling:
-    """KL-penalized first-order step, realized as the two projections composed."""
-    return project_x(project_y(pi, inst, link), pi, inst, eta)
+    """KL-penalized first-order step in closed form.
+
+    The argmin of eta <V, pi'> + KL(pi' || pi) over pi' with X-marginal ``a``
+    (V from :func:`v_link`) is pi e^{-eta V} with rows renormalized to ``a``.
+    """
+    lm = _log_masses(pi) - eta * v_link(pi, inst, link)
+    return Coupling(log_masses=lm - logsumexp(lm, axis=1)[:, None] + inst.log_a[:, None])
 
 
 def mirror_fwd(pi: Coupling, inst: Instance) -> np.ndarray:

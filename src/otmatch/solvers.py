@@ -11,7 +11,7 @@ one row of ``METHODS``, which gives its update, step rule and guard:
 * steepest ascent in the L1 geometry with an anchored entry (sign_sga),
 * projected ascent on a sup-norm box with the relative-smoothness step
   (proj_sga), and its momentum-accelerated variant (proj_sga_pp),
-* a high-precision fixed-point reference solver (oracle_solve).
+* a high-precision reference potential, a gap-certified ``sinkhorn`` run (oracle_solve).
 
 :func:`run` is the only code that applies a method's update; one step of a
 method from phi is ``run(inst, SolverConfig(method, ..., max_iter=1, tol_l1=0.0), phi).phi``.
@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import Gram
 from .logops import kl, logsumexp
 from .measures import Instance
-from .semidual import InducedCache, _log_coupling
+from .semidual import InducedCache, _log_coupling, plus_transform
 
 __all__ = [
     "Link",
@@ -51,6 +51,8 @@ __all__ = [
 
 TRACE_COLUMNS = ("iter", "J", "l1_residual", "mmd_sq", "kl_y", "elapsed_s")
 
+ORACLE_MAX_ITER = 500_000  # updates one oracle_solve call may spend, over all its runs
+
 # J dropping by more than this on a method with an ascent guarantee means a
 # genuine bug, not rounding noise
 DIVERGENCE_GUARD = 1e-6
@@ -61,7 +63,7 @@ class DivergenceError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The reference solver exhausted its iteration budget."""
+    """The reference solver exhausted its iteration budget or its gap stayed above the bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,6 @@ class Trace:
 
     records: list[TraceRecord] = field(default_factory=list)
 
-    def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.records], dtype=np.int64)
-
     def column(self, name: str) -> np.ndarray:
         if name not in TRACE_COLUMNS:
             raise KeyError(f"unknown trace column {name!r}; have {TRACE_COLUMNS}")
@@ -444,12 +443,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
 # Reference solver
 # ---------------------------------------------------------------------------
 
-def oracle_solve(
-    inst: Instance,
-    tol: float = 1e-12,
-    max_iter: int = 500_000,
-) -> np.ndarray:
-    """High-precision optimal potential via identity-link fixed-point iteration.
+def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
+    """High-precision optimal potential: ``sinkhorn`` runs from phi = 0, certified by the duality gap.
 
     Drives the L1 residual below ``tol`` and additionally requires the
     duality gap (semi-dual value against the primal transport-plus-entropy
@@ -461,28 +456,29 @@ def oracle_solve(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     phi = np.zeros(inst.m)
     target = tol
-    evaluate = InducedCache(inst)
-    for _ in range(max_iter):
-        phi_plus, lp = evaluate(phi)
-        resid = float(np.abs(inst.b - np.exp(lp)).sum())
-        if resid <= target:
-            gap = _duality_gap(phi, phi_plus, inst)
-            if gap <= 10.0 * tol:
-                return phi - phi[0]
-            if target < 1e-17:
-                raise OracleError(
-                    f"duality gap {gap} stuck above {10 * tol} at residual {resid}"
-                )
-            target /= 4.0
-        phi = phi + inst.log_b - lp
-    raise OracleError(f"no convergence in {max_iter} iterations; residual {resid}")
+    left = ORACLE_MAX_ITER
+    while True:
+        # record_every of the whole budget keeps the first and the final record only
+        cfg = SolverConfig("sinkhorn", max_iter=left, tol_l1=target, record_every=ORACLE_MAX_ITER)
+        res = run(inst, cfg, phi)
+        phi, left = res.phi, left - res.iterations
+        resid = res.trace.records[-1].l1_residual
+        if not res.converged:
+            raise OracleError(f"no convergence in {ORACLE_MAX_ITER} iterations; residual {resid}")
+        gap = _duality_gap(phi, inst)
+        if gap <= 10.0 * tol:
+            return phi - phi[0]
+        if target < 1e-17:
+            raise OracleError(f"duality gap {gap} stuck above {10 * tol} at residual {resid}")
+        target /= 4.0
 
 
-def _duality_gap(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance) -> float:
+def _duality_gap(phi: np.ndarray, inst: Instance) -> float:
     """|J(phi) - KL(pi || a x b e^{-C/eps})| for the coupling pi induced by phi.
 
     The reference is the coupling formula at phi = 0 with phi_plus = 0.
     """
+    phi_plus = plus_transform(phi, inst)
     gibbs = _log_coupling(np.zeros(inst.m), np.zeros(inst.n), inst)
     primal = kl(_log_coupling(phi, phi_plus, inst), gibbs)
     return abs(float(inst.b @ phi - inst.a @ phi_plus) - primal)

@@ -344,10 +344,10 @@ def _gap_check(
         )
     j_star = semidual_value(target, inst)
     dist_sq = float(np.sum(inst.b * (start - target) ** 2))
-    iters = trace.iterations()
+    iters = trace.column("iter")
     keep = iters >= 1
     gaps = j_star - trace.column("J")[keep]
-    bound = bound_fn(iters[keep].astype(np.float64), dist_sq)
+    bound = bound_fn(iters[keep], dist_sq)
     return _bound_result(theorem, gaps, bound)
 
 
@@ -365,7 +365,7 @@ def check_thm_ksga_rate(
     mmd = trace.column("mmd_sq")
     if np.any(np.isnan(mmd)):
         raise ValueError("trace has no mmd_sq column; configure a Gram when running")
-    iters = trace.iterations()
+    iters = trace.column("iter")
     keep = iters >= 1
     d0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
@@ -463,11 +463,11 @@ def check_flow(
         inst, np.zeros(inst.m), r=r, t0=0.01, t_end=t_end, dt=1e-3,
         record_every=record_every, phi_star=phi_star,
     )
-    worst = np.max([res.v_increase_max, res.rate_violation_max, res.rate_violation_swapped_max])
+    worst = np.maximum(res.v_increase_max, res.rate_violation_max)
     return CheckResult(
         "flow_rate", res.slack - worst,
         f"r={r:g}: V increase {res.v_increase_max:.1e}, rate violation {res.rate_violation_max:.1e}"
-        f" (swapped KL {res.rate_violation_swapped_max:.1e}), slack {res.slack:.1e}",
+        f" (either KL order), slack {res.slack:.1e}",
     )
 
 

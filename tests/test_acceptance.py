@@ -121,7 +121,7 @@ def test_criterion_04_accelerated_rate(proj_setup):
     # the empirical slope needs the trace, which the checker does not return
     res = run(inst, SolverConfig(method="proj_sga_pp", max_iter=1000, tol_l1=0.0))
     j_star = semidual_value(_centered_box_potential(phi_star, B), inst)
-    slope = rate_fit(res.trace.iterations(), j_star - res.trace.column("J"), (50, 500))
+    slope = rate_fit(res.trace.column("iter"), j_star - res.trace.column("J"), (50, 500))
     elapsed = time.perf_counter() - t0
     _announce(
         "criterion 04", rep.passed and slope <= -1.0, elapsed,
@@ -172,7 +172,7 @@ def test_criterion_08_classical_conformance():
         inst,
         SolverConfig(method="sinkhorn", max_iter=50, tol_l1=0.0, record_every=1),
     )
-    assert res.trace.iterations()[-1] == 50
+    assert res.trace.column("iter")[-1] == 50
     rep = check_sinkhorn_conformance(inst, 50)
     _announce(
         "criterion 08", rep.passed, time.perf_counter() - t0,

@@ -95,6 +95,13 @@ def test_update_maps_are_applied_only_by_run(update):
     assert readers == {"solvers.run"}, sorted(readers)
 
 
+def test_induced_cache_is_read_only_by_the_two_loops():
+    # the solver runner and the flow integrator are the iterative loops over
+    # induced marginals; a third reader would be a loop no update check covers
+    readers = set().union(*(_readers(p, "InducedCache") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.run", "mirrorflow.flow_run"}, sorted(readers)
+
+
 def test_criteria_call_the_shared_checkers():
     # the acceptance criteria check each paper statement through the checker
     # verify uses; importing a loop primitive would let a criterion grow its

@@ -188,7 +188,7 @@ class TestRateFit:
         inst = random_instance(np.random.default_rng(5), 16, 16, 0.4)
         g = gram(KernelSpec("identity"), inst.nu.points)
         res = run(inst, SolverConfig(method="ksga", gram=g, max_iter=300, tol_l1=0.0))
-        slope = rate_fit(res.trace.iterations(), res.trace.column("mmd_sq"), (20, 300))
+        slope = rate_fit(res.trace.column("iter"), res.trace.column("mmd_sq"), (20, 300))
         assert slope <= -1.0 + 0.2
 
 
@@ -247,7 +247,7 @@ class TestCheckResult:
         monkeypatch.setattr(verify, "_descent_margin", lambda values, tol: nan)
         monkeypatch.setattr(
             verify, "flow_run",
-            lambda *a, **k: dataclasses.replace(real_flow_run(*a, **k), rate_violation_swapped_max=nan),
+            lambda *a, **k: dataclasses.replace(real_flow_run(*a, **k), rate_violation_max=nan),
         )
         monkeypatch.setattr(verify, "_bregman_gap", lambda phi, phi_bar, inst: nan)
         inst = random_instance(np.random.default_rng(4), 8, 8, 0.5)

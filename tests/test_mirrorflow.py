@@ -156,6 +156,10 @@ class TestFlowRun:
         )
         assert res.v_increase_max <= res.slack
         assert res.rate_violation_max <= res.slack
+        # the violation is the worse of the two readings of the KL
+        log_pi0, log_star = coupling(np.zeros(inst.m), inst).log_masses, coupling(phi_star, inst).log_masses
+        readings = [np.max(res.lks - (r**2 / res.ts**2) * d) for d in (kl(log_star, log_pi0), kl(log_pi0, log_star))]
+        assert res.rate_violation_max == pytest.approx(max(readings), rel=1e-12, abs=0.0)
 
     def test_csv_format(self, inst):
         res = flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.1, t_end=0.2, dt=1e-2)

@@ -268,7 +268,7 @@ class TestRunner:
     def test_trace_cadence_and_final_record(self):
         inst = random_instance(np.random.default_rng(31), 6, 6, 0.5)
         res = run(inst, SolverConfig(method="sga", max_iter=47, tol_l1=0.0, record_every=10))
-        iters = res.trace.iterations()
+        iters = res.trace.column("iter")
         assert iters[0] == 0 and iters[-1] == 47
         assert np.all(np.diff(iters) > 0)
         assert set(iters[:-1]) == {0, 10, 20, 30, 40}
@@ -458,6 +458,12 @@ class TestRunnerBits:
             assert (res.iterations, res.converged) == (iterations, converged)
 
 
+def _tightening_instance():
+    # the gap at residual 1e-12 is above 1e-11, and one tightening of the
+    # residual target brings it below
+    return random_instance(np.random.default_rng(4), 24, 24, 0.01)
+
+
 class TestOracle:
     def test_zero_cost_gives_zero_potential(self):
         inst = zero_cost_instance()
@@ -481,7 +487,37 @@ class TestOracle:
         assert phi[0] == 0.0
         assert np.abs(inst.b - marginal_y(phi, inst)).sum() <= 1e-12
 
-    def test_budget_exhaustion_reports_residual(self):
+    def test_budget_exhaustion_reports_residual(self, monkeypatch):
         inst = random_instance(np.random.default_rng(37), 8, 8, 0.05)
+        monkeypatch.setattr(solvers, "ORACLE_MAX_ITER", 2)
         with pytest.raises(OracleError, match="residual"):
-            oracle_solve(inst, tol=1e-14, max_iter=2)
+            oracle_solve(inst, tol=1e-14)
+
+    def test_a_gap_above_the_bound_tightens_the_residual_target(self, monkeypatch):
+        inst = _tightening_instance()
+        gaps = []
+        real_gap = solvers._duality_gap
+
+        def record_gap(*args):
+            gaps.append(real_gap(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(solvers, "_duality_gap", record_gap)
+        phi = oracle_solve(inst, tol=1e-12)
+        assert len(gaps) == 2 and gaps[0] > 1e-11 >= gaps[1]
+        assert np.abs(inst.b - marginal_y(phi, inst)).sum() <= 1e-12
+
+    def test_restarts_share_one_budget(self, monkeypatch):
+        inst = _tightening_instance()
+        first = run(inst, SolverConfig("sinkhorn", max_iter=solvers.ORACLE_MAX_ITER, tol_l1=1e-12))
+        assert first.converged
+        # one update is left for the tightened target, which needs more
+        monkeypatch.setattr(solvers, "ORACLE_MAX_ITER", first.iterations + 1)
+        with pytest.raises(OracleError, match="no convergence"):
+            oracle_solve(inst, tol=1e-12)
+
+    def test_a_gap_that_never_closes_is_reported_stuck(self, monkeypatch):
+        # the single cell has residual exactly 0 at every target
+        monkeypatch.setattr(solvers, "_duality_gap", lambda *args: 1.0)
+        with pytest.raises(OracleError, match="stuck"):
+            oracle_solve(single_cell_instance())

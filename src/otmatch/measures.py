@@ -239,12 +239,7 @@ class Instance:
 def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasure:
     if points_key not in doc or weights_key not in doc:
         raise InstanceError(f"instance file missing {points_key!r}/{weights_key!r}")
-    pts = _as_points(doc[points_key])
     w = _as_float_array(doc[weights_key], weights_key).reshape(-1)
-    if w.shape[0] != pts.shape[0]:
-        raise InstanceError(f"{points_key}: {pts.shape[0]} points but {w.shape[0]} weights")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise InstanceError(f"{weights_key}: weights must be finite and strictly positive")
     drift = abs(w.sum() - 1.0)
     if drift > LOAD_RENORMALIZE_TOL:
         raise InstanceError(
@@ -254,7 +249,10 @@ def _load_measure(doc: dict, points_key: str, weights_key: str) -> DiscreteMeasu
     # written from an instance loads back to the same arrays (and digest)
     if drift > WEIGHT_SUM_TOL:
         w = w / w.sum()
-    return DiscreteMeasure(points=pts, weights=w)
+    try:
+        return DiscreteMeasure(points=doc[points_key], weights=w)
+    except InstanceError as exc:
+        raise InstanceError(f"{points_key}/{weights_key}: {exc}") from None
 
 
 def _holds_bool(value) -> bool:

@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logops import kl
 from .measures import Instance
-from .semidual import InducedCache, coupling, plus_transform
+from .semidual import InducedCache, _induced_kl, induced_marginal, plus_transform
 from .solvers import oracle_solve
 
 __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
@@ -160,21 +159,19 @@ def flow_run(
     phi0 = np.asarray(phi0, dtype=np.float64)
     if phi_star is None:
         phi_star = oracle_solve(inst)
-    pi_star = coupling(phi_star, inst)
-    lps = pi_star.log_masses
-    log_pi0 = coupling(phi0, inst).log_masses
-    # the rate bound must hold with either order of the KL, so the smaller one binds
-    d_init = np.minimum(kl(lps, log_pi0), kl(log_pi0, lps))
-    # log(pi_star / rho(g))_ij = (phi_star_j - g_j) - (phi_star_plus_i - g_plus_i),
-    # and pi_star has marginals a and q_star, so
-    # KL(pi_star || rho(g)) = kl_const - <q_star, g> + <a, g_plus>
-    q_star = pi_star.marginal_y()
-    kl_const = float(q_star @ phi_star - inst.a @ plus_transform(phi_star, inst))
+    star_plus, log_q_star = induced_marginal(phi_star, inst)
+    q_star = np.exp(log_q_star)
 
     cache = InducedCache(inst)
     t = float(t0)
     q = cache.marginal(phi0)
     g = phi0.copy()
+    g_plus = plus_transform(g, inst)
+    # the rate bound must hold with either order of the KL, so the smaller one binds
+    d_init = min(
+        _induced_kl(inst, phi_star, star_plus, q_star, g, g_plus),
+        _induced_kl(inst, g, g_plus, q, phi_star, star_plus),
+    )
 
     n_full = int(np.floor((t_end - t0) / dt + 1e-12))
     last = (t_end - t0) - n_full * dt
@@ -188,7 +185,7 @@ def flow_run(
         d = q - inst.b
         ts.append(t)
         lks.append(0.5 * float(d @ d))
-        kl_g = kl_const - float(q_star @ g) + float(inst.a @ cache.transform(g))
+        kl_g = _induced_kl(inst, phi_star, star_plus, q_star, g, plus_transform(g, inst))
         vs.append((t**2 / r) * lks[-1] + r * kl_g)
 
     record()

@@ -12,7 +12,14 @@ Every quantity of the coupling induced by phi derives from one Gibbs
 exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, which forms
 ``C/eps`` in its own output buffer): the coupling's log masses are
 ``w + log a - phi_plus``, and the Gibbs reference of the primal side is
-``w + log a`` at phi = 0.  Every solver iteration needs the transform
+``w + log a`` at phi = 0.  So two induced couplings differ in log domain by
+``(phi - psi)_j - (phi_plus - psi_plus)_i``, and since pi(phi) has row sums
+``a`` and column sums ``p(phi)``,
+
+    KL(pi(phi) || pi(psi)) = <p(phi), phi - psi> - <a, phi_plus - psi_plus>,
+
+an O(n + m) product (:func:`_induced_kl`); no n x m coupling is built to
+read it.  Every solver iteration needs the transform
 ``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
 produces both from one exponential pass over ``w``.  Each row is shifted
 by its maximum and exponentiated once, giving ``E`` and row sums ``s``;
@@ -116,9 +123,6 @@ class Coupling:
         lm = lm.copy()
         lm.setflags(write=False)
         object.__setattr__(self, "log_masses", lm)
-
-    def marginal_y(self) -> np.ndarray:
-        return np.exp(logsumexp(self.log_masses, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +252,6 @@ class InducedCache:
         v = np.exp(delta)
         return v * (self._inst.a / self._e.dot(v)).dot(self._e)
 
-    def transform(self, phi: np.ndarray) -> np.ndarray:
-        """``phi_plus`` at phi without making phi the reference.
-
-        Within ``ABSORB_AT`` of the reference it is ``rowmax + log(E @ v)``,
-        one matrix-vector product; farther out the old matrix is dropped as
-        on any far call, and :func:`plus_transform` gives it.  The next call
-        at phi then makes the same absorption as without this one.
-        """
-        delta = self._delta(phi)
-        if delta is None:
-            return plus_transform(phi, self._inst)
-        return self._rowmax + np.log(self._e.dot(np.exp(delta)))
-
     def _delta(self, phi):
         """``phi - phi_ref`` if phi lies within ``ABSORB_AT`` of the reference, else None."""
         if self._e is not None:
@@ -318,6 +309,11 @@ def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
 def _log_coupling(phi: np.ndarray, phi_plus: np.ndarray, inst: Instance, cols=slice(None)) -> np.ndarray:
     """Log masses ``w_ij + log a_i - phi_plus_i`` of the induced coupling on ``cols``."""
     return _gibbs_exponent(phi, inst, cols) + (inst.log_a - phi_plus)[:, None]
+
+
+def _induced_kl(inst: Instance, phi, phi_plus, p, psi, psi_plus) -> float:
+    """KL(pi(phi) || pi(psi)) from the potentials, their transforms and the Y-marginal p at phi."""
+    return float(p @ (phi - psi) - inst.a @ (phi_plus - psi_plus))
 
 
 # ---------------------------------------------------------------------------

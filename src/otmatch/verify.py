@@ -46,7 +46,8 @@ from .primal import (
     separability_residual,
     v_link,
 )
-from .semidual import _row_pass, coupling, first_variation, log_reference, marginal_y, semidual_value
+from .semidual import _induced_kl, _row_pass, coupling, first_variation, induced_marginal, log_reference
+from .semidual import marginal_y, plus_transform, semidual_value
 from .solvers import (
     METHODS,
     DivergenceError,
@@ -367,7 +368,8 @@ def check_thm_ksga_rate(
         raise ValueError("trace has no mmd_sq column; configure a Gram when running")
     iters = trace.column("iter")
     keep = iters >= 1
-    d0 = kl(coupling(phi_star, inst).log_masses, coupling(phi0, inst).log_masses)
+    star_plus, log_p_star = induced_marginal(phi_star, inst)
+    d0 = _induced_kl(inst, phi_star, star_plus, np.exp(log_p_star), phi0, plus_transform(phi0, inst))
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
     return _bound_result("ksga_rate", mmd[keep], bound)
 

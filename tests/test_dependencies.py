@@ -102,6 +102,20 @@ def test_induced_cache_is_read_only_by_the_two_loops():
     assert readers == {"solvers.run", "mirrorflow.flow_run"}, sorted(readers)
 
 
+def test_couplings_are_materialized_only_where_a_matrix_is_read():
+    # a KL between induced couplings and the oracle's duality gap have closed
+    # forms in the potentials, their transforms and marginals; an n x m
+    # coupling is built only for the coupling itself, the exact column
+    # fallback and the primal-view update check
+    sources = list((REPO / "src" / "otmatch").glob("*.py"))
+    readers = set().union(*(_readers(p, name) for p in sources for name in ("coupling", "_log_coupling")))
+    assert readers == {
+        "semidual.coupling",
+        "semidual._log_marginal_cols",
+        "verify.check_update_equivalences",
+    }, sorted(readers)
+
+
 def test_criteria_call_the_shared_checkers():
     # the acceptance criteria check each paper statement through the checker
     # verify uses; importing a loop primitive would let a criterion grow its

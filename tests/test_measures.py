@@ -347,6 +347,21 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"y_points": [[0.0], [1.0]]}, "y_points/y_weights: 2 points but 1 weights"),
+            ({"x_weights": [1.5, -0.5]}, "x_points/x_weights: all weights must be strictly positive"),
+            ({"x_points": [[0.0, 1.0]]}, "x_points/x_weights: 1 points but 2 weights"),
+        ],
+    )
+    def test_measure_errors_name_their_keys(self, tmp_path, fields, message):
+        # the measure's own checks run once, and the load names the keys they read
+        path = tmp_path / "bad.json"
+        path.write_bytes(_doc_bytes(**fields))
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            load_instance(path)
+
 
     @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
     def test_no_boolean_walk_without_a_boolean_literal(self, tmp_path, kind):

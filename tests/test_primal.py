@@ -43,7 +43,7 @@ def pi_random(inst):
 class TestProjectY:
     def test_identity_link_hits_target_exactly(self, inst, pi_random):
         out = project_y(pi_random, inst, Link("identity"))
-        np.testing.assert_allclose(out.marginal_y(), inst.b, atol=1e-14)
+        np.testing.assert_allclose(np.exp(logsumexp(out.log_masses, axis=0)), inst.b, atol=1e-14)
 
     def test_already_matched_is_untouched(self, inst, oracle_cache):
         phi = oracle_cache("primal-5x7", inst)
@@ -52,7 +52,7 @@ class TestProjectY:
         np.testing.assert_allclose(out.log_masses, pi.log_masses, atol=1e-11)
 
     def test_exp_link_matches_direct_scaling(self, inst, pi_random):
-        p = pi_random.marginal_y()
+        p = np.exp(logsumexp(pi_random.log_masses, axis=0))
         w = np.exp(inst.b - p)  # exp-link weights
         scaled = np.exp(pi_random.log_masses) * w[None, :]
         scaled /= scaled.sum()
@@ -107,12 +107,12 @@ class TestVLink:
         assert np.max(np.abs(v_link(pi, inst, Link("exp")))) <= 1e-11
 
     def test_exp_rows_are_marginal_gap(self, inst, pi_random):
-        p = pi_random.marginal_y()
+        p = np.exp(logsumexp(pi_random.log_masses, axis=0))
         v = v_link(pi_random, inst, Link("exp"))
         np.testing.assert_allclose(v, np.tile(p - inst.b, (inst.n, 1)), atol=1e-14)
 
     def test_chi_square_rows(self, inst, pi_random):
-        p = pi_random.marginal_y()
+        p = np.exp(logsumexp(pi_random.log_masses, axis=0))
         v = v_link(pi_random, inst, Link("chi_square"))
         np.testing.assert_allclose(v, np.tile(p / inst.b - 1.0, (inst.n, 1)), atol=1e-13)
 

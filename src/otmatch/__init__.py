@@ -28,7 +28,6 @@ from .semidual import (
 )
 from .kernels import Gram, KernelSpec, gram
 from .solvers import (
-    Link,
     RunResult,
     SolverConfig,
     Trace,
@@ -57,7 +56,6 @@ __all__ = [
     "Gram",
     "KernelSpec",
     "gram",
-    "Link",
     "RunResult",
     "SolverConfig",
     "Trace",

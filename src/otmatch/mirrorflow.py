@@ -159,8 +159,7 @@ def flow_run(
     phi0 = np.asarray(phi0, dtype=np.float64)
     if phi_star is None:
         phi_star = oracle_solve(inst)
-    star_plus, log_q_star = induced_marginal(phi_star, inst)
-    q_star = np.exp(log_q_star)
+    star_plus, q_star, _ = induced_marginal(phi_star, inst)
 
     cache = InducedCache(inst)
     t = float(t0)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .logops import logsumexp
 from .measures import Instance
+from .kernels import Gram
 from .semidual import Coupling, log_reference
-from .solvers import Link, log_link
+from .solvers import link_correction
 
 __all__ = [
     "project_y",
@@ -36,17 +37,18 @@ def _log_masses(pi: Coupling) -> np.ndarray:
     return lm
 
 
-def project_y(pi: Coupling, inst: Instance, link: Link) -> Coupling:
+def project_y(pi: Coupling, inst: Instance, link: str, gram: Gram | None = None) -> Coupling:
     """Rescale columns so the Y-marginal moves toward the target through the link.
 
     Column j is multiplied by exp(log T(b) - log T(p))_j and the whole
     matrix renormalized; conditionals of X given Y are untouched.  With the
-    identity link the output Y-marginal equals the target exactly.
+    identity link the output Y-marginal equals the target exactly.  ``link``
+    is a link kind of :func:`~otmatch.solvers.link_correction`, ``gram`` the
+    kernel of ``exp_kernel``.
     """
     lm = _log_masses(pi)
     log_p = logsumexp(lm, axis=0)
-    log_w = log_link(link, inst.log_b, inst.log_b) - log_link(link, log_p, inst.log_b)
-    shifted = lm + log_w[None, :]
+    shifted = lm - link_correction(link, np.exp(log_p), log_p, inst, gram)[None, :]
     z = logsumexp(shifted.reshape(-1))
     return Coupling(log_masses=shifted - z)
 
@@ -69,21 +71,19 @@ def project_x(pi_half: Coupling, pi: Coupling, inst: Instance, eta: float) -> Co
     return Coupling(log_masses=mix)
 
 
-def v_link(pi: Coupling, inst: Instance, link: Link) -> np.ndarray:
+def v_link(pi: Coupling, inst: Instance, link: str, gram: Gram | None = None) -> np.ndarray:
     """First-order correction field: every row is log T(p) - log T(b)."""
-    lm = _log_masses(pi)
-    log_p = logsumexp(lm, axis=0)
-    row = log_link(link, log_p, inst.log_b) - log_link(link, inst.log_b, inst.log_b)
-    return np.tile(row, (inst.n, 1))
+    log_p = logsumexp(_log_masses(pi), axis=0)
+    return np.tile(link_correction(link, np.exp(log_p), log_p, inst, gram), (inst.n, 1))
 
 
-def root_step(pi: Coupling, inst: Instance, link: Link, eta: float) -> Coupling:
+def root_step(pi: Coupling, inst: Instance, link: str, eta: float, gram: Gram | None = None) -> Coupling:
     """KL-penalized first-order step in closed form.
 
     The argmin of eta <V, pi'> + KL(pi' || pi) over pi' with X-marginal ``a``
     (V from :func:`v_link`) is pi e^{-eta V} with rows renormalized to ``a``.
     """
-    lm = _log_masses(pi) - eta * v_link(pi, inst, link)
+    lm = _log_masses(pi) - eta * v_link(pi, inst, link, gram)
     return Coupling(log_masses=lm - logsumexp(lm, axis=1)[:, None] + inst.log_a[:, None])
 
 

@@ -21,13 +21,14 @@ exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, which forms
 an O(n + m) product (:func:`_induced_kl`); no n x m coupling is built to
 read it.  Every solver iteration needs the transform
 ``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
-produces both from one exponential pass over ``w``.  Each row is shifted
-by its maximum and exponentiated once, giving ``E`` and row sums ``s``;
-then ``phi_plus = log s + rowmax`` (which is also how
-:func:`plus_transform` computes it) and ``p = (a / s) @ E``.  A column
+returns the triple ``(phi_plus, p, log p)`` from one exponential pass over
+``w``.  Each row is shifted by its maximum and exponentiated once, giving
+``E`` and row sums ``s``; then ``phi_plus = log s + rowmax`` (which is also
+how :func:`plus_transform` computes it) and ``p = (a / s) @ E``.  A column
 whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow,
 so its ``log p_j`` is recomputed exactly as the logsumexp over rows of the
-coupling's log masses in that column.
+coupling's log masses in that column; ``p_j`` itself is left as the pass
+gave it, accurate in absolute terms and possibly 0.
 
 A solver run evaluates many nearby potentials, so it builds one
 :class:`InducedCache`, which keeps the ``E`` and row maxima of its last
@@ -188,17 +189,18 @@ def _row_pass(phi: np.ndarray, inst: Instance):
     return e, e.sum(axis=1), rowmax[:, 0]
 
 
-def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """``(phi_plus, log p)`` of the coupling induced by phi, from one exp pass.
+def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(phi_plus, p, log p)`` of the coupling induced by phi, from one exp pass.
 
     ``phi_plus`` equals :func:`plus_transform` bit for bit (the same
-    pass).  ``log p`` agrees with the column logsumexp of the induced
-    coupling's log masses to rounding, and exactly on columns whose mass
-    falls below ``P_FLOOR``, which are recomputed by that logsumexp.
+    pass).  ``p`` is the pass's ``(a / s) @ E``.  ``log p`` agrees with the
+    column logsumexp of the induced coupling's log masses to rounding, and
+    exactly on columns whose mass falls below ``P_FLOOR``, which are
+    recomputed by that logsumexp.
     """
     phi = _check_finite(phi, "phi")
     _, _, phi_plus, p = _absorb(phi, inst)
-    return phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
+    return phi_plus, p, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
 
 
 def _absorb(phi, inst):
@@ -208,7 +210,7 @@ def _absorb(phi, inst):
 
 
 class InducedCache:
-    """Per-run evaluator of ``(phi_plus, log p)`` on a cached Gibbs matrix.
+    """Per-run evaluator of ``(phi_plus, p, log p)`` on a cached Gibbs matrix.
 
     The first call, and any call farther than ``ABSORB_AT`` from the last
     absorption point, makes the exponential pass of :func:`induced_marginal`
@@ -223,20 +225,20 @@ class InducedCache:
         self._inst = inst
         self._e = self._rowmax = self._phi_ref = None
 
-    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = np.asarray(phi, dtype=np.float64)
         # a NaN or infinite entry fails the radius test, so a cached call has
         # a finite phi and only an absorption needs the check
         delta = self._delta(phi)
         if delta is None:
             phi_plus, p = self._absorb(_check_finite(phi, "phi"))
-            return phi_plus, _log_mass(p, P_FLOOR, phi, phi_plus, self._inst)
+            return phi_plus, p, _log_mass(p, P_FLOOR, phi, phi_plus, self._inst)
         inst = self._inst
         v = np.exp(delta)
         t = self._e @ v
         phi_plus = self._rowmax + np.log(t)
         p = v * ((inst.a / t) @ self._e)
-        return phi_plus, _log_mass(p, CACHED_P_FLOOR, phi, phi_plus, inst)
+        return phi_plus, p, _log_mass(p, CACHED_P_FLOOR, phi, phi_plus, inst)
 
     def marginal(self, phi: np.ndarray) -> np.ndarray:
         """Y-marginal masses p at phi, without their log or its floor.
@@ -283,7 +285,7 @@ def _log_mass(p, floor, phi, phi_plus, inst):
 
 def marginal_y(phi: np.ndarray, inst: Instance) -> np.ndarray:
     """Y-marginal mass vector of the coupling induced by phi (:func:`induced_marginal`)."""
-    return np.exp(induced_marginal(phi, inst)[1])
+    return induced_marginal(phi, inst)[1]
 
 
 def first_variation(phi: np.ndarray, inst: Instance) -> np.ndarray:

@@ -7,7 +7,8 @@ one row of ``METHODS``, which gives its update, step rule and guard:
   where ``p`` is the current Y-marginal and ``T`` is a link operator
   (identity link at unit step is the classical Sinkhorn map; exponential
   link is plain gradient ascent; kernel link smooths the ascent direction;
-  chi-square link rescales it by the target weights),
+  chi-square link rescales it by the target weights), with the correction
+  ``log T(p) - log T(b)`` given by :func:`link_correction`,
 * steepest ascent in the L1 geometry with an anchored entry (sign_sga),
 * projected ascent on a sup-norm box with the relative-smoothness step
   (proj_sga), and its momentum-accelerated variant (proj_sga_pp),
@@ -27,13 +28,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernels import Gram
-from .logops import kl, logsumexp
+from .logops import kl
 from .measures import Instance
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
 from .semidual import InducedCache, marginal_y, plus_transform
 
 __all__ = [
-    "Link",
     "METHODS",
     "SolverConfig",
     "TraceRecord",
@@ -41,7 +41,7 @@ __all__ = [
     "RunResult",
     "DivergenceError",
     "OracleError",
-    "log_link",
+    "link_correction",
     "auto_eta_kernel",
     "lambda_bound",
     "default_bound",
@@ -71,50 +71,31 @@ class OracleError(RuntimeError):
 # Link operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Link:
-    """Operator applied to marginals inside the matching update.
+def link_correction(link: str, p, log_p, inst: Instance, gram: Gram | None = None) -> np.ndarray:
+    """Correction ``log T(p) - log T(b)``; the matching update moves phi by ``-eta`` times it.
 
-    ``log_link`` of the current marginal minus ``log_link`` of the target
-    is the correction subtracted from the potential.  Kinds:
+    ``p`` and ``log p`` are the Y-marginal as :func:`~otmatch.semidual.induced_marginal`
+    gives them.  Kinds:
 
-    * ``identity``: correction ``log p - log b`` (Sinkhorn direction),
-    * ``exp``: correction ``p - b`` (semi-dual gradient),
-    * ``exp_kernel``: correction ``K(p - b)`` (kernel-smoothed gradient),
-    * ``chi_square``: correction ``p/b - 1`` (weight-rescaled gradient).
+    * ``identity``: ``log p - log b`` (Sinkhorn direction), the one kind
+      that reads ``log p``, which the exact column fallback keeps finite,
+    * ``exp``: ``p - b`` (semi-dual gradient),
+    * ``exp_kernel``: ``K (p - b)`` with K the Gram matrix ``gram`` (kernel-smoothed gradient),
+    * ``chi_square``: ``p / b - 1`` (weight-rescaled gradient).
+
+    The last three read ``p``, which may be 0 on an underflowed column.
     """
-
-    kind: str
-    gram: Gram | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "exp", "exp_kernel", "chi_square"):
-            raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.kind == "exp_kernel" and self.gram is None:
+    if link == "identity":
+        return log_p - inst.log_b
+    if link == "exp":
+        return p - inst.b
+    if link == "exp_kernel":
+        if gram is None:
             raise ValueError("exp_kernel link needs a Gram matrix")
-        if self.kind != "exp_kernel" and self.gram is not None:
-            raise ValueError(f"{self.kind} link takes no Gram matrix")
-
-
-def log_link(link: Link, log_xi: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
-    """Log of the link operator applied to a mass vector given by its logs.
-
-    ``log_nu`` holds the target's log weights, by which the chi-square link
-    rescales.  Identity and chi-square need ``log_xi`` finite (a strictly
-    positive mass); log marginals of induced couplings always are, even
-    where the mass itself underflows to 0.
-    """
-    log_xi = np.asarray(log_xi, dtype=np.float64)
-    if link.kind in ("identity", "chi_square") and (log_xi == -np.inf).any():
-        raise ValueError(f"{link.kind.replace('_', '-')} link needs a strictly positive mass vector")
-    if link.kind == "identity":
-        return log_xi.copy()
-    if link.kind == "exp":
-        return np.exp(log_xi)
-    if link.kind == "exp_kernel":
-        return link.gram.matrix @ np.exp(log_xi)
-    # chi_square
-    return np.exp(log_xi - log_nu) - 1.0
+        return gram.matrix @ (p - inst.b)
+    if link == "chi_square":
+        return p / inst.b - 1.0
+    raise ValueError(f"unknown link kind {link!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +115,16 @@ def lambda_bound(inst: Instance, B: float) -> float:
     """
     if B < 0.0:
         raise ValueError("B must be nonnegative")
-    if np.any(inst.cost < 0.0):
+    if inst.cost.min() < 0.0:
         raise ValueError("the smoothness constant requires a nonnegative cost")
-    expo = inst.log_a[:, None] + inst.log_b[None, :] + inst.cost / inst.epsilon
-    return 2.0 * float(B) + float(logsumexp(expo.reshape(-1)))
+    # a logsumexp of C/eps + log a + log b in one n x m buffer
+    w = inst.cost / inst.epsilon
+    w += inst.log_b
+    w += inst.log_a[:, None]
+    top = float(w.max())
+    w -= top
+    np.exp(w, out=w)
+    return 2.0 * float(B) + float(np.log(w.sum()) + top)
 
 
 def default_bound(inst: Instance) -> float:
@@ -147,7 +134,7 @@ def default_bound(inst: Instance) -> float:
     any optimal potential; the box-constrained rate checks then report
     inconclusive.
     """
-    return 1.5 * float(np.max(np.abs(inst.cost)))
+    return 1.5 * float(max(inst.cost.max(), -inst.cost.min()))
 
 
 def t_next(t: float) -> float:
@@ -373,10 +360,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     gram = cfg.gram
     guard = spec.guard(eta, auto)
     a, b, log_b = inst.a, inst.b, inst.log_b
-    if spec.family == "match":
-        link = Link(spec.link, gram if spec.link == "exp_kernel" else None)
-        target = log_link(link, log_b, log_b)  # the link of b, constant over the run
-    elif spec.family == "proj_pp":
+    if spec.family == "proj_pp":
         bar_prev = phi.copy()  # projected iterate sequence starts at phi0
         inner = phi.copy()  # extrapolated point the gradient is taken at
         t_mom = 1.0
@@ -389,8 +373,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     it = 0
 
     while True:
-        phi_plus, lp = evaluate(phi)
-        p = np.exp(lp)
+        phi_plus, p, lp = evaluate(phi)
         resid = float(np.abs(b - p).sum())
         j_val = float(b @ phi - a @ phi_plus)
 
@@ -414,13 +397,13 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             break
 
         if spec.family == "match":
-            phi = phi - eta * (log_link(link, lp, log_b) - target)
+            phi = phi - eta * link_correction(spec.link, p, lp, inst, gram)
         elif spec.family == "sign":
             phi = _sign_update(phi, b - p, eta, anchor)
         elif spec.family == "proj":
             phi = _proj_update(phi, p, b, B, eta)
         else:  # proj_pp: gradient at the extrapolated point, trace the projected one
-            p_inner = np.exp(evaluate(inner)[1])
+            p_inner = evaluate(inner)[1]
             bar = _proj_update(inner, p_inner, b, B, eta)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)

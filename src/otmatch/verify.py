@@ -51,7 +51,6 @@ from .semidual import marginal_y, plus_transform, semidual_value
 from .solvers import (
     METHODS,
     DivergenceError,
-    Link,
     SolverConfig,
     Trace,
     lambda_bound,
@@ -254,14 +253,14 @@ def check_update_equivalences(seed: int, instances: int = 20) -> CheckResult:
         log_ref = log_reference(inst)
         for method in ("eta_sinkhorn", "sga", "ksga", "chi2"):
             g = gram(KernelSpec("gaussian", 0.5), inst.nu.points) if method == "ksga" else None
-            link = Link(METHODS[method].link, g)
+            link = METHODS[method].link
             for eta in (0.3, 1.0):
                 cfg = SolverConfig(method, eta=eta, max_iter=1, tol_l1=0.0, gram=g)
                 dual = coupling(run(inst, cfg, phi).phi, inst).log_masses
-                proj = project_x(project_y(pi_n, inst, link), pi_n, inst, eta).log_masses
-                root = root_step(pi_n, inst, link, eta).log_masses
+                proj = project_x(project_y(pi_n, inst, link, g), pi_n, inst, eta).log_masses
+                root = root_step(pi_n, inst, link, eta, g).log_masses
                 mirr = mirror_bwd(
-                    mirror_fwd(pi_n, inst) - eta * v_link(pi_n, inst, link), inst
+                    mirror_fwd(pi_n, inst) - eta * v_link(pi_n, inst, link, g), inst
                 ).log_masses
                 for other in (proj, root, mirr):
                     worst_log = np.maximum(worst_log, float(np.max(np.abs(dual - other))))
@@ -368,8 +367,8 @@ def check_thm_ksga_rate(
         raise ValueError("trace has no mmd_sq column; configure a Gram when running")
     iters = trace.column("iter")
     keep = iters >= 1
-    star_plus, log_p_star = induced_marginal(phi_star, inst)
-    d0 = _induced_kl(inst, phi_star, star_plus, np.exp(log_p_star), phi0, plus_transform(phi0, inst))
+    star_plus, p_star, _ = induced_marginal(phi_star, inst)
+    d0 = _induced_kl(inst, phi_star, star_plus, p_star, phi0, plus_transform(phi0, inst))
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
     return _bound_result("ksga_rate", mmd[keep], bound)
 

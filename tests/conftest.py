@@ -66,6 +66,18 @@ def underflow_instance() -> Instance:
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
 
 
+def extreme_instance(rng, n, m, epsilon):
+    """Point-cloud instance with Dirichlet(0.05) weights floored at 1e-100."""
+
+    def weights(k):
+        w = np.maximum(rng.dirichlet(np.full(k, 0.05)), 1e-100)
+        return w / w.sum()
+
+    mu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=weights(n))
+    nu = DiscreteMeasure(points=rng.normal(size=(m, 2)), weights=weights(m))
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
+
+
 def one_step(method: str, phi: np.ndarray, inst: Instance, **fields) -> np.ndarray:
     """One update of ``method`` from phi, taken by the runner; ``fields``
     are further :class:`SolverConfig` fields (eta, gram, bound_B, ...)."""

@@ -95,6 +95,14 @@ def test_update_maps_are_applied_only_by_run(update):
     assert readers == {"solvers.run"}, sorted(readers)
 
 
+def test_link_corrections_are_applied_only_by_run_and_the_primal_forms():
+    # run is the one update path; project_y and v_link are the coupling-space
+    # forms verify compares it with.  A third reader would be a matching
+    # update no equivalence check covers
+    readers = set().union(*(_readers(p, "link_correction") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.run", "primal.project_y", "primal.v_link"}, sorted(readers)
+
+
 def test_induced_cache_is_read_only_by_the_two_loops():
     # the solver runner and the flow integrator are the iterative loops over
     # induced marginals; a third reader would be a loop no update check covers

@@ -24,10 +24,10 @@ from otmatch.semidual import (
     plus_transform,
     semidual_value,
 )
-from otmatch.solvers import _duality_gap, oracle_solve
+from otmatch.solvers import _duality_gap, default_bound, lambda_bound, oracle_solve
 from otmatch.verify import random_instance, variance_identity_residual
 
-from conftest import floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance
+from conftest import extreme_instance, floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance
 
 
 def naive_plus(phi, inst):
@@ -132,7 +132,7 @@ class TestInducedMarginal:
         n, m = rng.integers(1, 40, size=2)
         inst = skewed_instance(rng, int(n), int(m), 1e3)
         phi = np.zeros(inst.m) if zero_phi else rng.normal(0, 3, inst.m)
-        phi_plus, log_p = induced_marginal(phi, inst)
+        phi_plus, _, log_p = induced_marginal(phi, inst)
         np.testing.assert_array_equal(phi_plus, written_out_plus(phi, inst))
         ref = two_pass_log_p(phi, inst)
         # each log mass of the reference adds log b_j + phi_j to a row term
@@ -145,7 +145,8 @@ class TestInducedMarginal:
         inst = underflow_instance()
         phi = np.zeros(inst.m)
         assert np.exp(two_pass_log_p(phi, inst))[1] < P_FLOOR
-        phi_plus, log_p = induced_marginal(phi, inst)
+        phi_plus, p, log_p = induced_marginal(phi, inst)
+        assert p[1] < P_FLOOR
         assert log_p[1] == pytest.approx(-1200.693, abs=1e-3)
         assert log_p[1] == two_pass_log_p(phi, inst)[1]
         np.testing.assert_array_equal(phi_plus, written_out_plus(phi, inst))
@@ -211,6 +212,18 @@ class TestAllocation:
         )
         assert peak <= 2.3 * self.ARRAY
 
+    def test_box_constants_hold_at_most_one_array(self, parts):
+        # lambda_bound reads one scalar from one exponent buffer, and
+        # default_bound reads the cost's extremes in place.  A broadcasting
+        # ufunc also takes numpy's fixed buffer of getbufsize() doubles
+        # (64 KiB, an eighth of an array at this size)
+        mu, nu, cost = parts
+        inst = Instance(mu=mu, nu=nu, cost=cost, epsilon=0.05)
+        _, peak = _traced_bytes(lambda: lambda_bound(inst, 1.0))
+        assert peak <= 1.05 * self.ARRAY + 8 * np.getbufsize()
+        _, peak = _traced_bytes(lambda: default_bound(inst))
+        assert peak <= 0.1 * self.ARRAY
+
 
 def counting_row_pass():
     """Patch that counts the exponential passes (absorptions) of a cache."""
@@ -232,9 +245,9 @@ class TestInducedCache:
         cache = InducedCache(inst)
         with counting_row_pass() as passes:
             cache(phi0)
-            phi_plus, log_p = cache(phi)
+            phi_plus, _, log_p = cache(phi)
         assert passes.call_count == 1  # the second call took the two-GEMV branch
-        ref_plus, ref_log_p = induced_marginal(phi, inst)
+        ref_plus, _, ref_log_p = induced_marginal(phi, inst)
         assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
         scale = 1.0 + np.abs(inst.log_b + phi) + np.abs(ref_log_p)
         assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * scale)
@@ -243,8 +256,8 @@ class TestInducedCache:
         phi = np.random.default_rng(15).normal(0, 2, medium_instance.m)
         got = InducedCache(medium_instance)(phi)
         ref = induced_marginal(phi, medium_instance)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
+        for got_part, ref_part in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(got_part, ref_part)
 
     def test_cached_branch_falls_back_to_exact_logsumexp(self):
         inst = underflow_instance()
@@ -252,7 +265,7 @@ class TestInducedCache:
         cache = InducedCache(inst)
         with counting_row_pass() as passes:
             cache(phi)
-            _, log_p = cache(phi.copy())
+            _, _, log_p = cache(phi.copy())
         assert passes.call_count == 1
         assert np.exp(log_p[1]) < CACHED_P_FLOOR
         assert log_p[1] == pytest.approx(-1200.693, abs=1e-3)
@@ -272,8 +285,8 @@ class TestInducedCache:
             cache(far - 0.5 * ABSORB_AT)
             assert passes.call_count == 2  # within the radius of the new point
         ref = induced_marginal(far, small_instance)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
+        for got_part, ref_part in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(got_part, ref_part)
 
     def test_rejects_non_finite_potential(self, small_instance):
         cache = InducedCache(small_instance)
@@ -296,8 +309,8 @@ class TestInducedCache:
         with pytest.raises(ValueError, match="phi must be finite"):
             cache(far)
         near = phi + rng.uniform(-1, 1, inst.m)
-        phi_plus, log_p = cache(near)
-        ref_plus, ref_log_p = induced_marginal(near, inst)
+        phi_plus, _, log_p = cache(near)
+        ref_plus, _, ref_log_p = induced_marginal(near, inst)
         assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
         assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * (1.0 + np.abs(ref_log_p)))
 
@@ -322,7 +335,7 @@ class TestLogMass:
         phi = np.zeros(inst.m)
         cols = mock.patch.object(semidual, "_log_marginal_cols", wraps=semidual._log_marginal_cols)
         with cols as spy:
-            _, log_p = induced_marginal(phi, inst)
+            _, _, log_p = induced_marginal(phi, inst)
         assert spy.call_count == 1
         np.testing.assert_array_equal(spy.call_args.args[3], [1])
         assert log_p[1] == two_pass_log_p(phi, inst)[1]
@@ -410,18 +423,6 @@ class TestCoupling:
     def test_coupling_type_rejects_wrong_mass(self):
         with pytest.raises(ValueError):
             Coupling(log_masses=np.log(np.full((2, 2), 0.3)))
-
-
-def extreme_instance(rng, n, m, epsilon):
-    """Point-cloud instance with Dirichlet(0.05) weights floored at 1e-100."""
-
-    def weights(k):
-        w = np.maximum(rng.dirichlet(np.full(k, 0.05)), 1e-100)
-        return w / w.sum()
-
-    mu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=weights(n))
-    nu = DiscreteMeasure(points=rng.normal(size=(m, 2)), weights=weights(m))
-    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
 
 
 def materialized_gap(phi, inst):

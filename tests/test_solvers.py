@@ -10,13 +10,12 @@ from otmatch.semidual import coupling, first_variation, marginal_y, semidual_val
 from otmatch.solvers import (
     METHODS,
     TRACE_COLUMNS,
-    Link,
     OracleError,
     SolverConfig,
     auto_eta_kernel,
     default_bound,
     lambda_bound,
-    log_link,
+    link_correction,
     oracle_solve,
     run,
     t_next,
@@ -26,42 +25,41 @@ from otmatch.verify import classic_log_sinkhorn, random_instance
 from conftest import floor_path_log_mass, one_step, single_cell_instance, underflow_instance, zero_cost_instance
 
 
-class TestLogLink:
-    # links take log masses: the target b enters as log b
-    def test_exp_on_target_returns_target(self, small_instance):
-        lb = small_instance.log_b
-        np.testing.assert_array_equal(log_link(Link("exp"), lb, lb), np.exp(lb))
-        np.testing.assert_allclose(log_link(Link("exp"), lb, lb), small_instance.b, rtol=1e-15)
+class TestLinkCorrection:
+    P = np.array([0.1, 0.0, 0.6, 0.3])
+    B = np.array([0.25, 0.25, 0.2, 0.3])
 
-    def test_identity_on_target_is_log(self, small_instance):
-        lb = small_instance.log_b
-        np.testing.assert_array_equal(log_link(Link("identity"), lb, lb), np.log(small_instance.b))
+    @pytest.fixture()
+    def inst(self):
+        from otmatch.measures import DiscreteMeasure, Instance
 
-    def test_chi_square_on_target_is_zero(self, small_instance):
-        lb = small_instance.log_b
-        np.testing.assert_allclose(log_link(Link("chi_square"), lb, lb), 0.0, atol=1e-16)
+        mu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
+        nu = DiscreteMeasure(points=np.arange(4.0)[:, None], weights=self.B)
+        return Instance(mu=mu, nu=nu, cost=np.arange(4.0)[None, :], epsilon=1.0)
 
-    def test_kernel_link_applies_gram(self):
-        g = gram(KernelSpec("gaussian", 0.5), np.arange(3.0))
-        xi = np.array([0.2, 0.3, 0.5])
-        lx = np.log(xi)
-        np.testing.assert_allclose(log_link(Link("exp_kernel", g), lx, lx), g.matrix @ xi, rtol=1e-15)
+    @pytest.fixture()
+    def g(self):
+        return gram(KernelSpec("gaussian", 0.5), np.arange(4.0)[:, None])
 
-    def test_positivity_requirements(self):
-        with np.errstate(divide="ignore"):
-            bad = np.log(np.array([0.5, 0.0, 0.5]))
-        with pytest.raises(ValueError):
-            log_link(Link("identity"), bad, bad)
-        with pytest.raises(ValueError):
-            log_link(Link("chi_square"), bad, bad)
+    def test_closed_forms(self, inst, g):
+        # the zero mass is an underflowed column: only the identity link reads log p
+        p, b = self.P, inst.b
+        log_p = np.array([np.log(0.1), -1200.0, np.log(0.6), np.log(0.3)])
+        np.testing.assert_array_equal(link_correction("identity", p, log_p, inst), log_p - inst.log_b)
+        np.testing.assert_array_equal(link_correction("exp", p, log_p, inst), p - b)
+        np.testing.assert_array_equal(link_correction("exp_kernel", p, log_p, inst, g), g.matrix @ (p - b))
+        np.testing.assert_array_equal(link_correction("chi_square", p, log_p, inst), p / b - 1.0)
 
-    def test_link_validation(self):
-        with pytest.raises(ValueError):
-            Link(kind="exp_kernel")
-        with pytest.raises(ValueError):
-            Link(kind="exp", gram=gram(KernelSpec("identity"), np.arange(2.0)))
-        with pytest.raises(ValueError):
-            Link(kind="softplus")
+    @pytest.mark.parametrize("kind", ["identity", "exp", "exp_kernel", "chi_square"])
+    def test_zero_at_the_target(self, inst, g, kind):
+        got = link_correction(kind, inst.b, inst.log_b, inst, g)
+        np.testing.assert_array_equal(got, np.zeros(inst.m))
+
+    def test_rejects_unknown_kind_and_kernel_without_gram(self, inst):
+        with pytest.raises(ValueError, match="unknown link kind"):
+            link_correction("softplus", inst.b, inst.log_b, inst)
+        with pytest.raises(ValueError, match="needs a Gram"):
+            link_correction("exp_kernel", inst.b, inst.log_b, inst)
 
 
 class TestMatchStep:
@@ -376,15 +374,15 @@ class _ReferenceCache:
                 t = self.e @ v
                 phi_plus = self.rowmax + np.log(t)
                 p = v * ((inst.a / t) @ self.e)
-                return phi_plus, floor_path_log_mass(p, semidual.CACHED_P_FLOOR, phi, phi_plus, inst)
+                return phi_plus, p, floor_path_log_mass(p, semidual.CACHED_P_FLOOR, phi, phi_plus, inst)
         self.e, self.rowmax, phi_plus, p = semidual._absorb(phi, inst)
         self.phi_ref = phi.copy()
-        return phi_plus, floor_path_log_mass(p, semidual.P_FLOOR, phi, phi_plus, inst)
+        return phi_plus, p, floor_path_log_mass(p, semidual.P_FLOOR, phi, phi_plus, inst)
 
 
 def _reference_run(inst, cfg):
-    """The runner's loop as first written: the link of b, exp(log p) for the
-    KL column and every ``inst`` attribute taken afresh each iteration.
+    """The runner's loop as first written, with each link's correction
+    written out and every ``inst`` attribute taken afresh each iteration.
     Returns the trace CSV, the final phi, the iteration count and whether
     the run converged."""
     spec = METHODS[cfg.method]
@@ -393,14 +391,11 @@ def _reference_run(inst, cfg):
     anchor = int(np.argmax(inst.b)) if spec.family == "sign" else None
     eta = spec.auto_eta(cfg.gram, inst, B)
     max_iter = 0 if eta == 0.0 else cfg.max_iter
-    if spec.family == "match":
-        link = Link(spec.link, cfg.gram if spec.link == "exp_kernel" else None)
     bar_prev, inner, t_mom = phi.copy(), phi.copy(), 1.0
     evaluate = _ReferenceCache(inst)
     lines, it = [",".join(TRACE_COLUMNS)], 0
     while True:
-        phi_plus, lp = evaluate(phi)
-        p = np.exp(lp)
+        phi_plus, p, lp = evaluate(phi)
         resid = float(np.abs(inst.b - p).sum())
         j_val = float(inst.b @ phi - inst.a @ phi_plus)
         converged = resid <= cfg.tol_l1
@@ -410,12 +405,18 @@ def _reference_run(inst, cfg):
             if cfg.gram is not None:
                 d = p - inst.b
                 mmd = repr(0.5 * float(d @ cfg.gram.matrix @ d))
-            kl_y = float(np.sum(np.exp(lp) * (lp - inst.log_b)))
+            kl_y = float(np.sum(p * (lp - inst.log_b)))
             lines.append(f"{it},{j_val!r},{resid!r},{mmd},{kl_y!r},")
         if final:
             break
         if spec.family == "match":
-            phi = phi - eta * (log_link(link, lp, inst.log_b) - log_link(link, inst.log_b, inst.log_b))
+            correction = {
+                "identity": lambda: lp - inst.log_b,
+                "exp": lambda: p - inst.b,
+                "exp_kernel": lambda: cfg.gram.matrix @ (p - inst.b),
+                "chi_square": lambda: p / inst.b - 1.0,
+            }[spec.link]()
+            phi = phi - eta * correction
         elif spec.family == "sign":
             delta = inst.b - p
             half = phi + eta * np.abs(delta).sum() * np.sign(delta)
@@ -425,7 +426,7 @@ def _reference_run(inst, cfg):
         elif spec.family == "proj":
             phi = np.clip(phi + eta * (inst.b - p) / inst.b, -B, B)
         else:
-            p_inner = np.exp(evaluate(inner)[1])
+            p_inner = evaluate(inner)[1]
             bar = np.clip(inner + eta * (inst.b - p_inner) / inst.b, -B, B)
             t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)

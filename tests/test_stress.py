@@ -6,15 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otmatch import semidual
 from otmatch.logops import logsumexp
 from otmatch.measures import DiscreteMeasure, Instance
 from otmatch.semidual import coupling, marginal_y, plus_transform, semidual_value
-from otmatch.solvers import SolverConfig, lambda_bound, oracle_solve, run
+from otmatch.kernels import KernelSpec, gram
+from otmatch.solvers import METHODS, SolverConfig, lambda_bound, oracle_solve, run
 from otmatch.verify import random_instance
 
-from conftest import one_step
+from conftest import extreme_instance, one_step
 
 
 def harsh_instance(eps=1e-3, n=6, m=7, seed=0):
@@ -113,6 +115,27 @@ class TestSkewedWeights:
         inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.3)
         res = run(inst, SolverConfig(method="sinkhorn", max_iter=5000, tol_l1=1e-11))
         assert res.converged
+
+
+class TestExtremeInstances:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 11),
+        m=st.integers(1, 11),
+        epsilon=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_method_stays_finite(self, seed, n, m, epsilon):
+        # masses that underflow to 0 reach the links as p = 0 beside a finite
+        # log p, so no method may raise or produce a non-finite number
+        inst = extreme_instance(np.random.default_rng(seed), n, m, epsilon)
+        g = gram(KernelSpec("gaussian", 0.25), inst.nu.points)
+        for method in METHODS:
+            res = run(inst, SolverConfig(method, max_iter=50, tol_l1=0.0, gram=g if method == "ksga" else None))
+            assert res.iterations == 50 or res.converged or res.eta == 0.0, method
+            assert np.all(np.isfinite(res.phi)), method
+            for column in ("J", "l1_residual", "kl_y"):
+                assert np.all(np.isfinite(res.trace.column(column))), (method, column)
 
 
 class TestReentrancy:

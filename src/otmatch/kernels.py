@@ -39,7 +39,7 @@ class KernelSpec:
             if self.bandwidth is not None:
                 raise ValueError("identity kernel takes no bandwidth")
         else:
-            if self.bandwidth is None or not (float(self.bandwidth) > 0.0):
+            if self.bandwidth is None or not (0.0 < float(self.bandwidth) < np.inf):
                 raise ValueError(f"{self.kind} kernel needs a strictly positive bandwidth")
 
 

@@ -36,7 +36,7 @@ three stage combinations, four evaluations of p and one combination for
 the new state.  p(g) comes from one :class:`~otmatch.semidual.InducedCache`:
 ``v * ((a / (E @ v)) @ E)`` with ``v = exp(g - g_ref)`` on the Gibbs
 matrix ``E`` of a reference potential, re-absorbed once g moves farther
-than ``ABSORB_AT`` from it.
+than ``ABSORB_AT`` from it; the start's q and each record's g+ read it too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Instance
-from .semidual import InducedCache, _induced_kl, induced_marginal, plus_transform
+from .semidual import InducedCache, _induced_kl, induced_marginal
 from .solvers import oracle_solve
 
 __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
@@ -159,13 +159,12 @@ def flow_run(
     phi0 = np.asarray(phi0, dtype=np.float64)
     if phi_star is None:
         phi_star = oracle_solve(inst)
-    star_plus, q_star, _ = induced_marginal(phi_star, inst)
+    star_plus, q_star = induced_marginal(phi_star, inst)
 
     cache = InducedCache(inst)
     t = float(t0)
-    q = cache.marginal(phi0)
     g = phi0.copy()
-    g_plus = plus_transform(g, inst)
+    g_plus, q, _ = cache(g)
     # the rate bound must hold with either order of the KL, so the smaller one binds
     d_init = min(
         _induced_kl(inst, phi_star, star_plus, q_star, g, g_plus),
@@ -184,7 +183,7 @@ def flow_run(
         d = q - inst.b
         ts.append(t)
         lks.append(0.5 * float(d @ d))
-        kl_g = _induced_kl(inst, phi_star, star_plus, q_star, g, plus_transform(g, inst))
+        kl_g = _induced_kl(inst, phi_star, star_plus, q_star, g, cache(g)[0])
         vs.append((t**2 / r) * lks[-1] + r * kl_g)
 
     record()

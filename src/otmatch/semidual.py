@@ -21,26 +21,26 @@ exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, which forms
 an O(n + m) product (:func:`_induced_kl`); no n x m coupling is built to
 read it.  Every solver iteration needs the transform
 ``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
-returns the triple ``(phi_plus, p, log p)`` from one exponential pass over
-``w``.  Each row is shifted by its maximum and exponentiated once, giving
-``E`` and row sums ``s``; then ``phi_plus = log s + rowmax`` (which is also
-how :func:`plus_transform` computes it) and ``p = (a / s) @ E``.  A column
-whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow,
-so its ``log p_j`` is recomputed exactly as the logsumexp over rows of the
-coupling's log masses in that column; ``p_j`` itself is left as the pass
-gave it, accurate in absolute terms and possibly 0.
+returns the pair from one exponential pass over ``w``.  Each row is
+shifted by its maximum and exponentiated once, giving ``E`` and row sums
+``s``; then ``phi_plus = log s + rowmax`` (which is also how
+:func:`plus_transform` computes it) and ``p = (a / s) @ E``.
 
-A solver run evaluates many nearby potentials, so it builds one
+A loop evaluates many nearby potentials, so it builds one
 :class:`InducedCache`, which keeps the ``E`` and row maxima of its last
 such pass (its absorption point ``phi_ref``).  While
 ``max|phi - phi_ref| <= ABSORB_AT``, the row-shifted Gibbs matrix at phi is
 ``E * v`` with ``v = exp(phi - phi_ref)``, so two matrix-vector products
 give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
-``p = v * ((a / t) @ E)``.  Columns below ``CACHED_P_FLOOR`` take the exact
-column logsumexp.  A potential farther out is absorbed: the old ``E`` is
-dropped and the exponential pass of :func:`induced_marginal` runs at phi,
-which becomes the new reference.  Both use one code path, so a cache's
-first evaluation equals :func:`induced_marginal` bit for bit.
+``p = v * ((a / t) @ E)``.  A potential farther out is absorbed: the old
+``E`` is dropped and the exponential pass of :func:`induced_marginal` runs
+at phi, which becomes the new reference.  Both use one code path, so a
+cache's first evaluation equals :func:`induced_marginal` bit for bit.  The
+cache's call also returns ``log p``, the one place it is formed: a column
+whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow,
+so its ``log p_j`` is recomputed exactly as the logsumexp over rows of the
+coupling's log masses in that column; ``p_j`` itself is left as given,
+accurate in absolute terms and possibly 0.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ __all__ = [
 
 COUPLING_MASS_TOL = 1e-12
 
-# Fused-pass masses below this floor fall back to the exact column logsumexp.
-# Each term (a_i / s_i) E_ij of p_j lies in [0, 1]; where E_ij or the product
-# underflows (or is flushed to zero) the term loses less than the smallest
-# normal double 2^-1022, about 2.2e-308.  A column of n terms therefore carries
-# an absolute underflow error below n * 2.2e-308, which relative to a mass of
-# at least 1e-280 is below n * 2.2e-28: under double precision's 1.1e-16 for
-# any n up to 5e11.
-P_FLOOR = 1e-280
-
 # Radius tau of the cached evaluation: InducedCache reuses the Gibbs matrix of
 # its absorption point while max|phi - phi_ref| <= tau.  Then v = exp(phi -
 # phi_ref) lies in [e^-tau, e^tau], and each row sum t_i contains its row
@@ -85,14 +76,15 @@ P_FLOOR = 1e-280
 # entry of phi move by 30 (a factor 1e13 in its mass) between absorptions.
 ABSORB_AT = 30.0
 
-# Cached-branch masses below this floor fall back to the exact column
-# logsumexp.  Each term of p_j is (a_i / t_i) E_ij v_j.  Where E_ij underflowed
-# at absorption, or the product (a_i / t_i) E_ij underflows, the term loses
-# less than 2^-1022 * e^tau * e^tau, because v_j <= e^tau and a_i / t_i <=
-# e^tau.  A column of n terms therefore carries an absolute underflow error
-# below n * 2^-1022 * e^(2 tau), which relative to a mass of at least
-# P_FLOOR * e^(2 tau) is below n * 2.2e-28, as for P_FLOOR.
-CACHED_P_FLOOR = P_FLOOR * float(np.exp(2.0 * ABSORB_AT))
+# Masses below this floor fall back to the exact column logsumexp.  Each term
+# of p_j is (a_i / t_i) E_ij v_j.  Where E_ij underflowed at absorption, or
+# the product (a_i / t_i) E_ij underflows (or is flushed to zero), the term
+# loses less than 2^-1022 * e^tau * e^tau, because v_j <= e^tau and a_i / t_i
+# <= e^tau.  A column of n terms therefore carries an absolute underflow
+# error below n * 2.2e-308 * e^(2 tau), which relative to a mass of at least
+# 1e-280 * e^(2 tau) is below n * 2.2e-28: under double precision's 1.1e-16
+# for any n up to 5e11.  An absorbing pass is the case v = 1, t = s.
+P_FLOOR = 1e-280 * float(np.exp(2.0 * ABSORB_AT))
 
 
 def _check_finite(v: np.ndarray, name: str) -> np.ndarray:
@@ -189,18 +181,15 @@ def _row_pass(phi: np.ndarray, inst: Instance):
     return e, e.sum(axis=1), rowmax[:, 0]
 
 
-def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(phi_plus, p, log p)`` of the coupling induced by phi, from one exp pass.
+def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi_plus, p)`` of the coupling induced by phi, from one exp pass.
 
     ``phi_plus`` equals :func:`plus_transform` bit for bit (the same
-    pass).  ``p`` is the pass's ``(a / s) @ E``.  ``log p`` agrees with the
-    column logsumexp of the induced coupling's log masses to rounding, and
-    exactly on columns whose mass falls below ``P_FLOOR``, which are
-    recomputed by that logsumexp.
+    pass), and ``p`` is the pass's ``(a / s) @ E``.  The loops, which also
+    need ``log p``, evaluate through :class:`InducedCache`.
     """
     phi = _check_finite(phi, "phi")
-    _, _, phi_plus, p = _absorb(phi, inst)
-    return phi_plus, p, _log_mass(p, P_FLOOR, phi, phi_plus, inst)
+    return _absorb(phi, inst)[2:]
 
 
 def _absorb(phi, inst):
@@ -216,9 +205,10 @@ class InducedCache:
     absorption point, makes the exponential pass of :func:`induced_marginal`
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
-    to rounding.  :meth:`marginal` returns the masses p alone under the
-    same absorption rule.  A cache belongs to one run: it is neither
-    thread-safe nor meant to be stored on the shared :class:`Instance`.
+    to rounding, and ``log p`` is exact on columns below ``P_FLOOR``.
+    :meth:`marginal` returns the masses p alone under the same absorption
+    rule.  A cache belongs to one run: it is neither thread-safe nor meant
+    to be stored on the shared :class:`Instance`.
     """
 
     def __init__(self, inst: Instance):
@@ -232,13 +222,12 @@ class InducedCache:
         delta = self._delta(phi)
         if delta is None:
             phi_plus, p = self._absorb(_check_finite(phi, "phi"))
-            return phi_plus, p, _log_mass(p, P_FLOOR, phi, phi_plus, self._inst)
-        inst = self._inst
-        v = np.exp(delta)
-        t = self._e @ v
-        phi_plus = self._rowmax + np.log(t)
-        p = v * ((inst.a / t) @ self._e)
-        return phi_plus, p, _log_mass(p, CACHED_P_FLOOR, phi, phi_plus, inst)
+        else:
+            v = np.exp(delta)
+            t = self._e @ v
+            phi_plus = self._rowmax + np.log(t)
+            p = v * ((self._inst.a / t) @ self._e)
+        return phi_plus, p, _log_mass(p, phi, phi_plus, self._inst)
 
     def marginal(self, phi: np.ndarray) -> np.ndarray:
         """Y-marginal masses p at phi, without their log or its floor.
@@ -271,13 +260,13 @@ class InducedCache:
         return phi_plus, p
 
 
-def _log_mass(p, floor, phi, phi_plus, inst):
-    """``log p``, with columns below ``floor`` recomputed by the column logsumexp."""
-    if p.min() >= floor:
+def _log_mass(p, phi, phi_plus, inst):
+    """``log p``, with columns below ``P_FLOOR`` recomputed by the column logsumexp."""
+    if p.min() >= P_FLOOR:
         return np.log(p)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    low = np.flatnonzero(p < floor)
+    low = np.flatnonzero(p < P_FLOOR)
     if low.size:
         log_p[low] = _log_marginal_cols(phi, phi_plus, inst, low)
     return log_p

@@ -74,8 +74,8 @@ class OracleError(RuntimeError):
 def link_correction(link: str, p, log_p, inst: Instance, gram: Gram | None = None) -> np.ndarray:
     """Correction ``log T(p) - log T(b)``; the matching update moves phi by ``-eta`` times it.
 
-    ``p`` and ``log p`` are the Y-marginal as :func:`~otmatch.semidual.induced_marginal`
-    gives them.  Kinds:
+    ``p`` and ``log p`` are the Y-marginal as an
+    :class:`~otmatch.semidual.InducedCache` call gives them.  Kinds:
 
     * ``identity``: ``log p - log b`` (Sinkhorn direction), the one kind
       that reads ``log p``, which the exact column fallback keeps finite,
@@ -111,7 +111,8 @@ def lambda_bound(inst: Instance, B: float) -> float:
     """Log of the relative-smoothness constant e^{2B} E_{a x b}[e^{C/eps}].
 
     Requires a nonnegative cost.  Returned in log domain; the full value
-    overflows float64 long before the bound stops being meaningful.
+    overflows float64 long before the bound stops being meaningful.  Where
+    some C/eps itself overflows, the log is +inf and the auto step 0.0.
     """
     if B < 0.0:
         raise ValueError("B must be nonnegative")
@@ -122,6 +123,8 @@ def lambda_bound(inst: Instance, B: float) -> float:
     w += inst.log_b
     w += inst.log_a[:, None]
     top = float(w.max())
+    if top == math.inf:  # some C/eps overflows float64: the constant is infinite
+        return math.inf
     w -= top
     np.exp(w, out=w)
     return 2.0 * float(B) + float(np.log(w.sum()) + top)
@@ -403,7 +406,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         elif spec.family == "proj":
             phi = _proj_update(phi, p, b, B, eta)
         else:  # proj_pp: gradient at the extrapolated point, trace the projected one
-            p_inner = evaluate(inner)[1]
+            p_inner = evaluate.marginal(inner)
             bar = _proj_update(inner, p_inner, b, B, eta)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)

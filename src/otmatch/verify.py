@@ -367,7 +367,7 @@ def check_thm_ksga_rate(
         raise ValueError("trace has no mmd_sq column; configure a Gram when running")
     iters = trace.column("iter")
     keep = iters >= 1
-    star_plus, p_star, _ = induced_marginal(phi_star, inst)
+    star_plus, p_star = induced_marginal(phi_star, inst)
     d0 = _induced_kl(inst, phi_star, star_plus, p_star, phi0, plus_transform(phi0, inst))
     bound = max(2.0 * g.c_k, 1.0) / iters[keep] * d0
     return _bound_result("ksga_rate", mmd[keep], bound)

@@ -84,12 +84,12 @@ def one_step(method: str, phi: np.ndarray, inst: Instance, **fields) -> np.ndarr
     return run(inst, SolverConfig(method=method, max_iter=1, tol_l1=0.0, **fields), phi).phi
 
 
-def floor_path_log_mass(p, floor, phi, phi_plus, inst):
+def floor_path_log_mass(p, phi, phi_plus, inst):
     """``semidual._log_mass`` without its fast return: log p, then the column
-    logsumexp for every mass below ``floor``."""
+    logsumexp for every mass below ``semidual.P_FLOOR``."""
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    low = np.flatnonzero(p < floor)
+    low = np.flatnonzero(p < semidual.P_FLOOR)
     if low.size:
         log_p[low] = semidual._log_marginal_cols(phi, phi_plus, inst, low)
     return log_p

@@ -46,6 +46,17 @@ def underflow_file(tmp_path):
     return path
 
 
+def two_atom_file(tmp_path, cost, epsilon, x_weights=(0.5, 0.5)):
+    """A 2+2 instance file with an explicit cost matrix."""
+    path = tmp_path / "two_atom.json"
+    path.write_text(json.dumps({
+        "x_points": [[0.0], [1.0]], "x_weights": list(x_weights),
+        "y_points": [[0.0], [1.0]], "y_weights": [0.5, 0.5],
+        "cost": cost, "epsilon": epsilon,
+    }))
+    return path
+
+
 class TestSolve:
     def test_zero_cost_sinkhorn_converges_fast(self, zero_cost_file, tmp_path, capsys):
         code = main([
@@ -176,6 +187,28 @@ class TestSolve:
         assert doc["iterations"] == 0 and doc["converged"] is False and doc["eta"] == "0.0"
         start = semidual_value(np.zeros(2), load_instance(inst))
         assert doc["final_J"] == repr(start)
+
+    @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
+    def test_overflowing_c_over_eps_gives_the_zero_step(self, tmp_path, method, capsys):
+        # C/eps = 1e310 off the diagonal overflows to inf, so log lambda is
+        # +inf and the auto step 0.0; no NaN reaches phi or the summary
+        inst = two_atom_file(tmp_path, [[0.0, 1e300], [1e300, 0.0]], 1e-10, x_weights=(0.3, 0.7))
+        assert main(["validate", "--instance", str(inst)]) == 0
+        capsys.readouterr()
+        summary = tmp_path / "s.json"
+        code = main(["solve", "--instance", str(inst), "--method", method, "--summary", str(summary)])
+        assert code == 2
+        assert "the auto step exp(-log λ) underflows to 0.0" in capsys.readouterr().err
+        doc = json.loads(summary.read_text())
+        assert doc["eta"] == "0.0" and doc["iterations"] == 0 and doc["converged"] is False
+
+    def test_infinite_kernel_bandwidth_is_an_input_error(self, instance_file, tmp_path, capsys):
+        for spec in ("gaussian:inf", "laplace:inf"):
+            code = main(["solve", "--instance", str(instance_file), "--method", "ksga", "--kernel", spec,
+                         "--summary", str(tmp_path / "s.json")])
+            assert code == 1
+            assert "strictly positive bandwidth" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -488,6 +521,17 @@ class TestValidate:
         bad = tmp_path / "nope.json"
         bad.write_text("[]")
         assert main(["validate", "--instance", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "cost", [[[1e308, 1e308], [1e308, 1e308]], [[-1e308, 0.0], [0.0, 0.0]]], ids=["row_inf", "minus_inf"]
+    )
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "--method", "sinkhorn"]])
+    def test_overflowing_c_over_eps_is_an_input_error(self, tmp_path, capsys, cost, command):
+        inst = two_atom_file(tmp_path, cost, 0.5)
+        assert main([*command, "--instance", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: C/eps overflows float64") and captured.err.count("\n") == 1
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -110,6 +110,15 @@ def test_induced_cache_is_read_only_by_the_two_loops():
     assert readers == {"solvers.run", "mirrorflow.flow_run"}, sorted(readers)
 
 
+def test_plus_transform_runs_only_where_no_cache_is_at_hand():
+    # the loops read phi_plus from their InducedCache; a plus_transform
+    # call inside a loop would be a second exponential pass beside the
+    # cache's matrix.  The one-shot readers are the objective, the coupling
+    # and the kernel-ascent rate's initial KL
+    readers = set().union(*(_readers(p, "plus_transform") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"semidual.semidual_value", "semidual.coupling", "verify.check_thm_ksga_rate"}, sorted(readers)
+
+
 def test_couplings_are_materialized_only_where_a_matrix_is_read():
     # a KL between induced couplings and the oracle's duality gap have closed
     # forms in the potentials, their transforms and marginals; an n x m

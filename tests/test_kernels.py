@@ -59,6 +59,10 @@ class TestGram:
             KernelSpec("gaussian", -1.0)
         with pytest.raises(ValueError):
             KernelSpec("gaussian")
+        # an infinite bandwidth gives the all-ones Gram, of rank one
+        for kind in ("gaussian", "laplace"):
+            with pytest.raises(ValueError, match="strictly positive bandwidth"):
+                KernelSpec(kind, math.inf)
         with pytest.raises(ValueError):
             KernelSpec("identity", 1.0)
         with pytest.raises(ValueError):

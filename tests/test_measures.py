@@ -183,6 +183,26 @@ class TestInstance:
         with pytest.raises(InstanceError):
             Instance(mu=mu, nu=mu, cost=np.array([[np.inf]]), epsilon=1.0)
 
+    @pytest.mark.parametrize(
+        "cost, epsilon, message",
+        [
+            ([[1e308, 1e308], [1e308, 1e308]], 0.5, "on a whole row"),
+            ([[-1e308, 0.0], [0.0, 0.0]], 0.5, "to -inf"),
+        ],
+        ids=["row_inf", "minus_inf"],
+    )
+    def test_rejects_cost_over_eps_that_overflows(self, cost, epsilon, message):
+        mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
+        with pytest.raises(InstanceError, match=f"C/eps overflows float64 {message}"):
+            Instance(mu=mu, nu=mu, cost=np.array(cost), epsilon=epsilon)
+
+    def test_accepts_overflow_away_from_every_row_minimum(self):
+        # each row keeps a finite C/eps at its minimum, which the Gibbs
+        # exponent is normalized by
+        mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
+        inst = Instance(mu=mu, nu=mu, cost=np.array([[0.0, 1e300], [1e300, 0.0]]), epsilon=1e-10)
+        assert inst.cost[0, 1] == 1e300
+
     def test_rejects_shape_mismatch(self):
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))
         with pytest.raises(InstanceError):

@@ -5,6 +5,7 @@ import pytest
 
 from otmatch import semidual, solvers
 from otmatch.logops import logsumexp
+from otmatch.measures import DiscreteMeasure, Instance
 from otmatch.kernels import Gram, KernelSpec, gram
 from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
 from otmatch.solvers import (
@@ -133,6 +134,15 @@ class TestStepRules:
                 )
         expected = 2.0 * 0.8 + float(np.log(acc))
         assert lambda_bound(inst, 0.8) == pytest.approx(expected, rel=1e-13)
+
+    def test_lambda_is_infinite_where_c_over_eps_overflows(self):
+        # 1e300 / 1e-10 is inf in float64; the constant is +inf, not NaN, so
+        # the projected methods' auto step is 0.0
+        mu = DiscreteMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.3, 0.7]))
+        inst = Instance(mu=mu, nu=mu, cost=np.array([[0.0, 1e300], [1e300, 0.0]]), epsilon=1e-10)
+        assert lambda_bound(inst, 1.0) == math.inf
+        for method in ("proj_sga", "proj_sga_pp"):
+            assert METHODS[method].auto_eta(None, inst, default_bound(inst)) == 0.0
 
     def test_lambda_rejects_negative_cost(self):
         inst = zero_cost_instance()
@@ -374,10 +384,10 @@ class _ReferenceCache:
                 t = self.e @ v
                 phi_plus = self.rowmax + np.log(t)
                 p = v * ((inst.a / t) @ self.e)
-                return phi_plus, p, floor_path_log_mass(p, semidual.CACHED_P_FLOOR, phi, phi_plus, inst)
+                return phi_plus, p, floor_path_log_mass(p, phi, phi_plus, inst)
         self.e, self.rowmax, phi_plus, p = semidual._absorb(phi, inst)
         self.phi_ref = phi.copy()
-        return phi_plus, p, floor_path_log_mass(p, semidual.P_FLOOR, phi, phi_plus, inst)
+        return phi_plus, p, floor_path_log_mass(p, phi, phi_plus, inst)
 
 
 def _reference_run(inst, cfg):

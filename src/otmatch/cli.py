@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     result = run(inst, cfg)
     wall = time.perf_counter() - start
-    if result.eta == 0.0:
+    if result.eta == 0.0 and not result.converged:
         sys.stderr.write(
             f"error: {args.method}: the auto step exp(-log λ) underflows to 0.0 "
             "(log λ above about 745); no update was made\n"

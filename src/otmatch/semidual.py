@@ -157,7 +157,8 @@ def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None)) -> np.nda
     one place ``C/eps`` is formed in this module: the division writes the
     fresh n x len(cols) result, and the subtraction overwrites it in place.
     """
-    w = inst.cost[:, cols] / inst.epsilon
+    with np.errstate(over="ignore"):  # an overflowing C/eps is +inf: its entry has mass 0
+        w = inst.cost[:, cols] / inst.epsilon
     return np.subtract((inst.log_b + phi)[cols], w, out=w)
 
 

@@ -81,7 +81,9 @@ def link_correction(link: str, p, log_p, inst: Instance, gram: Gram | None = Non
       that reads ``log p``, which the exact column fallback keeps finite,
     * ``exp``: ``p - b`` (semi-dual gradient),
     * ``exp_kernel``: ``K (p - b)`` with K the Gram matrix ``gram`` (kernel-smoothed gradient),
-    * ``chi_square``: ``p / b - 1`` (weight-rescaled gradient).
+    * ``chi_square``: ``(p - b) / b`` (weight-rescaled gradient, the projected
+      methods' step); ``p - b`` is exact where p and b lie within a factor of 2
+      (Sterbenz), so no leading digits cancel near convergence as in ``p / b - 1``.
 
     The last three read ``p``, which may be 0 on an underflowed column.
     """
@@ -94,7 +96,7 @@ def link_correction(link: str, p, log_p, inst: Instance, gram: Gram | None = Non
             raise ValueError("exp_kernel link needs a Gram matrix")
         return gram.matrix @ (p - inst.b)
     if link == "chi_square":
-        return p / inst.b - 1.0
+        return (p - inst.b) / inst.b
     raise ValueError(f"unknown link kind {link!r}")
 
 
@@ -119,7 +121,8 @@ def lambda_bound(inst: Instance, B: float) -> float:
     if inst.cost.min() < 0.0:
         raise ValueError("the smoothness constant requires a nonnegative cost")
     # a logsumexp of C/eps + log a + log b in one n x m buffer
-    w = inst.cost / inst.epsilon
+    with np.errstate(over="ignore"):  # an overflowing C/eps is caught below
+        w = inst.cost / inst.epsilon
     w += inst.log_b
     w += inst.log_a[:, None]
     top = float(w.max())
@@ -165,16 +168,6 @@ def _sign_update(phi, delta, eta, anchor):
     return out
 
 
-def _proj_update(phi, p, b, B, eta):
-    """Weight-rescaled ascent step ``phi + eta (b - p)/b`` clamped into [-B, B].
-
-    Clamping is the exact L2(nu)-projection onto the box because the
-    constraint is separable.
-    """
-    cand = phi + eta * (b - p) / b
-    return np.clip(cand, -B, B)
-
-
 # ---------------------------------------------------------------------------
 # Method table
 # ---------------------------------------------------------------------------
@@ -184,7 +177,8 @@ class Method:
     """How :func:`run` iterates one method.
 
     ``family`` picks the update map: ``match`` (marginal matching through
-    the link of kind ``link``), ``sign``, ``proj`` or ``proj_pp``.
+    the link of kind ``link``), ``sign``, or ``proj`` and ``proj_pp`` (the
+    matching step through ``link``, clamped into the box [-B, B]).
     ``auto_eta(gram, inst, B)`` is the step for ``eta="auto"``; an explicit
     step must be finite and lie in (0, eta_max], or (0, eta_max) when
     ``eta_max_open``.  ``guard(eta, auto)`` says whether the step ``eta``
@@ -220,11 +214,11 @@ METHODS: dict[str, Method] = {
     "chi2": Method("match", "chi_square", lambda g, inst, B: 0.5, 1.0, False, _no_guard),
     "sign_sga": Method("sign", None, lambda g, inst, B: 1.0, 2.0, True, lambda eta, auto: True),
     "proj_sga": Method(
-        "proj", None, lambda g, inst, B: _proj_eta(inst, B), np.inf, True,
+        "proj", "chi_square", lambda g, inst, B: _proj_eta(inst, B), np.inf, True,
         lambda eta, auto: eta <= auto * (1.0 + 1e-12),
     ),
     "proj_sga_pp": Method(
-        "proj_pp", None, lambda g, inst, B: _proj_eta(inst, 3.0 * B), np.inf, True, _no_guard,
+        "proj_pp", "chi_square", lambda g, inst, B: _proj_eta(inst, 3.0 * B), np.inf, True, _no_guard,
     ),
 }
 
@@ -331,9 +325,10 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     accelerated method, the projected point, which is what its guarantee
     speaks about).  Methods with a proven ascent property abort with
     :class:`DivergenceError` if the objective drops by more than 1e-6.
+    The projected methods clamp the chi-square matching step into [-B, B].
     An auto step that underflows to 0.0 (the projected methods' 1/lambda
     once log lambda passes about 745) stops the run before its first
-    update, unconverged at iteration 0.  All iterates are evaluated by one
+    update, at iteration 0.  All iterates are evaluated by one
     :class:`~otmatch.semidual.InducedCache`.
     """
     phi = np.zeros(inst.m) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
@@ -399,15 +394,16 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         if final:
             break
 
-        if spec.family == "match":
-            phi = phi - eta * link_correction(spec.link, p, lp, inst, gram)
-        elif spec.family == "sign":
+        if spec.family == "sign":
             phi = _sign_update(phi, b - p, eta, anchor)
-        elif spec.family == "proj":
-            phi = _proj_update(phi, p, b, B, eta)
-        else:  # proj_pp: gradient at the extrapolated point, trace the projected one
+        elif spec.family != "proj_pp":
+            phi = phi - eta * link_correction(spec.link, p, lp, inst, gram)
+            if spec.family == "proj":
+                # the clamp is the exact L2(b) projection: the box is separable
+                phi = np.clip(phi, -B, B)
+        else:  # the step at the extrapolated point; the trace follows the projected one
             p_inner = evaluate.marginal(inner)
-            bar = _proj_update(inner, p_inner, b, B, eta)
+            bar = np.clip(inner - eta * link_correction(spec.link, p_inner, None, inst), -B, B)
             t_new = t_next(t_mom)
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
             bar_prev = bar

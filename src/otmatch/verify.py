@@ -314,7 +314,7 @@ def _descent_margin(values: np.ndarray, tol: float) -> float:
 
 
 def _centered_box_potential(phi_star: np.ndarray, B: float) -> np.ndarray | None:
-    """Shift of an optimal potential with smallest sup norm, clamped into [-B, B].
+    """Shift of an optimal potential with smallest sup norm, if it lies in [-B, B].
 
     Returns None when even the best shift exceeds the box, in which case a
     box-constrained check is inconclusive.
@@ -322,7 +322,7 @@ def _centered_box_potential(phi_star: np.ndarray, B: float) -> np.ndarray | None
     centered = phi_star - (phi_star.max() + phi_star.min()) / 2.0
     if np.max(np.abs(centered)) > B:
         return None
-    return np.clip(centered, -B, B)
+    return centered
 
 
 def _gap_check(

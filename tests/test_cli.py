@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,12 +47,12 @@ def underflow_file(tmp_path):
     return path
 
 
-def two_atom_file(tmp_path, cost, epsilon, x_weights=(0.5, 0.5)):
+def two_atom_file(tmp_path, cost, epsilon, x_weights=(0.5, 0.5), y_weights=(0.5, 0.5)):
     """A 2+2 instance file with an explicit cost matrix."""
     path = tmp_path / "two_atom.json"
     path.write_text(json.dumps({
         "x_points": [[0.0], [1.0]], "x_weights": list(x_weights),
-        "y_points": [[0.0], [1.0]], "y_weights": [0.5, 0.5],
+        "y_points": [[0.0], [1.0]], "y_weights": list(y_weights),
         "cost": cost, "epsilon": epsilon,
     }))
     return path
@@ -201,6 +202,20 @@ class TestSolve:
         assert "the auto step exp(-log λ) underflows to 0.0" in capsys.readouterr().err
         doc = json.loads(summary.read_text())
         assert doc["eta"] == "0.0" and doc["iterations"] == 0 and doc["converged"] is False
+
+    @pytest.mark.parametrize("method", ["sinkhorn", "proj_sga", "proj_sga_pp"])
+    def test_a_run_converged_at_the_start_is_quiet_on_an_overflowing_c_over_eps(self, tmp_path, method, capsys):
+        # a = b and the coupling at phi = 0 is diagonal, so the run converges
+        # at iteration 0: the projected methods' zero step had no update to
+        # make, and the +inf C/eps is intended (it gives those entries mass 0)
+        inst = two_atom_file(tmp_path, [[0.0, 1e300], [1e300, 0.0]], 1e-10, (0.3, 0.7), (0.3, 0.7))
+        summary = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--instance", str(inst), "--method", method, "--summary", str(summary)])
+        assert code == 0 and "error:" not in capsys.readouterr().err
+        doc = json.loads(summary.read_text())
+        assert doc["iterations"] == 0 and doc["converged"] is True
 
     def test_infinite_kernel_bandwidth_is_an_input_error(self, instance_file, tmp_path, capsys):
         for spec in ("gaussian:inf", "laplace:inf"):

@@ -86,12 +86,20 @@ def test_cost_over_eps_has_one_semidual_reader():
     assert readers == {"semidual._gibbs_exponent", "solvers.lambda_bound"}, sorted(readers)
 
 
-@pytest.mark.parametrize("update", ["_sign_update", "_proj_update"])
+@pytest.mark.parametrize("update", ["_sign_update"])
 def test_update_maps_are_applied_only_by_run(update):
     # run is the one code that applies a method's update, and verify checks
     # the update statements on run; a second caller would be a second step
     # path that no check covers
     readers = set().union(*(_readers(p, update) for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.run"}, sorted(readers)
+
+
+def test_the_box_clamp_is_applied_only_by_run():
+    # the projected methods are the chi-square matching step followed by the
+    # clamp; a second clamp in solvers would be a projected step no
+    # equivalence check covers
+    readers = _readers(REPO / "src" / "otmatch" / "solvers.py", "clip")
     assert readers == {"solvers.run"}, sorted(readers)
 
 

@@ -49,7 +49,7 @@ class TestLinkCorrection:
         np.testing.assert_array_equal(link_correction("identity", p, log_p, inst), log_p - inst.log_b)
         np.testing.assert_array_equal(link_correction("exp", p, log_p, inst), p - b)
         np.testing.assert_array_equal(link_correction("exp_kernel", p, log_p, inst, g), g.matrix @ (p - b))
-        np.testing.assert_array_equal(link_correction("chi_square", p, log_p, inst), p / b - 1.0)
+        np.testing.assert_array_equal(link_correction("chi_square", p, log_p, inst), (p - b) / b)
 
     @pytest.mark.parametrize("kind", ["identity", "exp", "exp_kernel", "chi_square"])
     def test_zero_at_the_target(self, inst, g, kind):
@@ -235,6 +235,20 @@ class TestProjStep:
     def test_requires_start_inside_box(self, small_instance):
         with pytest.raises(ValueError):
             one_step("proj_sga", np.full(small_instance.m, 5.0), small_instance, bound_B=1.0, eta=0.1)
+
+    @pytest.mark.parametrize("eta", [0.3, 1.0])
+    def test_a_step_the_clamp_never_reaches_is_the_chi2_step(self, eta):
+        # the projected methods take the chi-square matching step, then clamp
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            inst = random_instance(rng, 7, 9, 0.5)
+            phi = rng.normal(size=inst.m)
+            chi2 = one_step("chi2", phi, inst, eta=eta)
+            np.testing.assert_array_equal(one_step("proj_sga", phi, inst, eta=eta, bound_B=1e6), chi2)
+            # the extrapolated point's p is E @ 1 from the cached matrix, not
+            # the exponential pass's row sums
+            pp = one_step("proj_sga_pp", phi, inst, eta=eta, bound_B=1e6)
+            np.testing.assert_allclose(pp, chi2, rtol=0.0, atol=1e-15)
 
 
 class TestRunner:
@@ -424,7 +438,7 @@ def _reference_run(inst, cfg):
                 "identity": lambda: lp - inst.log_b,
                 "exp": lambda: p - inst.b,
                 "exp_kernel": lambda: cfg.gram.matrix @ (p - inst.b),
-                "chi_square": lambda: p / inst.b - 1.0,
+                "chi_square": lambda: (p - inst.b) / inst.b,
             }[spec.link]()
             phi = phi - eta * correction
         elif spec.family == "sign":
@@ -434,10 +448,10 @@ def _reference_run(inst, cfg):
             out[anchor] = phi[anchor]
             phi = out
         elif spec.family == "proj":
-            phi = np.clip(phi + eta * (inst.b - p) / inst.b, -B, B)
+            phi = np.clip(phi - eta * ((p - inst.b) / inst.b), -B, B)
         else:
             p_inner = evaluate(inner)[1]
-            bar = np.clip(inner + eta * (inst.b - p_inner) / inst.b, -B, B)
+            bar = np.clip(inner - eta * ((p_inner - inst.b) / inst.b), -B, B)
             t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
             inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
             bar_prev, t_mom, phi = bar, t_new, bar

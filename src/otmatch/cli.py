@@ -9,7 +9,7 @@ Exit codes: 0 success/convergence, 2 no convergence (iteration budget
 exhausted, a step size that underflows to zero, a diverging ascent, a
 failed reference solve, a mirror flow that blows up or an array too large
 for memory; for ``verify``, a property that failed or was inconclusive),
-1 input or usage error.
+1 input or usage error, or an output path that cannot be written.
 Output files are written atomically (temp file + rename), and all
 randomness sits behind ``--seed``.  Wall times are measured but only
 written when ``--timings`` is passed, so a fixed invocation produces
@@ -55,14 +55,18 @@ def _atomic_write(path: str | Path, text: str) -> None:
     # mkstemp creates the file 0600; give it the mode open() would
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -114,7 +118,6 @@ def _summary_doc(inst, result, method, wall_s):
         "anchor_index": result.anchor_index,
         "final_J": repr(float(result.trace.records[-1].J)),
         "final_l1_residual": repr(float(result.trace.records[-1].l1_residual)),
-        "bound_reports": [],
         "wall_time_s": wall_s,
     }
 
@@ -306,7 +309,7 @@ def main(argv=None) -> int:
     except (OracleError, DivergenceError, FlowBlowupError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    except (InstanceError, bridge_mod.GridError, ValueError) as exc:
+    except (InstanceError, bridge_mod.GridError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

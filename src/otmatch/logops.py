@@ -36,16 +36,16 @@ def kl(log_p: np.ndarray, log_q: np.ndarray, p: np.ndarray | None = None) -> flo
 
     Zero masses contribute nothing (0 log 0 = 0); mass of p where q has
     none gives ``inf``.  The plain sum is taken first; a zero mass of p
-    makes it NaN (0 times an infinite log ratio), and only then are the
-    zero masses masked out.  A caller that already holds the masses
-    ``p = exp(log_p)`` passes them to skip that exponential.
+    makes it NaN (0 times an infinite log ratio), and only then is it
+    retaken over the masses ``p > 0``.  A caller that already holds the
+    masses ``p = exp(log_p)`` passes them, and both sums read them.
     """
     if p is None:
         p = np.exp(log_p)
     val = float((p * (log_p - log_q)).sum())
     if val == val:
         return val
-    live = log_p > -np.inf
-    if np.any(live & (log_q == -np.inf)):
+    if np.any((log_p > -np.inf) & (log_q == -np.inf)):
         return float("inf")
-    return float(np.sum(np.exp(log_p[live]) * (log_p[live] - log_q[live])))
+    live = p > 0.0
+    return float(np.sum(p[live] * (log_p[live] - log_q[live])))

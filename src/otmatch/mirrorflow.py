@@ -164,7 +164,7 @@ def flow_run(
     cache = InducedCache(inst)
     t = float(t0)
     g = phi0.copy()
-    g_plus, q, _ = cache(g)
+    g_plus, q = cache(g)
     # the rate bound must hold with either order of the KL, so the smaller one binds
     d_init = min(
         _induced_kl(inst, phi_star, star_plus, q_star, g, g_plus),

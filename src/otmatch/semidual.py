@@ -35,12 +35,12 @@ give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
 ``p = v * ((a / t) @ E)``.  A potential farther out is absorbed: the old
 ``E`` is dropped and the exponential pass of :func:`induced_marginal` runs
 at phi, which becomes the new reference.  Both use one code path, so a
-cache's first evaluation equals :func:`induced_marginal` bit for bit.  The
-cache's call also returns ``log p``, the one place it is formed: a column
-whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass to underflow,
-so its ``log p_j`` is recomputed exactly as the logsumexp over rows of the
-coupling's log masses in that column; ``p_j`` itself is left as given,
-accurate in absolute terms and possibly 0.
+cache's first evaluation equals :func:`induced_marginal` bit for bit.  Only
+the identity link reads ``log p``, which :func:`_log_mass` forms from the
+pair: a column whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass
+to underflow, so its ``log p_j`` is recomputed exactly as the logsumexp over
+rows of the coupling's log masses in that column; ``p_j`` itself is left as
+given, accurate in absolute terms and possibly 0.
 """
 
 from __future__ import annotations
@@ -186,8 +186,7 @@ def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.nd
     """``(phi_plus, p)`` of the coupling induced by phi, from one exp pass.
 
     ``phi_plus`` equals :func:`plus_transform` bit for bit (the same
-    pass), and ``p`` is the pass's ``(a / s) @ E``.  The loops, which also
-    need ``log p``, evaluate through :class:`InducedCache`.
+    pass), and ``p`` is the pass's ``(a / s) @ E``.
     """
     phi = _check_finite(phi, "phi")
     return _absorb(phi, inst)[2:]
@@ -200,23 +199,22 @@ def _absorb(phi, inst):
 
 
 class InducedCache:
-    """Per-run evaluator of ``(phi_plus, p, log p)`` on a cached Gibbs matrix.
+    """Per-run evaluator of ``(phi_plus, p)`` on a cached Gibbs matrix.
 
     The first call, and any call farther than ``ABSORB_AT`` from the last
     absorption point, makes the exponential pass of :func:`induced_marginal`
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
-    to rounding, and ``log p`` is exact on columns below ``P_FLOOR``.
-    :meth:`marginal` returns the masses p alone under the same absorption
-    rule.  A cache belongs to one run: it is neither thread-safe nor meant
-    to be stored on the shared :class:`Instance`.
+    to rounding.  :meth:`marginal` returns the masses p alone under the
+    same absorption rule.  A cache belongs to one run: it is neither
+    thread-safe nor meant to be stored on the shared :class:`Instance`.
     """
 
     def __init__(self, inst: Instance):
         self._inst = inst
         self._e = self._rowmax = self._phi_ref = None
 
-    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = np.asarray(phi, dtype=np.float64)
         # a NaN or infinite entry fails the radius test, so a cached call has
         # a finite phi and only an absorption needs the check
@@ -228,15 +226,13 @@ class InducedCache:
             t = self._e @ v
             phi_plus = self._rowmax + np.log(t)
             p = v * ((self._inst.a / t) @ self._e)
-        return phi_plus, p, _log_mass(p, phi, phi_plus, self._inst)
+        return phi_plus, p
 
     def marginal(self, phi: np.ndarray) -> np.ndarray:
-        """Y-marginal masses p at phi, without their log or its floor.
+        """Y-marginal masses p at phi, without the transform.
 
-        An absorption returns ``(a / s) @ E`` of the exponential pass, a
-        cached call ``v * ((a / t) @ E)``.  This is the mirror flow's
-        right-hand side, so phi is not checked: a non-finite entry
-        propagates into p, where the flow reports it.
+        This is the mirror flow's right-hand side, so phi is not checked: a
+        non-finite entry propagates into p, where the flow reports it.
         """
         delta = self._delta(phi)
         if delta is None:
@@ -262,7 +258,7 @@ class InducedCache:
 
 
 def _log_mass(p, phi, phi_plus, inst):
-    """``log p``, with columns below ``P_FLOOR`` recomputed by the column logsumexp."""
+    """The identity link's ``log p``, with columns below ``P_FLOOR`` recomputed by the column logsumexp."""
     if p.min() >= P_FLOOR:
         return np.log(p)
     with np.errstate(divide="ignore"):

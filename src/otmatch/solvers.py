@@ -31,7 +31,7 @@ from .kernels import Gram
 from .logops import kl
 from .measures import Instance
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
-from .semidual import InducedCache, marginal_y, plus_transform
+from .semidual import InducedCache, _log_mass, marginal_y, plus_transform
 
 __all__ = [
     "METHODS",
@@ -74,18 +74,18 @@ class OracleError(RuntimeError):
 def link_correction(link: str, p, log_p, inst: Instance, gram: Gram | None = None) -> np.ndarray:
     """Correction ``log T(p) - log T(b)``; the matching update moves phi by ``-eta`` times it.
 
-    ``p`` and ``log p`` are the Y-marginal as an
-    :class:`~otmatch.semidual.InducedCache` call gives them.  Kinds:
+    ``p`` is the Y-marginal an :class:`~otmatch.semidual.InducedCache` call
+    gives, and ``log_p`` its log from ``semidual._log_mass``.  Kinds:
 
     * ``identity``: ``log p - log b`` (Sinkhorn direction), the one kind
-      that reads ``log p``, which the exact column fallback keeps finite,
+      that reads ``log_p``, which the exact column fallback keeps finite,
     * ``exp``: ``p - b`` (semi-dual gradient),
     * ``exp_kernel``: ``K (p - b)`` with K the Gram matrix ``gram`` (kernel-smoothed gradient),
     * ``chi_square``: ``(p - b) / b`` (weight-rescaled gradient, the projected
       methods' step); ``p - b`` is exact where p and b lie within a factor of 2
       (Sterbenz), so no leading digits cancel near convergence as in ``p / b - 1``.
 
-    The last three read ``p``, which may be 0 on an underflowed column.
+    The last three read ``p``, which may be 0 on an underflowed column, and not ``log_p``.
     """
     if link == "identity":
         return log_p - inst.log_b
@@ -329,7 +329,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     An auto step that underflows to 0.0 (the projected methods' 1/lambda
     once log lambda passes about 745) stops the run before its first
     update, at iteration 0.  All iterates are evaluated by one
-    :class:`~otmatch.semidual.InducedCache`.
+    :class:`~otmatch.semidual.InducedCache`; only the identity link forms ``log p``.
     """
     phi = np.zeros(inst.m) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
     if phi.shape != (inst.m,):
@@ -371,7 +371,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     it = 0
 
     while True:
-        phi_plus, p, lp = evaluate(phi)
+        phi_plus, p = evaluate(phi)
         resid = float(np.abs(b - p).sum())
         j_val = float(b @ phi - a @ phi_plus)
 
@@ -388,15 +388,16 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             if gram is not None:
                 d = p - b
                 mmd = 0.5 * float(d @ gram.matrix @ d)
-            trace.records.append(
-                TraceRecord(it, j_val, resid, mmd, kl(lp, log_b, p), time.perf_counter() - start)
-            )
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero mass adds 0 to kl_y
+                kl_y = kl(np.log(p), log_b, p)
+            trace.records.append(TraceRecord(it, j_val, resid, mmd, kl_y, time.perf_counter() - start))
         if final:
             break
 
         if spec.family == "sign":
             phi = _sign_update(phi, b - p, eta, anchor)
         elif spec.family != "proj_pp":
+            lp = _log_mass(p, phi, phi_plus, inst) if spec.link == "identity" else None
             phi = phi - eta * link_correction(spec.link, p, lp, inst, gram)
             if spec.family == "proj":
                 # the clamp is the exact L2(b) projection: the box is separable

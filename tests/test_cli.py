@@ -399,6 +399,47 @@ class TestAtomicWrite:
         assert list(target.iterdir()) == []
 
 
+WRITING_FLAGS = [
+    ("solve", "--trace"), ("solve", "--summary"), ("oracle", "--out"), ("verify", "--report"),
+    ("bridge", "--drift"), ("bridge", "--summary"), ("flow", "--trace"), ("flow", "--summary"),
+]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command,flag", WRITING_FLAGS, ids=[f"{c}{f}" for c, f in WRITING_FLAGS])
+    def test_is_one_error_line_and_exit_one(self, instance_file, tmp_path, capsys, command, flag, target):
+        args = {
+            "solve": ["--instance", str(instance_file), "--method", "sinkhorn", "--max-iter", "5"],
+            "oracle": ["--instance", str(instance_file)],
+            "verify": ["--only", "concavity"],
+            "bridge": ["--grid-points", "17", "--nt", "11", "--particles", "2000"],
+            "flow": ["--t-end", "0.05"],
+        }[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        # mkstemp finds no directory to write in, or os.replace cannot put a file over one
+        path = out / "missing" / "x" if target == "missing_dir" else out
+        assert main([command, *args, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and "Traceback" not in err and ".tmp" not in err, err
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert list(out.iterdir()) == []
+
+    def test_console_run_prints_no_traceback(self, instance_file, tmp_path):
+        pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        summary = tmp_path / "missing" / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "otmatch.cli", "solve", "--instance", str(instance_file),
+             "--method", "sinkhorn", "--max-iter", "5", "--summary", str(summary)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: [Errno 2] No such file or directory: '{summary}'\n", proc.stderr
+
+
 class TestOracle:
     def test_writes_potential(self, instance_file, tmp_path):
         out = tmp_path / "phi.json"

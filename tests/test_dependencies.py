@@ -118,6 +118,13 @@ def test_induced_cache_is_read_only_by_the_two_loops():
     assert readers == {"solvers.run", "mirrorflow.flow_run"}, sorted(readers)
 
 
+def test_log_p_is_formed_only_for_the_identity_link():
+    # every evaluator returns (phi_plus, p); the Sinkhorn update is the one
+    # reader of log p, so only run forms it, and only for the identity link
+    readers = set().union(*(_readers(p, "_log_mass") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.run"}, sorted(readers)
+
+
 def test_plus_transform_runs_only_where_no_cache_is_at_hand():
     # the loops read phi_plus from their InducedCache; a plus_transform
     # call inside a loop would be a second exponential pass beside the

@@ -56,6 +56,18 @@ class TestKl:
             assert kl(log([0.0, 1.0]), log([0.5, 0.5])) == pytest.approx(math.log(2))
             assert kl(log([[0.0, 0.5], [0.0, 0.5]]), log([[0.0, 0.25], [0.5, 0.25]])) == pytest.approx(math.log(2))
 
+    def test_given_masses_are_summed_over_the_live_terms(self):
+        # with a zero mass the retaken sum reads the masses it was given, not
+        # exp(log p), so its bits are those of the plain sum over p > 0
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            p, q = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
+            p[rng.integers(12)] = 0.0
+            lp, lq = log(p), log(q)
+            live = p > 0.0
+            with np.errstate(invalid="ignore"):
+                assert kl(lp, lq, p) == float(np.sum(p[live] * (lp[live] - lq[live])))
+
     def test_nonnegative_and_faithful(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

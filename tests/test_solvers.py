@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,9 +382,47 @@ class TestRunner:
             run(neg, SolverConfig(method=method, eta=1e-3, max_iter=3))
 
 
+class TestLogPOnlyForTheIdentityLink:
+    """Only the identity link reads log p, so only its runs take the exact
+    column fallback; every method's kl_y reads p."""
+
+    @pytest.mark.parametrize("method", ["sga", "ksga", "chi2", "sign_sga", "proj_sga", "proj_sga_pp"])
+    def test_other_links_never_take_the_column_fallback(self, method, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the column logsumexp ran for a link that reads p")
+
+        monkeypatch.setattr(semidual, "_log_marginal_cols", refuse)
+        inst = underflow_instance()
+        g = gram(KernelSpec("gaussian", 1.0), inst.nu.points) if method == "ksga" else None
+        # the projected methods' auto step underflows to 0.0 here; a given one iterates
+        eta = 0.5 if method.startswith("proj") else "auto"
+        res = run(inst, SolverConfig(method, eta=eta, max_iter=500, tol_l1=0.0, gram=g))
+        assert res.iterations == 500
+
+    @pytest.mark.parametrize("method", ["sinkhorn", "eta_sinkhorn"])
+    def test_identity_link_takes_it_at_iteration_zero(self, method):
+        inst = underflow_instance()
+        cols = mock.patch.object(semidual, "_log_marginal_cols", wraps=semidual._log_marginal_cols)
+        with cols as spy:
+            phi = one_step(method, np.zeros(inst.m), inst)
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(spy.call_args.args[3], [1])
+        assert np.all(np.isfinite(phi))
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_kl_y_is_finite_without_warnings(self, method):
+        inst = underflow_instance()
+        g = gram(KernelSpec("gaussian", 1.0), inst.nu.points) if method == "ksga" else None
+        eta = 0.5 if method.startswith("proj") else "auto"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(inst, SolverConfig(method, eta=eta, max_iter=500, tol_l1=1e-9, gram=g))
+        assert np.all(np.isfinite(res.trace.column("kl_y")))
+
+
 class _ReferenceCache:
-    """The cached evaluation as first written: every call checks phi, and
-    log p always takes the floor path."""
+    """The cached evaluation as first written: every call checks phi and
+    returns ``(phi_plus, p)``."""
 
     def __init__(self, inst):
         self.inst, self.e = inst, None
@@ -397,18 +437,18 @@ class _ReferenceCache:
                 v = np.exp(delta)
                 t = self.e @ v
                 phi_plus = self.rowmax + np.log(t)
-                p = v * ((inst.a / t) @ self.e)
-                return phi_plus, p, floor_path_log_mass(p, phi, phi_plus, inst)
+                return phi_plus, v * ((inst.a / t) @ self.e)
         self.e, self.rowmax, phi_plus, p = semidual._absorb(phi, inst)
         self.phi_ref = phi.copy()
-        return phi_plus, p, floor_path_log_mass(p, phi, phi_plus, inst)
+        return phi_plus, p
 
 
 def _reference_run(inst, cfg):
     """The runner's loop as first written, with each link's correction
-    written out and every ``inst`` attribute taken afresh each iteration.
-    Returns the trace CSV, the final phi, the iteration count and whether
-    the run converged."""
+    written out, log p taken by the floor path for the identity link only,
+    and every ``inst`` attribute taken afresh each iteration.  Returns the
+    trace CSV, the final phi, the iteration count and whether the run
+    converged."""
     spec = METHODS[cfg.method]
     phi = np.zeros(inst.m)
     B = default_bound(inst) if spec.family in ("proj", "proj_pp") else None
@@ -419,7 +459,7 @@ def _reference_run(inst, cfg):
     evaluate = _ReferenceCache(inst)
     lines, it = [",".join(TRACE_COLUMNS)], 0
     while True:
-        phi_plus, p, lp = evaluate(phi)
+        phi_plus, p = evaluate(phi)
         resid = float(np.abs(inst.b - p).sum())
         j_val = float(inst.b @ phi - inst.a @ phi_plus)
         converged = resid <= cfg.tol_l1
@@ -429,13 +469,14 @@ def _reference_run(inst, cfg):
             if cfg.gram is not None:
                 d = p - inst.b
                 mmd = repr(0.5 * float(d @ cfg.gram.matrix @ d))
-            kl_y = float(np.sum(p * (lp - inst.log_b)))
+            live = p > 0.0  # 0 log 0 = 0
+            kl_y = float(np.sum(p[live] * (np.log(p[live]) - inst.log_b[live])))
             lines.append(f"{it},{j_val!r},{resid!r},{mmd},{kl_y!r},")
         if final:
             break
         if spec.family == "match":
             correction = {
-                "identity": lambda: lp - inst.log_b,
+                "identity": lambda: floor_path_log_mass(p, phi, phi_plus, inst) - inst.log_b,
                 "exp": lambda: p - inst.b,
                 "exp_kernel": lambda: cfg.gram.matrix @ (p - inst.b),
                 "chi_square": lambda: (p - inst.b) / inst.b,

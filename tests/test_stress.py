@@ -126,8 +126,9 @@ class TestExtremeInstances:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_method_stays_finite(self, seed, n, m, epsilon):
-        # masses that underflow to 0 reach the links as p = 0 beside a finite
-        # log p, so no method may raise or produce a non-finite number
+        # masses that underflow to 0 reach the links as p = 0 (the identity
+        # link's log p stays finite), so no method may raise or produce a
+        # non-finite number, and kl_y counts a zero mass as 0 log 0 = 0
         inst = extreme_instance(np.random.default_rng(seed), n, m, epsilon)
         g = gram(KernelSpec("gaussian", 0.25), inst.nu.points)
         for method in METHODS:

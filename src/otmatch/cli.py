@@ -7,18 +7,19 @@ runs emitting their trace formats), ``validate`` (instance file check).
 
 Exit codes: 0 success/convergence, 2 no convergence (iteration budget
 exhausted, a step size that underflows to zero, a diverging ascent, a
-failed reference solve, a mirror flow that blows up or an array too large
-for memory; for ``verify``, a property that failed or was inconclusive),
-1 input or usage error, or an output path that cannot be written.
-Output files are written atomically (temp file + rename), and all
-randomness sits behind ``--seed``.  Wall times are measured but only
-written when ``--timings`` is passed, so a fixed invocation produces
-byte-identical files.
+failed reference solve, a mirror flow that turns non-finite or needs a step
+below its floor, or an array too large for memory; for ``verify``, a
+property that failed or was inconclusive), 1 input or usage error, or an
+output path that cannot be written.  A command writes all its output files
+or none, and all randomness sits behind ``--seed``.  Wall times are
+measured but only written when ``--timings`` is passed, so a fixed
+invocation produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -33,7 +34,7 @@ import numpy as np
 from . import bridge as bridge_mod
 from .kernels import gram, parse_kernel_spec
 from .measures import InstanceError, Instance, load_instance
-from .mirrorflow import FlowBlowupError, flow_run
+from .mirrorflow import MIN_STEP, FlowBlowupError, flow_run
 from .semidual import marginal_y
 from .solvers import (
     METHODS,
@@ -50,32 +51,35 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
+def _write_outputs(doc, doc_path, files=()) -> None:
+    """Write ``doc`` as JSON to ``doc_path`` (stdout without one) and each
+    ``(path, text)`` of ``files``, all or none: temp files beside the targets
+    replace them only once all are written, and a failure removes them."""
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    outputs = [*files, (doc_path, text)] if doc_path else list(files)
     # mkstemp creates the file 0600; give it the mode open() would
     umask = os.umask(0)
     os.umask(umask)
-    tmp = None
+    staged, target = [], None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
+        for target, body in outputs:
+            target = Path(target)
+            if target.is_dir():  # os.replace would fail on it after renaming the others
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(body)
+        for tmp, (target, _) in zip(staged, outputs):
+            os.replace(tmp, target)
     except BaseException as exc:
-        if tmp is not None:
-            os.unlink(tmp)
+        for tmp in staged:  # a renamed one is gone already
+            Path(tmp).unlink(missing_ok=True)
         if isinstance(exc, OSError):  # name the target, not the temp file
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            raise OSError(exc.errno, exc.strerror, str(target)) from exc
         raise
-
-
-def _emit(doc, path) -> None:
-    """Write ``doc`` as JSON to ``path`` atomically, or to stdout without one."""
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if path:
-        _atomic_write(path, text)
-    else:
+    if not doc_path:
         sys.stdout.write(text)
 
 
@@ -134,9 +138,8 @@ def cmd_solve(args) -> int:
             "(log λ above about 745); no update was made\n"
         )
     doc = _summary_doc(inst, result, args.method, repr(wall) if args.timings else None)
-    if args.trace:
-        _atomic_write(args.trace, result.trace.to_csv(include_timings=args.timings))
-    _emit(doc, args.summary)
+    trace = [(args.trace, result.trace.to_csv(include_timings=args.timings))] if args.trace else []
+    _write_outputs(doc, args.summary, trace)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -150,7 +153,7 @@ def cmd_oracle(args) -> int:
         "l1_residual": repr(residual),
         "phi": [repr(float(v)) for v in phi],
     }
-    _emit(doc, args.out)
+    _write_outputs(doc, args.out)
     return EXIT_OK
 
 
@@ -161,7 +164,7 @@ def cmd_verify(args) -> int:
         "properties": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(doc, args.report)
+    _write_outputs(doc, args.report)
     return EXIT_OK if doc["all_passed"] else EXIT_NO_CONVERGENCE
 
 
@@ -193,9 +196,7 @@ def cmd_bridge(args) -> int:
         "clamp_fraction": repr(float(sim.clamp_fraction)),
         "clamp_excessive": bool(sim.clamp_excessive),
     }
-    if args.drift:
-        _atomic_write(args.drift, field.to_csv())
-    _emit(doc, args.summary)
+    _write_outputs(doc, args.summary, [(args.drift, field.to_csv())] if args.drift else [])
     return EXIT_OK
 
 
@@ -225,9 +226,7 @@ def cmd_flow(args) -> int:
         "v_monotone": bool(res.v_increase_max <= res.slack),
         "rate_bound_holds": bool(res.rate_violation_max <= res.slack),
     }
-    if args.trace:
-        _atomic_write(args.trace, res.to_csv())
-    _emit(doc, args.summary)
+    _write_outputs(doc, args.summary, [(args.trace, res.to_csv())] if args.trace else [])
     return EXIT_OK
 
 
@@ -289,8 +288,10 @@ def _parser() -> argparse.ArgumentParser:
     fl.add_argument("--r", type=float, default=2.0)
     fl.add_argument("--t0", type=float, default=0.01)
     fl.add_argument("--t-end", type=float, default=50.0)
-    fl.add_argument("--dt", type=float, default=1e-3)
-    fl.add_argument("--record-every", type=int, default=50)
+    fl.add_argument("--dt", type=float, default=1e-3,
+                    help=f"first trial step of the error-controlled integrator; {MIN_STEP:g} of it is the smallest step")
+    fl.add_argument("--record-every", type=int, default=50,
+                    help="record the trace every record-every * dt time units, and at --t-end")
     fl.add_argument("--seed", type=int, default=42)
     fl.add_argument("--trace", default=None)
     fl.add_argument("--summary", default=None)

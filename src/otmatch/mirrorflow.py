@@ -23,24 +23,19 @@ system in 2m unknowns:
 
     q' = (r/t) (p(g) - q),      g' = -(t/r) (q - b),
 
-where ``p(g)`` is the Y-marginal of rho(g).  The classical 4th-order scheme
-is linear in the state, so integrating (q, g) gives the column sums of the
-(pi_hat, g) integration up to rounding.  It runs with a fixed step from a
-small positive start time (the r/t coefficient is singular at zero).
-
-The only nonlinearity is p(g), so every stage's g and the new (q, g) of a
-step are fixed scalar combinations of the rows (q, g, b, p1, p2, p3, p4),
-where p_i is the marginal at stage i.  The run computes these stage
-coefficients for a block of steps at once and then takes each step as
-three stage combinations, four evaluations of p and one combination for
-the new state.  p(g) comes from one :class:`~otmatch.semidual.InducedCache`:
-``v * ((a / (E @ v)) @ E)`` with ``v = exp(g - g_ref)`` on the Gibbs
-matrix ``E`` of a reference potential, re-absorbed once g moves farther
-than ``ABSORB_AT`` from it; the start's q and each record's g+ read it too.
+where ``p(g)`` is the Y-marginal of rho(g).  Runge-Kutta steps are linear
+in the stage fields, so integrating (q, g) gives the column sums of the
+(pi_hat, g) integration up to rounding.  The run starts at a small positive
+time (the r/t coefficient is singular at zero) and takes Dormand-Prince
+5(4) steps (J. Comput. Appl. Math. 6, 1980) under the standard error
+control of Hairer, Norsett and Wanner, *Solving ODEs I*, section II.4.
+p(g) comes from one :class:`~otmatch.semidual.InducedCache`, which the
+start's q and each record's g+ read too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,61 +48,46 @@ __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
 
 FLOW_COLUMNS = ("t", "Lk", "V")
 
+# A step is accepted when the root mean square of its error estimate, scaled
+# per entry by ATOL + RTOL * |state|, is at most 1: far below the checks'
+# 1e-8 slack.  A flow that needs a step below MIN_STEP * dt is stiff or
+# non-finite, and stops.
+RTOL = 1e-12
+ATOL = 1e-14
+MIN_STEP = 1e-6
+
 
 class FlowBlowupError(RuntimeError):
-    """The integrator produced a non-finite state."""
+    """The flow's state turned non-finite, or its step fell below ``MIN_STEP * dt``."""
 
 
-# Basis rows of the stage form: the state (q, g), the target b and the
-# marginals p1..p4 of the four stages.
-_Q, _G, _B, _P1, _P2, _P3, _P4 = np.eye(7)
+# Dormand-Prince 5(4): nodes, stage weights (row i weighs the fields of
+# stages 0..i-1; the last row is the 5th-order solution, so the last stage's
+# field is the next step's first) and the weights of the error estimate,
+# the 5th- minus the embedded 4th-order solution.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# step-size factors: safety, and the bounds on one change
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 10.0
 
 
-def _stage_coefficients(t, h, r):
-    """Classical RK4 tableau over the basis rows, for steps from times ``t`` of sizes ``h``.
-
-    Returns the rows of the stage potentials g2, g3, g4 (each (k, 7)) and of
-    the new q and the new g ((k, 2, 7)).  Once the stage marginals are fixed
-    the field is linear, so the textbook stages applied to basis rows are
-    exact.
-    """
-    t, h = t[:, None], h[:, None]
-
-    def field(s, q, p):
-        return (r / s) * (p - q), -(s / r) * (q - _B)
-
-    k1q, k1g = field(t, _Q, _P1)
-    k2q, k2g = field(t + h / 2, _Q + h / 2 * k1q, _P2)
-    g2 = _G + h / 2 * k1g
-    k3q, k3g = field(t + h / 2, _Q + h / 2 * k2q, _P3)
-    g3 = _G + h / 2 * k2g
-    k4q, k4g = field(t + h, _Q + h * k3q, _P4)
-    g4 = _G + h * k3g
-    q_new = _Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    g_new = _G + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    return g2, g3, g4, np.stack([q_new, g_new], axis=1)
-
-
-def _rk4_steps(t, q, g, hs, r, b, marginal):
-    """Classical 4-stage steps of sizes ``hs`` from (t, q, g); returns ``(t, q, g)``.
-
-    ``marginal(g)`` evaluates p(g).  Times advance by repeated addition of
-    the steps.
-    """
-    hs = np.asarray(hs, dtype=np.float64)
-    ts = np.add.accumulate(np.concatenate(([t], hs)))
-    g2, g3, g4, new = _stage_coefficients(ts[:-1], hs, r)
-    # zeros, not empty: the first stage's dot product reads the unwritten
-    # rows p2..p4 with coefficient 0, and 0 * NaN would poison the step
-    rows = np.zeros((7, q.size))
-    rows[0], rows[1], rows[2] = q, g, b
-    for c2, c3, c4, c_new in zip(g2, g3, g4, new):
-        rows[3] = marginal(rows[1])
-        rows[4] = marginal(c2.dot(rows))
-        rows[5] = marginal(c3.dot(rows))
-        rows[6] = marginal(c4.dot(rows))
-        rows[:2] = c_new.dot(rows)
-    return float(ts[-1]), rows[0].copy(), rows[1].copy()
+def _dp_step(t, y, f0, h, field):
+    """One Dormand-Prince step of size ``h`` from ``(t, y)``, where ``f0 = field(t, y)``:
+    the new state, its field (the next step's ``f0``) and the error estimate."""
+    k = np.empty((7, y.size))
+    k[0] = f0
+    for i, (c, a) in enumerate(zip(_C, _A), start=1):
+        y_new = y + h * (a @ k[:i])
+        k[i] = field(t + c * h, y_new)
+    return y_new, k[6], h * (_E @ k)
 
 
 @dataclass
@@ -144,9 +124,10 @@ def flow_run(
 ) -> FlowRunResult:
     """Integrate the flow from (q, g) = (p(phi0), phi0) on [t0, t_end].
 
-    Takes full steps of ``dt`` plus a short last one, records every
-    ``record_every``-th step plus the final one, and checks rate and
-    monotonicity.
+    ``dt`` is the first trial step.  Records fall at ``t0 + k * (record_every
+    * dt)`` below ``t_end`` and at ``t_end``; the run checks rate and
+    monotonicity on them.  Raises :class:`FlowBlowupError` when a record's
+    state is non-finite or a step would have to fall below ``MIN_STEP * dt``.
     """
     if not (np.isfinite(r) and r >= 2.0):
         raise ValueError(f"momentum parameter must be finite with r >= 2, got {r}")
@@ -163,48 +144,63 @@ def flow_run(
 
     cache = InducedCache(inst)
     t = float(t0)
-    g = phi0.copy()
-    g_plus, q = cache(g)
+    g_plus, q = cache(phi0)
+    y = np.concatenate((q, phi0))
     # the rate bound must hold with either order of the KL, so the smaller one binds
     d_init = min(
-        _induced_kl(inst, phi_star, star_plus, q_star, g, g_plus),
-        _induced_kl(inst, g, g_plus, q, phi_star, star_plus),
+        _induced_kl(inst, phi_star, star_plus, q_star, phi0, g_plus),
+        _induced_kl(inst, phi0, g_plus, q, phi_star, star_plus),
     )
 
-    n_full = int(np.floor((t_end - t0) / dt + 1e-12))
-    last = (t_end - t0) - n_full * dt
-    n_steps = n_full + (last > 1e-12 * dt)
-
+    span = record_every * dt
+    # the last record is t_end; a grid time within rounding of it is dropped
+    n_records = max(1, math.ceil((t_end - t0) / span - 1e-12))
     ts, lks, vs = [], [], []
 
     def record():
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
+        if not np.all(np.isfinite(y)):
             raise FlowBlowupError(f"non-finite state; last good time {ts[-1] if ts else t0}")
+        q, g = y[: inst.m], y[inst.m :]
         d = q - inst.b
         ts.append(t)
         lks.append(0.5 * float(d @ d))
         kl_g = _induced_kl(inst, phi_star, star_plus, q_star, g, cache(g)[0])
         vs.append((t**2 / r) * lks[-1] + r * kl_g)
 
+    def field(s, state):  # (q', g') at time s, end to end
+        q, g = state[: inst.m], state[inst.m :]
+        return np.concatenate(((r / s) * (cache.marginal(g) - q), (s / r) * (inst.b - q)))
+
     record()
-    # a state that overflows is caught by record(), which raises FlowBlowupError
+    h, h_min = float(dt), MIN_STEP * dt
+    # a state that overflows fails the error test or record(), and both stop the run
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, record_every):
-            hs = np.full(min(record_every, n_steps - start), dt)
-            if start + hs.size > n_full:
-                hs[-1] = last
-            t, q, g = _rk4_steps(t, q, g, hs, r, inst.b, cache.marginal)
+        f = field(t, y)
+        for k in range(1, n_records + 1):
+            t_rec = t0 + k * span if k < n_records else t_end
+            while t < t_rec:
+                land = t + 1.01 * h >= t_rec  # no sliver of a step before the record
+                step = t_rec - t if land else h
+                y_new, f_new, est = _dp_step(t, y, f, step, field)
+                scale = ATOL + RTOL * np.maximum(abs(y), abs(y_new))
+                err = float(np.sqrt(np.mean((est / scale) ** 2)))
+                # a NaN or infinite estimate fails the test and shrinks the step most
+                fac = _SAFETY * max(err, 1e-10) ** -0.2 if err < math.inf else 0.0
+                h = step * min(_FAC_MAX, max(_FAC_MIN, fac))
+                if err <= 1.0:
+                    t = t_rec if land else t + step
+                    y, f = y_new, f_new
+                elif h < h_min:
+                    raise FlowBlowupError(
+                        f"step size fell below {h_min!r} at t={t!r}; the flow is stiff or its state is not finite"
+                    )
             record()
 
-    ts_a = np.array(ts)
-    lks_a = np.array(lks)
-    vs_a = np.array(vs)
-    v_inc = float(np.max(np.diff(vs_a))) if len(vs_a) > 1 else 0.0
-    viol = float(np.max(lks_a - (r**2 / ts_a**2) * d_init))
+    ts, lks, vs = np.array(ts), np.array(lks), np.array(vs)
     return FlowRunResult(
-        ts=ts_a,
-        lks=lks_a,
-        vs=vs_a,
-        v_increase_max=v_inc,
-        rate_violation_max=viol,
+        ts=ts,
+        lks=lks,
+        vs=vs,
+        v_increase_max=float(np.max(np.diff(vs))),
+        rate_violation_max=float(np.max(lks - (r**2 / ts**2) * d_init)),
     )

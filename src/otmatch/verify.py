@@ -458,8 +458,8 @@ def check_acc_rate(inst: Instance, iters: int) -> CheckResult:
 def check_flow(
     inst: Instance, r: float, t_end: float, record_every: int, phi_star: np.ndarray | None = None
 ) -> CheckResult:
-    """Mirror flow from phi = 0 on [0.01, t_end], step 1e-3: V never rises and
-    Lk <= (r^2/t^2) KL with either order of the KL, up to the run's slack."""
+    """Mirror flow from phi = 0 on [0.01, t_end], first trial step 1e-3: V never rises
+    and Lk <= (r^2/t^2) KL with either order of the KL, up to the run's slack."""
     res = flow_run(
         inst, np.zeros(inst.m), r=r, t0=0.01, t_end=t_end, dt=1e-3,
         record_every=record_every, phi_star=phi_star,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from otmatch import cli, verify
-from otmatch.cli import METHODS, _atomic_write, _digest, main
+from otmatch.cli import METHODS, _digest, _write_outputs, main
 from otmatch.measures import DiscreteMeasure, Instance, load_instance
 from otmatch.semidual import semidual_value
 from otmatch.kernels import gram, parse_kernel_spec
@@ -382,19 +383,20 @@ class TestDigest:
 class TestAtomicWrite:
     def test_writes_beside_a_directory_named_like_the_old_temp_file(self, tmp_path):
         (tmp_path / "out.json.tmp").mkdir()
-        _atomic_write(tmp_path / "out.json", "payload\n")
-        assert (tmp_path / "out.json").read_text() == "payload\n"
+        _write_outputs({"x": 1}, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_text() == '{\n "x": 1\n}\n'
 
     def test_mode_matches_a_plain_write(self, tmp_path):
         (tmp_path / "plain.txt").write_text("x")
-        _atomic_write(tmp_path / "atomic.txt", "x")
-        assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        _write_outputs({}, tmp_path / "atomic.json", [(tmp_path / "atomic.txt", "x")])
+        for name in ("atomic.txt", "atomic.json"):
+            assert (tmp_path / name).stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
         target.mkdir()  # os.replace cannot put a file over a directory
         with pytest.raises(OSError):
-            _atomic_write(target, "payload")
+            _write_outputs({}, target)
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
 
@@ -426,6 +428,33 @@ class TestUnwritableOutput:
         assert str(path) in err and "Traceback" not in err and ".tmp" not in err, err
         assert not list(tmp_path.rglob("*.tmp"))
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command,flag", [("solve", "--trace"), ("flow", "--trace"), ("bridge", "--drift")])
+    def test_an_unwritable_summary_writes_no_other_file(
+        self, instance_file, tmp_path, capsys, command, flag, target, existing
+    ):
+        args = {
+            "solve": ["--instance", str(instance_file), "--method", "sinkhorn", "--max-iter", "5"],
+            "bridge": ["--grid-points", "17", "--nt", "11", "--particles", "2000"],
+            "flow": ["--t-end", "0.05"],
+        }[command]
+        other = tmp_path / "other.csv"
+        if existing:
+            other.write_bytes(b"earlier bytes\n")
+        summary = tmp_path / "missing" / "s.json"
+        if target == "directory":
+            summary = tmp_path / "s.json"
+            summary.mkdir()
+        assert main([command, *args, flag, str(other), "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(summary) in err, err
+        assert not list(tmp_path.rglob("*.tmp"))
+        if existing:
+            assert other.read_bytes() == b"earlier bytes\n"
+        else:
+            assert not other.exists()
 
     def test_console_run_prints_no_traceback(self, instance_file, tmp_path):
         pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
@@ -560,11 +589,15 @@ class TestFlowCommand:
     # the state must be caught by the flow's own check, not by a warning
     @pytest.mark.filterwarnings("error")
     def test_blowup_is_exit_two(self, tmp_path, capsys):
+        # r/t = 2e6: an explicit step must stay below about 2e-6, which is
+        # under the floor 1e-6 * dt, so the run stops within a few steps
         summary = tmp_path / "s.json"
+        start = time.perf_counter()
         code = main(["flow", "--t0", "0.5", "--dt", "2", "--r", "1e6", "--t-end", "50", "--summary", str(summary)])
+        assert time.perf_counter() - start <= 2.0
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite state") and err.count("\n") == 1, err
+        assert err.startswith("error: step size fell below 2e-06") and err.count("\n") == 1, err
         assert not summary.exists()
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from otmatch import semidual
 from otmatch.logops import kl
-from otmatch.mirrorflow import _rk4_steps, flow_run
+from otmatch.mirrorflow import FlowBlowupError, _dp_step, flow_run
 from otmatch.semidual import InducedCache, coupling, log_reference
+from otmatch.solvers import oracle_solve
 from otmatch.verify import random_instance
 
 from conftest import zero_cost_instance
@@ -20,10 +21,19 @@ def _q(phi, inst):
     return np.exp(coupling(phi, inst).log_masses).sum(axis=0)
 
 
-def _rk4_step(t, q, g, h, inst, r, cache):
-    """One step of the flow's integrator; returns the new (q, g)."""
-    _, q, g = _rk4_steps(t, q, g, [h], r, inst.b, cache.marginal)
-    return q, g
+def _dp_steps(t, q, g, h, n, inst, r):
+    """``n`` Dormand-Prince steps of size ``h`` from (t, q, g) on the closed
+    flow; returns the new (q, g) and the error estimate of the last step."""
+    marginal = InducedCache(inst).marginal
+
+    def field(s, y):
+        q, g = y[: inst.m], y[inst.m :]
+        return np.concatenate(((r / s) * (marginal(g) - q), -(s / r) * (q - inst.b)))
+
+    y = np.concatenate((q, g))
+    for k in range(n):
+        y, _, est = _dp_step(t + k * h, y, field(t + k * h, y), h, field)
+    return y[: inst.m], y[inst.m :], est
 
 
 class TestFlowInit:
@@ -54,37 +64,30 @@ class TestFlowStep:
     def test_fixed_point_is_stationary(self, inst, oracle_cache):
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
         q = _q(phi_star, inst)
-        q1, g1 = _rk4_step(1.0, q, phi_star, 1e-3, inst, 2.0, InducedCache(inst))
+        q1, g1, _ = _dp_steps(1.0, q, phi_star, 1e-3, 1, inst, 2.0)
         assert np.max(np.abs(q1 - q)) <= 1e-12
         assert np.max(np.abs(g1 - phi_star)) <= 1e-12
 
-    def test_fourth_order_convergence(self, inst):
-        # integrate a fixed window at dt and dt/2; global error should drop ~16x
-        def integrate(dt):
-            t, q, g, cache = 0.2, _q(np.zeros(inst.m), inst), np.zeros(inst.m), InducedCache(inst)
-            while t < 0.7 - 1e-12:
-                q, g = _rk4_step(t, q, g, dt, inst, 2.0, cache)
-                t += dt
-            return q
+    def test_fifth_order_convergence(self, inst):
+        # away from the r/t singularity, halving h divides the error of the
+        # 5th-order solution over a fixed window by ~32, and the embedded
+        # error estimate of one step (5th minus 4th order, O(h^5)) by ~32 too
+        q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
 
-        ref = integrate(0.5e-3)
-        err1 = np.max(np.abs(integrate(0.02) - ref))
-        err2 = np.max(np.abs(integrate(0.01) - ref))
-        assert 10.0 <= err1 / err2 <= 24.0
+        def integrate(h):
+            return _dp_steps(2.0, q, g, h, round(4.0 / h), inst, 2.0)[0]
+
+        ref = integrate(0.02)
+        err1 = np.max(np.abs(integrate(0.2) - ref))
+        err2 = np.max(np.abs(integrate(0.1) - ref))
+        assert 26.0 <= err1 / err2 <= 40.0
+        est1, est2 = (np.max(np.abs(_dp_steps(2.0, q, g, h, 1, inst, 2.0)[2])) for h in (0.4, 0.2))
+        assert 26.0 <= est1 / est2 <= 40.0
 
     def test_mass_conserved_over_many_steps(self, inst):
         q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
-        _, q, g = _rk4_steps(0.01, q, g, np.full(10_000, 1e-3), 2.0, inst.b, InducedCache(inst).marginal)
+        q, g, _ = _dp_steps(0.01, q, g, 5e-3, 2_000, inst, 2.0)
         assert abs(q.sum() - 1.0) <= 1e-10
-
-    def test_stale_buffer_memory_never_enters_a_step(self, inst, monkeypatch):
-        # a fresh buffer may hold NaN bits; the stage rows not yet written
-        # enter the first dot product with coefficient 0, and 0 * NaN = NaN
-        real_full = np.full
-        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: real_full(shape, np.nan, dtype))
-        q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
-        _, q, g = _rk4_steps(0.01, q, g, np.full(3, 1e-3), 2.0, inst.b, InducedCache(inst).marginal)
-        assert np.all(np.isfinite(q)) and np.all(np.isfinite(g))
 
     def test_parameter_validation(self, inst):
         with pytest.raises(ValueError):
@@ -187,18 +190,20 @@ class TestFlowRun:
             flow_run(inst, np.zeros(inst.m), **args)
 
     def test_matches_full_coupling_integration(self, inst, oracle_cache):
-        # reference: RK4 on the full (pi_hat, g) state; the closed (q, g)
-        # flow must give the Lk of its column sums.  Binary t0 and dt keep
-        # both time grids exact.
+        # reference: textbook RK4 on the full (pi_hat, g) state at a step of
+        # 2^-11; the closed (q, g) flow must give the Lk of its column sums.
+        # RK4's error here is about 6e-15 (a sixteenth of its 9e-14 at
+        # 2^-10) and the flow's about 1e-15, so atol 2e-14 covers both.
+        # Binary t0 and steps keep both time grids exact.
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
-        r, t0, dt, n = 2.0, 2.0**-7, 2.0**-10, 500
+        r, t0, dt, n = 2.0, 2.0**-7, 2.0**-11, 1000
         phi0 = np.random.default_rng(66).normal(0, 0.5, inst.m)
 
         def rhs(t, ph, g):
             return (r / t) * (np.exp(coupling(g, inst).log_masses) - ph), -(t / r) * (ph.sum(axis=0) - inst.b)
 
         t, ph, g, lks = t0, np.exp(coupling(phi0, inst).log_masses), phi0.copy(), []
-        for _ in range(n):
+        for k in range(1, n + 1):
             k1 = rhs(t, ph, g)
             k2 = rhs(t + dt / 2, ph + dt / 2 * k1[0], g + dt / 2 * k1[1])
             k3 = rhs(t + dt / 2, ph + dt / 2 * k2[0], g + dt / 2 * k2[1])
@@ -206,18 +211,21 @@ class TestFlowRun:
             ph = ph + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             g = g + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             t += dt
-            lks.append(0.5 * float(np.sum((ph.sum(axis=0) - inst.b) ** 2)))
-        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=dt, record_every=1, phi_star=phi_star)
-        assert len(res.lks) == n + 1
+            if k % 2 == 0:
+                lks.append(0.5 * float(np.sum((ph.sum(axis=0) - inst.b) ** 2)))
+        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=2 * dt, record_every=1, phi_star=phi_star)
+        assert len(res.lks) == n // 2 + 1
         assert max(lks) > 1e-4
-        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=2e-14)
 
     def test_matches_textbook_rk4_on_the_coupling_marginal(self, inst, oracle_cache):
-        # reference: the classical stages written out on (q, g), with p(g)
-        # summed from the induced coupling; the stage-coefficient form on
-        # the cached Gibbs matrix must follow it step by step
+        # reference: the classical stages written out on (q, g) at a step of
+        # 2^-11, with p(g) summed from the induced coupling.  RK4's error
+        # here is about 5e-15 (a fifteenth of its distance to a 2^-10 run);
+        # the flow's is about 2e-14 in Lk (RTOL times Lk's scale), so atol
+        # 5e-14 covers both, on Lk and on V.
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
-        r, t0, dt, n = 3.0, 2.0**-7, 2.0**-10, 2000
+        r, t0, dt, n = 3.0, 2.0**-7, 2.0**-11, 2000
         phi0 = np.random.default_rng(67).normal(0, 0.5, inst.m)
         lps = coupling(phi_star, inst).log_masses
 
@@ -233,14 +241,45 @@ class TestFlowRun:
             q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             g = g + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             t += dt
-            if k % 10 == 0:
+            if k % 20 == 0:
                 lks.append(0.5 * float(np.sum((q - inst.b) ** 2)))
                 vs.append(t**2 / r * lks[-1] + r * kl(lps, coupling(g, inst).log_masses))
-        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=dt, record_every=10, phi_star=phi_star)
-        assert len(res.lks) == n // 10 + 1
+        res = flow_run(inst, phi0, r=r, t0=t0, t_end=t0 + n * dt, dt=2 * dt, record_every=10, phi_star=phi_star)
+        assert len(res.lks) == n // 20 + 1
         assert max(lks) > 1e-4
-        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.vs[1:], vs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.lks[1:], lks, rtol=0, atol=5e-14)
+        np.testing.assert_allclose(res.vs[1:], vs, rtol=0, atol=5e-14)
+
+    def test_records_fall_on_the_record_grid_and_t_end(self, inst, oracle_cache):
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        t0, dt, every, t_end = 0.01, 1e-3, 7, 0.5
+        res = flow_run(inst, np.zeros(inst.m), r=2.0, t0=t0, t_end=t_end, dt=dt, record_every=every, phi_star=phi_star)
+        k = len(res.ts) - 1
+        assert k == 70  # 0.49 / 0.007: grid times up to 0.483, then t_end
+        assert res.ts.tolist() == [t0 + i * (every * dt) for i in range(k)] + [t_end]
+
+    def test_criterion_sized_run_makes_few_evaluations(self, monkeypatch):
+        # criterion 09's instance and horizon: a step of 1e-3 would take
+        # 49,990 steps of four evaluations each
+        inst = random_instance(np.random.default_rng([42, 9]), 16, 16, 0.5)
+        phi_star = oracle_solve(inst)
+        calls = []
+        marginal = InducedCache.marginal
+        monkeypatch.setattr(InducedCache, "marginal", lambda self, g: calls.append(1) or marginal(self, g))
+        res = flow_run(inst, np.zeros(inst.m), r=2.0, t_end=50.0, record_every=50, phi_star=phi_star)
+        assert len(calls) <= 10_000
+        assert res.v_increase_max <= res.slack and res.rate_violation_max <= res.slack
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_field_stops_at_the_step_floor(self, inst, oracle_cache, monkeypatch):
+        # every NaN error estimate is a rejection that shrinks the step by 5,
+        # so the run stops after the few rejections that reach MIN_STEP * dt
+        phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
+        calls = []
+        monkeypatch.setattr(InducedCache, "marginal", lambda self, g: calls.append(1) or np.full(g.shape, np.nan))
+        with pytest.raises(FlowBlowupError, match="step size fell below"):
+            flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.01, t_end=50.0, dt=1e-3, phi_star=phi_star)
+        assert len(calls) <= 6 * 10
 
     def test_reabsorbing_often_changes_nothing(self, inst, oracle_cache, monkeypatch):
         # a small radius makes the cache re-absorb every few steps; each

@@ -6,14 +6,15 @@ property suite, machine-readable report), ``bridge`` and ``flow`` (demo
 runs emitting their trace formats), ``validate`` (instance file check).
 
 Exit codes: 0 success/convergence, 2 no convergence (iteration budget
-exhausted, a step size that underflows to zero, a diverging ascent, a
-failed reference solve, a mirror flow that turns non-finite or needs a step
-below its floor, or an array too large for memory; for ``verify``, a
-property that failed or was inconclusive), 1 input or usage error, or an
-output path that cannot be written.  A command writes all its output files
-or none, and all randomness sits behind ``--seed``.  Wall times are
-measured but only written when ``--timings`` is passed, so a fixed
-invocation produces byte-identical files.
+exhausted, a step size that underflows to zero, a diverging ascent, an
+iterate that turns non-finite, a failed reference solve, a mirror flow that
+turns non-finite or stiff or needs a step below its floor, or an array too
+large for memory; for ``verify``, a property that failed or was
+inconclusive), 1 input or usage error, or an output path that cannot be
+written.  A command writes all its output files or none, and all
+randomness sits behind ``--seed``.  Wall times are measured but only
+written when ``--timings`` is passed, so a fixed invocation produces
+byte-identical files.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ MIN_STEP = 1e-6
 
 
 class FlowBlowupError(RuntimeError):
-    """The flow's state turned non-finite, or its step fell below ``MIN_STEP * dt``."""
+    """The flow's state turned non-finite, its step fell below ``MIN_STEP * dt``, or it turned stiff."""
 
 
 # Dormand-Prince 5(4): nodes, stage weights (row i weighs the fields of
@@ -77,17 +77,25 @@ _A = (
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # step-size factors: safety, and the bounds on one change
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 10.0
+# DOPRI5's stiffness test (Hairer and Wanner, *Solving ODEs II*, section IV.2):
+# 15 accepted steps with h*lambda beyond the stability boundary 3.25 stop the
+# flow; 6 steps within it reset the count
+_STIFF_HLAMBDA, _STIFF_STEPS, _CALM_STEPS = 3.25, 15, 6
 
 
 def _dp_step(t, y, f0, h, field):
     """One Dormand-Prince step of size ``h`` from ``(t, y)``, where ``f0 = field(t, y)``:
-    the new state, its field (the next step's ``f0``) and the error estimate."""
+    the new state, its field (the next step's ``f0``), the error estimate and
+    the stiffness estimate ``h*lambda = h |k7 - k6| / |y_new - y6|`` from the
+    6th stage, which shares the new state's time."""
     k = np.empty((7, y.size))
     k[0] = f0
+    y_new = y
     for i, (c, a) in enumerate(zip(_C, _A), start=1):
-        y_new = y + h * (a @ k[:i])
+        y6, y_new = y_new, y + h * (a @ k[:i])
         k[i] = field(t + c * h, y_new)
-    return y_new, k[6], h * (_E @ k)
+    den = np.linalg.norm(y_new - y6)
+    return y_new, k[6], h * (_E @ k), h * np.linalg.norm(k[6] - k[5]) / den if den > 0.0 else 0.0
 
 
 @dataclass
@@ -127,7 +135,8 @@ def flow_run(
     ``dt`` is the first trial step.  Records fall at ``t0 + k * (record_every
     * dt)`` below ``t_end`` and at ``t_end``; the run checks rate and
     monotonicity on them.  Raises :class:`FlowBlowupError` when a record's
-    state is non-finite or a step would have to fall below ``MIN_STEP * dt``.
+    state is non-finite, a step would have to fall below ``MIN_STEP * dt``
+    or the flow turns stiff.
     """
     if not (np.isfinite(r) and r >= 2.0):
         raise ValueError(f"momentum parameter must be finite with r >= 2, got {r}")
@@ -137,7 +146,18 @@ def flow_run(
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    span = record_every * dt
+    # the last record is t_end; a grid time within rounding of it is dropped.
+    # In Python floats an overflowing count is inf without a numpy warning
+    n_grid = float(t_end - t0) / float(span) - 1e-12
+    if n_grid == math.inf:
+        raise ValueError(f"record grid too fine to count: (t_end - t0) / (record_every * dt) = {n_grid}")
+    n_records = max(1, math.ceil(n_grid))
     phi0 = np.asarray(phi0, dtype=np.float64)
+    if phi0.shape != (inst.m,):
+        raise ValueError(f"phi0 has shape {phi0.shape}, expected ({inst.m},)")
+    if not np.all(np.isfinite(phi0)):
+        raise ValueError("phi0 must be finite")
     if phi_star is None:
         phi_star = oracle_solve(inst)
     star_plus, q_star = induced_marginal(phi_star, inst)
@@ -152,9 +172,6 @@ def flow_run(
         _induced_kl(inst, phi0, g_plus, q, phi_star, star_plus),
     )
 
-    span = record_every * dt
-    # the last record is t_end; a grid time within rounding of it is dropped
-    n_records = max(1, math.ceil((t_end - t0) / span - 1e-12))
     ts, lks, vs = [], [], []
 
     def record():
@@ -173,6 +190,7 @@ def flow_run(
 
     record()
     h, h_min = float(dt), MIN_STEP * dt
+    stiff = calm = 0
     # a state that overflows fails the error test or record(), and both stop the run
     with np.errstate(over="ignore", invalid="ignore"):
         f = field(t, y)
@@ -181,7 +199,7 @@ def flow_run(
             while t < t_rec:
                 land = t + 1.01 * h >= t_rec  # no sliver of a step before the record
                 step = t_rec - t if land else h
-                y_new, f_new, est = _dp_step(t, y, f, step, field)
+                y_new, f_new, est, h_lambda = _dp_step(t, y, f, step, field)
                 scale = ATOL + RTOL * np.maximum(abs(y), abs(y_new))
                 err = float(np.sqrt(np.mean((est / scale) ** 2)))
                 # a NaN or infinite estimate fails the test and shrinks the step most
@@ -190,6 +208,16 @@ def flow_run(
                 if err <= 1.0:
                     t = t_rec if land else t + step
                     y, f = y_new, f_new
+                    if h_lambda > _STIFF_HLAMBDA:
+                        stiff, calm = stiff + 1, 0
+                        if stiff == _STIFF_STEPS:
+                            raise FlowBlowupError(
+                                f"the flow is stiff at t={t!r}: h*lambda > {_STIFF_HLAMBDA} on {stiff} steps"
+                            )
+                    else:
+                        calm += 1
+                        if calm == _CALM_STEPS:
+                            stiff = 0
                 elif h < h_min:
                     raise FlowBlowupError(
                         f"step size fell below {h_min!r} at t={t!r}; the flow is stiff or its state is not finite"

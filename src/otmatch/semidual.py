@@ -35,7 +35,11 @@ give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
 ``p = v * ((a / t) @ E)``.  A potential farther out is absorbed: the old
 ``E`` is dropped and the exponential pass of :func:`induced_marginal` runs
 at phi, which becomes the new reference.  Both use one code path, so a
-cache's first evaluation equals :func:`induced_marginal` bit for bit.  Only
+cache's first evaluation equals :func:`induced_marginal` bit for bit.  A
+potential is checked once, where it enters: :func:`induced_marginal` (which
+:func:`plus_transform`, the objective and the coupling read) rejects a
+non-finite phi, and a cache checks nothing, because its two loops check
+their start and see a non-finite iterate in the objective or state.  Only
 the identity link reads ``log p``, which :func:`_log_mass` forms from the
 pair: a column whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass
 to underflow, so its ``log p_j`` is recomputed exactly as the logsumexp over
@@ -87,13 +91,6 @@ ABSORB_AT = 30.0
 P_FLOOR = 1e-280 * float(np.exp(2.0 * ABSORB_AT))
 
 
-def _check_finite(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite everywhere")
-    return v
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Joint mass matrix over the product of the two supports.
@@ -126,14 +123,12 @@ def plus_transform(phi: np.ndarray, inst: Instance) -> np.ndarray:
     """Soft-max transform sending a Y-potential to an X-potential.
 
     Component i is ``logsumexp_j(log b_j + phi_j - C_ij / eps)``, computed
-    as ``log s + rowmax`` of the exponential pass :func:`_row_pass`.  This
-    is the partial maximizer of the two-potential dual objective in its
-    first argument, which is what makes the semi-dual a function of phi
-    alone.
+    as ``log s + rowmax`` of the exponential pass of :func:`induced_marginal`,
+    which also checks phi.  This is the partial maximizer of the
+    two-potential dual objective in its first argument, which is what makes
+    the semi-dual a function of phi alone.
     """
-    phi = _check_finite(phi, "phi")
-    _, s, rowmax = _row_pass(phi, inst)
-    return np.log(s) + rowmax
+    return induced_marginal(phi, inst)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,6 @@ def semidual_value(phi: np.ndarray, inst: Instance) -> float:
     Concave, and invariant to adding a constant to phi (the transform
     absorbs the shift).
     """
-    phi = _check_finite(phi, "phi")
     return float(inst.b @ phi - inst.a @ plus_transform(phi, inst))
 
 
@@ -185,10 +179,13 @@ def _row_pass(phi: np.ndarray, inst: Instance):
 def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """``(phi_plus, p)`` of the coupling induced by phi, from one exp pass.
 
-    ``phi_plus`` equals :func:`plus_transform` bit for bit (the same
-    pass), and ``p`` is the pass's ``(a / s) @ E``.
+    ``phi_plus`` is what :func:`plus_transform` returns, and ``p`` is the
+    pass's ``(a / s) @ E``.  phi enters the semi-dual calculus here, so this
+    is where it is checked: it must be finite everywhere.
     """
-    phi = _check_finite(phi, "phi")
+    phi = np.asarray(phi, dtype=np.float64)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi must be finite everywhere")
     return _absorb(phi, inst)[2:]
 
 
@@ -206,8 +203,11 @@ class InducedCache:
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
     to rounding.  :meth:`marginal` returns the masses p alone under the
-    same absorption rule.  A cache belongs to one run: it is neither
-    thread-safe nor meant to be stored on the shared :class:`Instance`.
+    same absorption rule.  Neither checks phi: its loop checks the start, and
+    a NaN or infinite entry fails the radius test, so the absorbing pass
+    carries it into ``(phi_plus, p)``, where the loop reports it.  A cache
+    belongs to one run: it is neither thread-safe nor meant to be stored on
+    the shared :class:`Instance`.
     """
 
     def __init__(self, inst: Instance):
@@ -215,25 +215,15 @@ class InducedCache:
         self._e = self._rowmax = self._phi_ref = None
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi = np.asarray(phi, dtype=np.float64)
-        # a NaN or infinite entry fails the radius test, so a cached call has
-        # a finite phi and only an absorption needs the check
         delta = self._delta(phi)
         if delta is None:
-            phi_plus, p = self._absorb(_check_finite(phi, "phi"))
-        else:
-            v = np.exp(delta)
-            t = self._e @ v
-            phi_plus = self._rowmax + np.log(t)
-            p = v * ((self._inst.a / t) @ self._e)
-        return phi_plus, p
+            return self._absorb(phi)
+        v = np.exp(delta)
+        t = self._e @ v
+        return self._rowmax + np.log(t), v * ((self._inst.a / t) @ self._e)
 
     def marginal(self, phi: np.ndarray) -> np.ndarray:
-        """Y-marginal masses p at phi, without the transform.
-
-        This is the mirror flow's right-hand side, so phi is not checked: a
-        non-finite entry propagates into p, where the flow reports it.
-        """
+        """Y-marginal masses p at phi, without the transform (the mirror flow's right-hand side)."""
         delta = self._delta(phi)
         if delta is None:
             return self._absorb(phi)[1]
@@ -290,7 +280,6 @@ def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
     Row sums equal the first marginal's weights by construction: the
     transform in the exponent is exactly the row log-normalizer.
     """
-    phi = _check_finite(phi, "phi")
     return Coupling(log_masses=_log_coupling(phi, plus_transform(phi, inst), inst))
 
 

@@ -58,9 +58,11 @@ ORACLE_MAX_ITER = 500_000  # updates one oracle_solve call may spend, over all i
 # genuine bug, not rounding noise
 DIVERGENCE_GUARD = 1e-6
 
+TINY = float(np.finfo(np.float64).smallest_subnormal)  # log max(p, TINY) is finite: a zero mass adds 0 to kl_y
+
 
 class DivergenceError(RuntimeError):
-    """An ascent method decreased the objective beyond rounding noise."""
+    """An ascent method decreased the objective beyond rounding noise, or an iterate's objective is not finite."""
 
 
 class OracleError(RuntimeError):
@@ -323,13 +325,16 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     Records every ``record_every``-th iteration plus the final one.  The
     residual is ``sum_j |b_j - p_j|`` for the current iterate (for the
     accelerated method, the projected point, which is what its guarantee
-    speaks about).  Methods with a proven ascent property abort with
-    :class:`DivergenceError` if the objective drops by more than 1e-6.
-    The projected methods clamp the chi-square matching step into [-B, B].
-    An auto step that underflows to 0.0 (the projected methods' 1/lambda
-    once log lambda passes about 745) stops the run before its first
-    update, at iteration 0.  All iterates are evaluated by one
-    :class:`~otmatch.semidual.InducedCache`; only the identity link forms ``log p``.
+    speaks about).  Every method but sign_sga takes the matching step through
+    its link, clamped into [-B, B] for the projected methods and taken at the
+    extrapolated point for the accelerated one.  Methods with a proven ascent
+    property abort with :class:`DivergenceError` if the objective drops by
+    more than 1e-6, and every method does if it is not finite: only phi0 is
+    checked, so that is how a NaN or infinite iterate shows.  An auto step
+    that underflows to 0.0 (the projected methods' 1/lambda once log lambda
+    passes about 745) stops the run before its first update, at iteration 0.
+    All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
+    only the identity link forms ``log p``.
     """
     phi = np.zeros(inst.m) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
     if phi.shape != (inst.m,):
@@ -358,10 +363,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     gram = cfg.gram
     guard = spec.guard(eta, auto)
     a, b, log_b = inst.a, inst.b, inst.log_b
-    if spec.family == "proj_pp":
-        bar_prev = phi.copy()  # projected iterate sequence starts at phi0
-        inner = phi.copy()  # extrapolated point the gradient is taken at
-        t_mom = 1.0
+    momentum = spec.family == "proj_pp"
+    inner, t_mom = phi, 1.0  # the accelerated method's extrapolated point and counter
 
     evaluate = InducedCache(inst)
     trace = Trace()
@@ -375,10 +378,9 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         resid = float(np.abs(b - p).sum())
         j_val = float(b @ phi - a @ phi_plus)
 
-        if guard and j_val < prev_j - DIVERGENCE_GUARD:
-            raise DivergenceError(
-                f"{cfg.method}: objective fell from {prev_j} to {j_val} at iteration {it}"
-            )
+        if not math.isfinite(j_val) or (guard and j_val < prev_j - DIVERGENCE_GUARD):
+            change = "fell" if math.isfinite(j_val) else "turned non-finite"
+            raise DivergenceError(f"{cfg.method}: objective {change} from {prev_j} to {j_val} at iteration {it}")
         prev_j = max(prev_j, j_val)
 
         converged = resid <= cfg.tol_l1
@@ -388,28 +390,24 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             if gram is not None:
                 d = p - b
                 mmd = 0.5 * float(d @ gram.matrix @ d)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero mass adds 0 to kl_y
-                kl_y = kl(np.log(p), log_b, p)
+            kl_y = kl(np.log(np.maximum(p, TINY)), log_b, p)
             trace.records.append(TraceRecord(it, j_val, resid, mmd, kl_y, time.perf_counter() - start))
         if final:
             break
 
         if spec.family == "sign":
             phi = _sign_update(phi, b - p, eta, anchor)
-        elif spec.family != "proj_pp":
+        else:  # the matching step from x: the accelerated method's extrapolated point, else phi
+            x, p_x = (inner, evaluate.marginal(inner)) if momentum else (phi, p)
             lp = _log_mass(p, phi, phi_plus, inst) if spec.link == "identity" else None
-            phi = phi - eta * link_correction(spec.link, p, lp, inst, gram)
-            if spec.family == "proj":
-                # the clamp is the exact L2(b) projection: the box is separable
-                phi = np.clip(phi, -B, B)
-        else:  # the step at the extrapolated point; the trace follows the projected one
-            p_inner = evaluate.marginal(inner)
-            bar = np.clip(inner - eta * link_correction(spec.link, p_inner, None, inst), -B, B)
-            t_new = t_next(t_mom)
-            inner = bar + ((t_mom - 1.0) / t_new) * (bar - bar_prev)
-            bar_prev = bar
-            t_mom = t_new
-            phi = bar
+            step = x - eta * link_correction(spec.link, p_x, lp, inst, gram)
+            if B is not None:  # the clamp is the exact L2(b) projection: the box is separable
+                step = np.clip(step, -B, B)
+            if momentum:  # the trace follows the projected point
+                t_new = t_next(t_mom)
+                inner = step + ((t_mom - 1.0) / t_new) * (step - phi)
+                t_mom = t_new
+            phi = step
         it += 1
 
     return RunResult(

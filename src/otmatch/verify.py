@@ -163,11 +163,10 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
 
 
 def _bregman_gap(phi, phi_bar, inst) -> float:
-    return (
-        semidual_value(phi_bar, inst)
-        - semidual_value(phi, inst)
-        - float(first_variation(phi, inst) @ (phi_bar - phi))
-    )
+    """J(phi_bar) - J(phi) - <b - p, phi_bar - phi>, reading J(phi) and p from one pass at phi."""
+    phi_plus, p = induced_marginal(phi, inst)
+    j_phi = float(inst.b @ phi - inst.a @ phi_plus)
+    return semidual_value(phi_bar, inst) - j_phi - float((inst.b - p) @ (phi_bar - phi))
 
 
 def check_concavity(seed: int, pairs: int = 300) -> CheckResult:

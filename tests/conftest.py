@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otmatch import semidual
+from otmatch import semidual, solvers
 from otmatch.bridge import _log_heat, _neg_half_sq
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.solvers import SolverConfig, oracle_solve, run
@@ -24,6 +25,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# a NaN or infinite entry that an update puts into phi, and how far the
+# update moves the finite entries: within or beyond the cache's radius
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+SHIFTS = pytest.mark.parametrize(
+    "shift", [0.5 * semidual.ABSORB_AT, 2.0 * semidual.ABSORB_AT], ids=["within", "beyond"]
+)
+
+
+def poison_update(monkeypatch, bad, shift, at):
+    """Make the update to iterate ``at`` of a unit-step run move every entry
+    of phi by ``shift`` but entry 3, which turns ``bad``; the other updates
+    are the real ones.  Returns what numpy is expected to warn meanwhile: an
+    absorbing pass at +inf forms inf - inf, while NaN and -inf pass silently."""
+    real, calls = solvers.link_correction, []
+
+    def correction(link, p, log_p, inst, gram=None):
+        calls.append(link)
+        if len(calls) != at:
+            return real(link, p, log_p, inst, gram)
+        out = np.full(inst.m, -shift)
+        out[3] = -bad
+        return out
+
+    monkeypatch.setattr(solvers, "link_correction", correction)
+    return pytest.warns(RuntimeWarning, match="invalid value") if bad == np.inf else contextlib.nullcontext()
 
 
 def write_instance(inst: Instance, path) -> None:

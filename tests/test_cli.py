@@ -19,7 +19,7 @@ from otmatch.kernels import gram, parse_kernel_spec
 from otmatch.solvers import DivergenceError, OracleError, SolverConfig, run
 from otmatch.verify import CheckResult, random_instance
 
-from conftest import write_instance, zero_cost_instance
+from conftest import NON_FINITE, SHIFTS, poison_update, write_instance, zero_cost_instance
 
 
 @pytest.fixture()
@@ -284,6 +284,18 @@ class TestSolve:
         code = main(["solve", "--instance", str(instance_file), "--method", "sinkhorn"])
         assert code == 2
         assert "objective fell" in capsys.readouterr().err
+
+    @NON_FINITE
+    @SHIFTS
+    def test_a_non_finite_iterate_is_exit_two(self, instance_file, tmp_path, monkeypatch, capsys, bad, shift):
+        summary = tmp_path / "s.json"
+        with poison_update(monkeypatch, bad, shift, at=3):
+            code = main(["solve", "--instance", str(instance_file), "--method", "sga", "--eta", "1",
+                         "--summary", str(summary)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sga: objective turned non-finite") and err.count("\n") == 1, err
+        assert not summary.exists()
 
     def test_out_of_memory_is_exit_two(self, instance_file, monkeypatch, capsys):
         # numpy's message names the shape it could not allocate
@@ -576,8 +588,9 @@ class TestFlowCommand:
     @pytest.mark.parametrize(
         "args",
         [["--dt", "-1", "--t-end", "0.5"], ["--dt", "0"], ["--record-every", "0"], ["--t-end", "inf"],
-         ["--r", "nan"], ["--r", "inf"]],
-        ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf", "r_nan", "r_inf"],
+         ["--r", "nan"], ["--r", "inf"], ["--t-end", "1e308"], ["--dt", "1e-320"]],
+        ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf", "r_nan", "r_inf",
+             "record_grid_t_end", "record_grid_dt"],
     )
     def test_bad_step_arguments_are_input_errors(self, tmp_path, capsys, args):
         summary = tmp_path / "s.json"
@@ -598,6 +611,20 @@ class TestFlowCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: step size fell below 2e-06") and err.count("\n") == 1, err
+        assert not summary.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_stiff_flow_is_exit_two(self, tmp_path, capsys):
+        # r/t = 2e6 again, but from dt = 0.01 the floor 1e-8 lies below the
+        # stable step of about 1.6e-6: DOPRI5's stiffness test stops the run
+        # where the controller would creep on for about 1.4 million steps
+        summary = tmp_path / "s.json"
+        start = time.perf_counter()
+        code = main(["flow", "--t0", "0.5", "--dt", "0.01", "--r", "1e6", "--t-end", "50", "--summary", str(summary)])
+        assert time.perf_counter() - start <= 2.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the flow is stiff at t=0.5") and err.count("\n") == 1, err
         assert not summary.exists()
 
 

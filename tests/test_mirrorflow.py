@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otmatch import semidual
+from otmatch import mirrorflow, semidual
 from otmatch.logops import kl
 from otmatch.mirrorflow import FlowBlowupError, _dp_step, flow_run
 from otmatch.semidual import InducedCache, coupling, log_reference
@@ -32,7 +32,7 @@ def _dp_steps(t, q, g, h, n, inst, r):
 
     y = np.concatenate((q, g))
     for k in range(n):
-        y, _, est = _dp_step(t + k * h, y, field(t + k * h, y), h, field)
+        y, _, est, _ = _dp_step(t + k * h, y, field(t + k * h, y), h, field)
     return y[: inst.m], y[inst.m :], est
 
 
@@ -59,6 +59,13 @@ class TestFlowInit:
         with pytest.raises(ValueError):
             flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.0, t_end=1.0)
 
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    def test_rejects_a_non_finite_or_misshapen_start(self, inst, bad):
+        # the cache checks nothing, so the flow checks its start
+        phi0 = np.zeros(inst.m + 1) if bad == "shape" else np.full(inst.m, np.nan)
+        with pytest.raises(ValueError, match="phi0"):
+            flow_run(inst, phi0, r=2.0, t0=0.1, t_end=1.0, phi_star=np.zeros(inst.m))
+
 
 class TestFlowStep:
     def test_fixed_point_is_stationary(self, inst, oracle_cache):
@@ -83,6 +90,15 @@ class TestFlowStep:
         assert 26.0 <= err1 / err2 <= 40.0
         est1, est2 = (np.max(np.abs(_dp_steps(2.0, q, g, h, 1, inst, 2.0)[2])) for h in (0.4, 0.2))
         assert 26.0 <= est1 / est2 <= 40.0
+
+    @pytest.mark.parametrize("lam", [0.5, 40.0])
+    def test_stiffness_estimate_is_h_lambda_on_a_linear_field(self, lam):
+        # on y' = -lam y every stage field is -lam times its state, so the
+        # estimate from the 6th stage and the new state is h * lam exactly
+        # up to rounding, on either side of the stability boundary 3.25
+        y, h = np.array([1.0, -2.0, 0.5]), 0.1
+        *_, h_lambda = _dp_step(0.0, y, -lam * y, h, lambda s, state: -lam * state)
+        assert h_lambda == pytest.approx(h * lam, rel=1e-12)
 
     def test_mass_conserved_over_many_steps(self, inst):
         q, g = _q(np.zeros(inst.m), inst), np.zeros(inst.m)
@@ -180,9 +196,10 @@ class TestFlowRun:
         "kwargs",
         [
             {"dt": -1.0}, {"dt": 0.0}, {"dt": np.nan}, {"dt": np.inf},
-            {"record_every": 0}, {"t_end": np.inf}, {"t0": np.nan}, {"t0": -np.inf},
+            {"record_every": 0}, {"t_end": np.inf}, {"t0": np.nan}, {"t0": -np.inf}, {"t_end": 1e308},
         ],
-        ids=["dt_negative", "dt_zero", "dt_nan", "dt_inf", "record_every_zero", "t_end_inf", "t0_nan", "t0_minus_inf"],
+        ids=["dt_negative", "dt_zero", "dt_nan", "dt_inf", "record_every_zero", "t_end_inf", "t0_nan", "t0_minus_inf",
+             "record_grid_t_end"],
     )
     def test_rejects_bad_step_arguments(self, inst, kwargs):
         args = {"r": 2.0, "t0": 0.1, "t_end": 1.0, "dt": 1e-3, **kwargs}
@@ -280,6 +297,25 @@ class TestFlowRun:
         with pytest.raises(FlowBlowupError, match="step size fell below"):
             flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.01, t_end=50.0, dt=1e-3, phi_star=phi_star)
         assert len(calls) <= 6 * 10
+
+    @pytest.mark.parametrize("calm", [5, 6])
+    def test_six_calm_steps_reset_the_stiffness_count(self, monkeypatch, calm):
+        # the zero-cost flow from phi = 0 is stationary, so each of its 99
+        # steps is accepted; 14 steps beyond 3.25, then `calm` within, then
+        # 14 beyond reach 15 unless a run of 6 calm steps reset the count
+        h_lambdas = iter([4.0] * 14 + [0.0] * calm + [4.0] * 14 + [0.0] * 100)
+
+        def step(*args):
+            return (*_dp_step(*args)[:3], next(h_lambdas))
+
+        monkeypatch.setattr(mirrorflow, "_dp_step", step)
+        inst = zero_cost_instance()
+        args = dict(r=2.0, t0=0.01, t_end=1.0, dt=0.01, record_every=1, phi_star=np.zeros(inst.m))
+        if calm == 6:
+            assert flow_run(inst, np.zeros(inst.m), **args).ts.size == 100
+        else:
+            with pytest.raises(FlowBlowupError, match=r"stiff at t=0\.2[0-9]*: h\*lambda > 3\.25 on 15 steps"):
+                flow_run(inst, np.zeros(inst.m), **args)
 
     def test_reabsorbing_often_changes_nothing(self, inst, oracle_cache, monkeypatch):
         # a small radius makes the cache re-absorb every few steps; each

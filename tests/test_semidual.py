@@ -294,32 +294,6 @@ class TestInducedCache:
         for got_part, ref_part in zip(got, ref, strict=True):
             np.testing.assert_array_equal(got_part, ref_part)
 
-    def test_rejects_non_finite_potential(self, small_instance):
-        cache = InducedCache(small_instance)
-        cache(np.zeros(small_instance.m))
-        with pytest.raises(ValueError):
-            cache(np.full(small_instance.m, np.inf))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("shift", [0.5 * ABSORB_AT, 2.0 * ABSORB_AT], ids=["within", "beyond"])
-    def test_warm_cache_rejects_one_non_finite_entry(self, medium_instance, bad, shift):
-        # only an absorption checks phi; a NaN or inf entry must fail the
-        # radius test wherever the finite entries lie
-        inst = medium_instance
-        rng = np.random.default_rng(16)
-        phi = rng.normal(0, 1, inst.m)
-        cache = InducedCache(inst)
-        cache(phi)
-        far = phi + shift
-        far[3] = bad
-        with pytest.raises(ValueError, match="phi must be finite"):
-            cache(far)
-        near = phi + rng.uniform(-1, 1, inst.m)
-        phi_plus, _, log_p = with_log_p(cache, near, inst)
-        ref_plus, _, ref_log_p = with_log_p(InducedCache(inst), near, inst)
-        assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
-        assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * (1.0 + np.abs(ref_log_p)))
-
 
 class TestLogMass:
     @given(seed=st.integers(0, 2**32 - 1), cached=st.booleans())

@@ -25,7 +25,16 @@ from otmatch.solvers import (
 )
 from otmatch.verify import classic_log_sinkhorn, random_instance
 
-from conftest import floor_path_log_mass, one_step, single_cell_instance, underflow_instance, zero_cost_instance
+from conftest import (
+    NON_FINITE,
+    SHIFTS,
+    floor_path_log_mass,
+    one_step,
+    poison_update,
+    single_cell_instance,
+    underflow_instance,
+    zero_cost_instance,
+)
 
 
 class TestLinkCorrection:
@@ -522,6 +531,19 @@ class TestRunnerBits:
             assert res.trace.to_csv() == csv
             np.testing.assert_array_equal(res.phi, phi)
             assert (res.iterations, res.converged) == (iterations, converged)
+
+
+class TestNonFiniteIterate:
+    """run checks phi0 alone and the cache checks nothing, so a NaN or
+    infinite iterate shows as a non-finite objective, which stops the run."""
+
+    @NON_FINITE
+    @SHIFTS
+    def test_raises_divergence_at_that_iteration(self, medium_instance, monkeypatch, bad, shift):
+        expected_warning = poison_update(monkeypatch, bad, shift, at=3)
+        cfg = SolverConfig("sga", eta=1.0, max_iter=10, tol_l1=0.0)
+        with expected_warning, pytest.raises(solvers.DivergenceError, match="non-finite .* at iteration 3$"):
+            run(medium_instance, cfg)
 
 
 def _tightening_instance():

@@ -16,11 +16,12 @@ reduces to plain exp(phi) on the grid.
 
 Propagation uses grid convolution with the exact heat kernel (spectrally
 accurate for smooth data, unconditionally stable); Gaussian tails beyond
-the grid are dropped, so grids must extend well past the support.  The
-bridge's terminal data vanishes off the m target nodes, so its heat pass
-sums over those columns only, with the squared distances built once for
-all time nodes.  The simulation interpolates the drift by grid index on
-the uniform nodes, with the values ``np.interp`` gives.
+the grid are dropped, so :func:`bridge_grid_for` extends the grid well
+past the supports.  The bridge's terminal data vanishes off the m target
+nodes, so its heat pass sums over those columns only, with the squared
+distances built once for all time nodes.  The simulation interpolates the
+drift by grid index on the uniform nodes, with the values ``np.interp``
+gives.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ class SpaceTimeGrid:
     @property
     def n_t(self) -> int:
         return self.times.size
-
-    @classmethod
-    def covering(
-        cls, support_lo: float, support_hi: float, spacing: float, T: float, n_t: int
-    ) -> "SpaceTimeGrid":
-        """Grid whose lattice contains [support_lo, support_hi] and extends
-        past it by 6 sqrt(2T) on each side."""
-        k = int(np.ceil(GRID_MARGIN_FACTOR * np.sqrt(2.0 * T) / spacing))
-        n_right = int(np.round((support_hi - support_lo) / spacing)) + k
-        x = support_lo + spacing * np.arange(-k, n_right + 1)
-        return cls(x=x, times=np.linspace(0.0, T, n_t))
 
 
 @dataclass(frozen=True)
@@ -259,42 +249,34 @@ def _support_node_indices(points: np.ndarray, grid: SpaceTimeGrid, what: str) ->
     return idx
 
 
-def bridge_from_potential(phi: np.ndarray, inst: Instance, grid: SpaceTimeGrid) -> DriftField:
-    """Drift field of the bridge induced by a solved potential.
+def bridge_from_potential(phi: np.ndarray, inst: Instance, n_t: int) -> DriftField:
+    """Drift field of the bridge induced by a solved potential, on the grid
+    of :func:`bridge_grid_for` with ``n_t`` time nodes and horizon T = epsilon.
 
-    Requires the quadratic-cost correspondence: cost |x-y|^2/2 between the
-    instance supports, epsilon equal to the grid horizon, both supports on
-    grid nodes, and the grid extending 6 sqrt(2T) past them.  Terminal data
-    is exp(phi) weighted by the target masses (uniform targets reduce to
-    exp(phi) alone); the last time node reuses the bandwidth of the
-    preceding one, since the terminal data is atomic and grad log g is only
-    defined for positive propagation time.
+    Requires a 1-D instance with cost |x-y|^2/2 between its supports.
+    Terminal data is exp(phi) weighted by the target masses (uniform targets
+    reduce to exp(phi) alone); the last time node reuses the bandwidth of
+    the preceding one, since the terminal data is atomic and grad log g is
+    only defined for positive propagation time.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (inst.m,):
         raise GridError(f"phi has shape {phi.shape}, expected ({inst.m},)")
-    T = grid.T
-    if abs(inst.epsilon - T) > 1e-12 * max(1.0, T):
-        raise GridError(f"epsilon {inst.epsilon} must equal the grid horizon {T}")
     if inst.mu.dim != 1 or inst.nu.dim != 1:
         raise GridError("bridge construction is one-dimensional")
     quad = cost_matrix(inst.mu, inst.nu, "half_sqeuclidean")
     if np.max(np.abs(inst.cost - quad)) > 1e-12 * max(1.0, float(np.max(quad))):
         raise GridError("cost must be |x - y|^2 / 2 between the instance supports")
+    grid = bridge_grid_for(inst, n_t)
     y_idx = _support_node_indices(inst.nu.points, grid, "target")
     _support_node_indices(inst.mu.points, grid, "source")
-    margin = GRID_MARGIN_FACTOR * np.sqrt(2.0 * T)
-    support_lo = min(inst.mu.points[:, 0].min(), inst.nu.points[:, 0].min())
-    support_hi = max(inst.mu.points[:, 0].max(), inst.nu.points[:, 0].max())
-    if grid.x[0] > support_lo - margin + 1e-9 or grid.x[-1] < support_hi + margin - 1e-9:
-        raise GridError(f"grid must extend {margin:.3f} beyond the supports on each side")
 
     # the terminal data is -inf off the target nodes, so propagate from those only
     neg_half_sq = _neg_half_sq(grid.x, grid.x[y_idx])
     log_term = phi + inst.log_b + np.log(inst.m)
     rows = np.empty((grid.n_t, grid.n_x))
     for k, t in enumerate(grid.times):
-        s = max(T - float(t), grid.dt)
+        s = max(grid.T - float(t), grid.dt)
         rows[k] = _log_heat(neg_half_sq, log_term, s, grid.dx)
     v = np.gradient(rows, grid.dx, axis=1)
     return DriftField(grid=grid, values=v)
@@ -323,11 +305,18 @@ def make_demo_instance(n_points: int = 64, epsilon: float = 1.0) -> Instance:
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
 
 
-def bridge_grid_for(inst: Instance, n_t: int = 101) -> SpaceTimeGrid:
-    """Covering grid for an instance built by :func:`make_demo_instance`, spaced by the least target gap."""
+def bridge_grid_for(inst: Instance, n_t: int) -> SpaceTimeGrid:
+    """The bridge's grid: nodes spaced by the least gap between distinct
+    target atoms, through the least atom of either support and 6 sqrt(2T)
+    past both supports (dropped heat-kernel tails stay below 1e-8), and
+    ``n_t`` time nodes on [0, T], T = epsilon.  One target atom is an input error."""
     ys = np.unique(inst.nu.points[:, 0])
     if ys.size < 2:
         raise GridError(f"the bridge needs at least two distinct target atoms, got {ys.size}")
     xs = np.concatenate([inst.mu.points[:, 0], ys])
     spacing = float(np.diff(ys).min())
-    return SpaceTimeGrid.covering(float(xs.min()), float(xs.max()), spacing, inst.epsilon, n_t)
+    support_lo, support_hi = float(xs.min()), float(xs.max())
+    k = int(np.ceil(GRID_MARGIN_FACTOR * np.sqrt(2.0 * inst.epsilon) / spacing))
+    n_right = int(np.round((support_hi - support_lo) / spacing)) + k
+    x = support_lo + spacing * np.arange(-k, n_right + 1)
+    return SpaceTimeGrid(x=x, times=np.linspace(0.0, inst.epsilon, n_t))

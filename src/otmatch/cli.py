@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from .kernels import gram, parse_kernel_spec
-from .measures import InstanceError, Instance, load_instance
+from .measures import Instance, load_instance
 from .mirrorflow import MIN_STEP, FlowBlowupError, flow_run
 from .semidual import marginal_y
 from .solvers import (
@@ -174,12 +174,11 @@ def cmd_bridge(args) -> int:
         inst = load_instance(args.instance)
     else:
         inst = bridge_mod.make_demo_instance(n_points=args.grid_points, epsilon=args.epsilon)
-    grid = bridge_mod.bridge_grid_for(inst, n_t=args.nt)
     if args.phi == "oracle":
         phi = oracle_solve(inst)
     else:
         phi = np.zeros(inst.m)
-    field = bridge_mod.bridge_from_potential(phi, inst, grid)
+    field = bridge_mod.bridge_from_potential(phi, inst, args.nt)
     sim = bridge_mod.simulate_em(field, inst.mu, args.particles, args.seed)
     hist = bridge_mod.terminal_histogram(sim.positions, inst.nu.points[:, 0])
     static = marginal_y(phi, inst)
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
     except (OracleError, DivergenceError, FlowBlowupError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    except (InstanceError, bridge_mod.GridError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -38,13 +38,14 @@ at phi, which becomes the new reference.  Both use one code path, so a
 cache's first evaluation equals :func:`induced_marginal` bit for bit.  A
 potential is checked once, where it enters: :func:`induced_marginal` (which
 :func:`plus_transform`, the objective and the coupling read) rejects a
-non-finite phi, and a cache checks nothing, because its two loops check
-their start and see a non-finite iterate in the objective or state.  Only
-the identity link reads ``log p``, which :func:`_log_mass` forms from the
-pair: a column whose ``p_j`` lies below ``P_FLOOR`` may have lost its mass
-to underflow, so its ``log p_j`` is recomputed exactly as the logsumexp over
-rows of the coupling's log masses in that column; ``p_j`` itself is left as
-given, accurate in absolute terms and possibly 0.
+phi that is not a finite vector of shape (m,), and a cache checks nothing,
+because its two loops check their start and see a non-finite iterate in
+the objective or state.  Only the identity link reads ``log p``, which
+:func:`_log_mass` forms from the pair: a column whose ``p_j`` lies below
+``P_FLOOR`` may have lost its mass to underflow, so its ``log p_j`` is
+recomputed exactly as the logsumexp over rows of the coupling's log masses
+in that column; ``p_j`` itself is left as given, accurate in absolute terms
+and possibly 0.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def semidual_value(phi: np.ndarray, inst: Instance) -> float:
     Concave, and invariant to adding a constant to phi (the transform
     absorbs the shift).
     """
-    return float(inst.b @ phi - inst.a @ plus_transform(phi, inst))
+    phi_plus = plus_transform(phi, inst)  # checks phi before the product reads it
+    return float(inst.b @ phi - inst.a @ phi_plus)
 
 
 def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None)) -> np.ndarray:
@@ -181,9 +183,11 @@ def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.nd
 
     ``phi_plus`` is what :func:`plus_transform` returns, and ``p`` is the
     pass's ``(a / s) @ E``.  phi enters the semi-dual calculus here, so this
-    is where it is checked: it must be finite everywhere.
+    is where it is checked: it must have shape (m,) and be finite everywhere.
     """
     phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (inst.m,):
+        raise ValueError(f"phi has shape {phi.shape}, expected ({inst.m},)")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite everywhere")
     return _absorb(phi, inst)[2:]
@@ -219,8 +223,8 @@ class InducedCache:
         if delta is None:
             return self._absorb(phi)
         v = np.exp(delta)
-        t = self._e @ v
-        return self._rowmax + np.log(t), v * ((self._inst.a / t) @ self._e)
+        t = self._e.dot(v)
+        return self._rowmax + np.log(t), v * (self._inst.a / t).dot(self._e)
 
     def marginal(self, phi: np.ndarray) -> np.ndarray:
         """Y-marginal masses p at phi, without the transform (the mirror flow's right-hand side)."""

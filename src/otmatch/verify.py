@@ -169,26 +169,28 @@ def _bregman_gap(phi, phi_bar, inst) -> float:
     return semidual_value(phi_bar, inst) - j_phi - float((inst.b - p) @ (phi_bar - phi))
 
 
+def _pairs(seed: int, salt: int, count: int, n: int, m: int, eps_range: tuple[float, float], sd: float):
+    """``count`` seeded draws of ``(inst, phi, phi_bar)``: an n x m instance at
+    epsilon uniform in ``eps_range``, phi ~ N(0, sd^2) and phi_bar = phi + N(0, sd^2)."""
+    rng = _rng(seed, salt)
+    for _ in range(count):
+        inst = random_instance(rng, n, m, float(rng.uniform(*eps_range)))
+        phi = rng.normal(0.0, sd, inst.m)
+        yield inst, phi, phi + rng.normal(0.0, sd, inst.m)
+
+
 def check_concavity(seed: int, pairs: int = 300) -> CheckResult:
     """J is concave: its Bregman gap is <= 0 on random pairs of 4x6 instances."""
-    rng = _rng(seed, 1)
     worst = -np.inf
-    for _ in range(pairs):
-        inst = random_instance(rng, 4, 6, float(rng.uniform(0.2, 2.0)))
-        phi = rng.normal(0.0, 1.0, inst.m)
-        phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
+    for inst, phi, phi_bar in _pairs(seed, 1, pairs, 4, 6, (0.2, 2.0), 1.0):
         worst = np.maximum(worst, _bregman_gap(phi, phi_bar, inst))
     return CheckResult("concavity", 1e-10 - worst, f"max Bregman gap {worst:.3e} over {pairs} pairs")
 
 
 def check_linf_lower(seed: int, pairs: int = 300) -> CheckResult:
     """The Bregman gap of J is >= -|phi_bar - phi|_inf^2 / 2 on random pairs."""
-    rng = _rng(seed, 2)
     worst = -np.inf
-    for _ in range(pairs):
-        inst = random_instance(rng, 4, 6, float(rng.uniform(0.2, 2.0)))
-        phi = rng.normal(0.0, 1.0, inst.m)
-        phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
+    for inst, phi, phi_bar in _pairs(seed, 2, pairs, 4, 6, (0.2, 2.0), 1.0):
         gap = _bregman_gap(phi, phi_bar, inst)
         lower = -0.5 * float(np.max(np.abs(phi_bar - phi))) ** 2
         worst = np.maximum(worst, lower - gap)
@@ -197,12 +199,8 @@ def check_linf_lower(seed: int, pairs: int = 300) -> CheckResult:
 
 def check_weighted_lower(seed: int, pairs: int = 300) -> CheckResult:
     """The Bregman gap of J is >= -lambda(B) |phi_bar - phi|^2_{L2(b)} / 2 inside the box [-B, B]."""
-    rng = _rng(seed, 3)
     worst = -np.inf
-    for _ in range(pairs):
-        inst = random_instance(rng, 4, 6, float(rng.uniform(0.3, 2.0)))
-        phi = rng.normal(0.0, 0.7, inst.m)
-        phi_bar = phi + rng.normal(0.0, 0.7, inst.m)
+    for inst, phi, phi_bar in _pairs(seed, 3, pairs, 4, 6, (0.3, 2.0), 0.7):
         B = float(max(np.max(np.abs(phi)), np.max(np.abs(phi_bar))))
         lam = np.exp(lambda_bound(inst, B))
         gap = _bregman_gap(phi, phi_bar, inst)
@@ -229,12 +227,8 @@ def check_gradient_fd(seed: int, cases: int = 12) -> CheckResult:
 
 def check_variance_identity(seed: int, cases: int = 12) -> CheckResult:
     """The Bregman gap equals its conditional-variance integral (relative residual)."""
-    rng = _rng(seed, 5)
     worst = 0.0
-    for _ in range(cases):
-        inst = random_instance(rng, 3, 4, float(rng.uniform(0.3, 1.5)))
-        phi = rng.normal(0.0, 1.0, inst.m)
-        phi_bar = phi + rng.normal(0.0, 1.0, inst.m)
+    for inst, phi, phi_bar in _pairs(seed, 5, cases, 3, 4, (0.3, 1.5), 1.0):
         worst = np.maximum(worst, variance_identity_residual(phi, phi_bar, inst))
     return CheckResult("variance_identity", 1e-6 - worst, f"max relative residual {worst:.3e} over {cases} pairs")
 
@@ -473,13 +467,12 @@ def check_flow(
 
 def check_bridge_marginal(inst: Instance, n_t: int, particles: int, seed: int) -> CheckResult:
     """Bridge terminal law from phi = 0 and the optimal potential vs the static Y-marginal, in TV."""
-    grid = bridge_mod.bridge_grid_for(inst, n_t=n_t)
     phi_star = oracle_solve(inst)
     mc_term, disc_term = bridge_mod.tv_tolerance_terms(particles, inst.nu.points[:, 0])
     tol = mc_term + disc_term
     tvs = []
     for phi in (np.zeros(inst.m), phi_star):
-        field = bridge_mod.bridge_from_potential(phi, inst, grid)
+        field = bridge_mod.bridge_from_potential(phi, inst, n_t)
         sim = bridge_mod.simulate_em(field, inst.mu, particles, seed)
         hist = bridge_mod.terminal_histogram(sim.positions, inst.nu.points[:, 0])
         tvs.append(0.5 * float(np.abs(hist - marginal_y(phi, inst)).sum()))

@@ -43,13 +43,30 @@ class TestSpaceTimeGrid:
         assert g.T == 1.0
 
     def test_covering_contains_margin(self):
-        g = SpaceTimeGrid.covering(-2.0, 2.0, 0.1, T=1.0, n_t=11)
+        g = bridge_grid_for(make_demo_instance(n_points=41, epsilon=1.0), n_t=11)  # spacing 0.1
+        assert g.dx == pytest.approx(0.1)
         margin = 6.0 * np.sqrt(2.0)
         assert g.x[0] <= -2.0 - margin + 0.1
         assert g.x[-1] >= 2.0 + margin - 0.1
         # support endpoints land on nodes
         assert np.min(np.abs(g.x - (-2.0))) <= 1e-12
         assert np.min(np.abs(g.x - 2.0)) <= 1e-9
+
+    @pytest.mark.parametrize("inst", [
+        *(make_demo_instance(n_points=n, epsilon=eps) for n in (2, 17, 64) for eps in (0.05, 1.0, 4.0)),
+        grid_instance(64, mu_center=0.3, mu_width=0.5, uniform_target=False),
+    ])
+    def test_bridge_grid_geometry(self, inst):
+        # what bridge_from_potential relies on: time nodes on [0, epsilon],
+        # the 6 sqrt(2 eps) margin past both supports, every atom on a node
+        g = bridge_grid_for(inst, n_t=11)
+        assert g.times[0] == 0.0 and g.times[-1] == inst.epsilon
+        atoms = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
+        margin = 6.0 * np.sqrt(2.0 * inst.epsilon)
+        assert g.x[0] <= atoms.min() - margin + 1e-9 and g.x[-1] >= atoms.max() + margin - 1e-9
+        assert g.x[0] > atoms.min() - margin - g.dx and g.x[-1] < atoms.max() + margin + g.dx
+        off_node = np.min(np.abs(atoms[:, None] - g.x[None, :]), axis=1)
+        assert np.max(off_node) <= 1e-9 * g.dx
 
     def test_validation(self):
         with pytest.raises(GridError):
@@ -94,15 +111,14 @@ class TestDriftField:
         # one target atom: g_t is a Gaussian bump around it whose log is
         # quadratic, so central differences give grad log g_t = (y - x)/(T - t)
         # exactly at interior nodes
-        T, x0, y = 0.5, -0.25, 0.25
-        mu = DiscreteMeasure(points=np.array([[x0]]), weights=np.ones(1))
-        nu = DiscreteMeasure(points=np.array([[y]]), weights=np.ones(1))
-        inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=T)
-        grid = SpaceTimeGrid.covering(x0, y, 0.05, T, 11)
-        field = bridge_from_potential(np.array([0.7]), inst, grid)
+        T, y = 0.5, 0.25
+        grid = SpaceTimeGrid(x=y + 0.05 * np.arange(-120, 121), times=np.linspace(0.0, T, 11))
         s = np.maximum(T - grid.times, grid.dt)[:, None]  # the last node reuses the step before
+        neg_half_sq = _neg_half_sq(grid.x, np.array([y]))
+        rows = np.array([_log_heat(neg_half_sq, np.array([0.7]), float(sk), grid.dx) for sk in s[:, 0]])
+        drift = np.gradient(rows, grid.dx, axis=1)
         analytic = (y - grid.x)[None, :] / s
-        np.testing.assert_allclose(field.values[:, 1:-1], analytic[:, 1:-1], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(drift[:, 1:-1], analytic[:, 1:-1], rtol=1e-9, atol=1e-9)
 
     def test_csv_header(self):
         g = small_grid(n_t=3, n_x=5, span=2.0)
@@ -166,8 +182,9 @@ class TestBridgeFromPotential:
         # the terminal data is -inf off the target nodes; propagating it over
         # the whole grid must give the same drift as over the targets only
         inst = grid_instance(48, uniform_target=uniform_target)
-        grid = bridge_grid_for(inst, n_t=31)
         phi = oracle_solve(inst)
+        field = bridge_from_potential(phi, inst, 31)
+        grid = field.grid
         y_idx = np.round((inst.nu.points[:, 0] - grid.x[0]) / grid.dx).astype(int)
         log_term = np.full(grid.n_x, -np.inf)
         log_term[y_idx] = phi + inst.log_b + np.log(inst.m)
@@ -176,13 +193,13 @@ class TestBridgeFromPotential:
             _log_heat(full, log_term, max(grid.T - float(t), grid.dt), grid.dx) for t in grid.times
         ])
         expected = np.gradient(rows, grid.dx, axis=1)
-        got = bridge_from_potential(phi, inst, grid).values
+        got = field.values
         assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
 
     def test_zero_potential_drift_antisymmetric_for_symmetric_instance(self):
         inst = grid_instance(33, mu_center=0.0, mu_width=0.5)
-        grid = bridge_grid_for(inst, n_t=21)
-        field = bridge_from_potential(np.zeros(inst.m), inst, grid)
+        field = bridge_from_potential(np.zeros(inst.m), inst, 21)
+        grid = field.grid
         # nu symmetric about 0 and grid symmetric: v(t, -x) == -v(t, x)
         center = np.argmin(np.abs(grid.x))
         assert abs(grid.x[center]) <= 1e-9
@@ -194,34 +211,41 @@ class TestBridgeFromPotential:
         # edge effects decay like exp(-d^2 / 2T) with distance d from the
         # support ends, so a short horizon leaves the interior drift-free
         inst = make_demo_instance(n_points=65, epsilon=0.05)
-        grid = bridge_grid_for(inst, n_t=21)
-        field = bridge_from_potential(np.full(inst.m, 1.3), inst, grid)
-        assert np.max(np.abs(field.values[0][np.abs(grid.x) <= 1.0])) <= 1e-3
-        assert np.max(np.abs(field.values[0][np.abs(grid.x) <= 0.5])) <= 1e-6
+        field = bridge_from_potential(np.full(inst.m, 1.3), inst, 21)
+        x = field.grid.x
+        assert np.max(np.abs(field.values[0][np.abs(x) <= 1.0])) <= 1e-3
+        assert np.max(np.abs(field.values[0][np.abs(x) <= 0.5])) <= 1e-6
 
     def test_correspondence_validation(self):
         inst = make_demo_instance(n_points=17)
-        grid = bridge_grid_for(inst, n_t=11)
         with pytest.raises(GridError):
-            bridge_from_potential(np.zeros(inst.m + 1), inst, grid)
-        wrong_T = SpaceTimeGrid(x=grid.x, times=np.linspace(0, 2.0, 11))
-        with pytest.raises(GridError):
-            bridge_from_potential(np.zeros(inst.m), inst, wrong_T)
-        narrow = SpaceTimeGrid(x=np.linspace(-3, 3, 61), times=grid.times)
-        with pytest.raises(GridError):
-            bridge_from_potential(np.zeros(inst.m), inst, narrow)
-
+            bridge_from_potential(np.zeros(inst.m + 1), inst, 11)
         bad_cost = Instance(mu=inst.mu, nu=inst.nu, cost=cost_matrix(inst.mu, inst.nu, "euclidean"), epsilon=1.0)
         with pytest.raises(GridError):
-            bridge_from_potential(np.zeros(inst.m), bad_cost, grid)
+            bridge_from_potential(np.zeros(inst.m), bad_cost, 11)
+
+    @pytest.mark.parametrize(
+        "inst", [make_demo_instance(n_points=17, epsilon=0.3), grid_instance(32, uniform_target=False)]
+    )
+    def test_field_grid_is_bridge_grid_for(self, inst):
+        field = bridge_from_potential(np.zeros(inst.m), inst, 11)
+        expected = bridge_grid_for(inst, 11)
+        np.testing.assert_array_equal(field.grid.x, expected.x)
+        np.testing.assert_array_equal(field.grid.times, expected.times)
+
+    def test_one_target_atom_raises_grid_error(self):
+        mu = DiscreteMeasure(points=np.array([[0.0], [0.5]]), weights=np.array([0.5, 0.5]))
+        nu = DiscreteMeasure(points=np.array([[0.25]]), weights=np.array([1.0]))
+        inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=1.0)
+        with pytest.raises(GridError, match="at least two distinct target atoms, got 1"):
+            bridge_from_potential(np.zeros(1), inst, 11)
 
     def test_terminal_marginal_matches_static_with_nonuniform_target(self):
         inst = grid_instance(32, uniform_target=False)
-        grid = bridge_grid_for(inst, n_t=51)
         phi_star = oracle_solve(inst)
         n = 20_000
         for phi in (np.zeros(inst.m), phi_star):
-            field = bridge_from_potential(phi, inst, grid)
+            field = bridge_from_potential(phi, inst, 51)
             sim = simulate_em(field, inst.mu, n, seed=11)
             hist = terminal_histogram(sim.positions, inst.nu.points[:, 0])
             tv = 0.5 * np.abs(hist - marginal_y(phi, inst)).sum()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -159,6 +160,16 @@ class TestInducedMarginal:
     def test_rejects_non_finite_potential(self, small_instance):
         with pytest.raises(ValueError):
             induced_marginal(np.full(small_instance.m, np.nan), small_instance)
+
+    @pytest.mark.parametrize(
+        "fn", [induced_marginal, plus_transform, semidual_value, marginal_y, first_variation, coupling]
+    )
+    def test_one_shot_evaluators_reject_a_potential_of_the_wrong_shape(self, fn):
+        # a length-1 phi used to broadcast into the constant potential
+        inst = random_instance(np.random.default_rng(1), 4, 5, 0.5)
+        for shape in [(1,), (inst.m + 1,), (inst.m, inst.m)]:
+            with pytest.raises(ValueError, match=rf"^phi has shape {re.escape(str(shape))}, expected \(5,\)$"):
+                fn(np.full(shape, 0.5), inst)
 
 
 def _traced_bytes(fn):

@@ -174,6 +174,7 @@ def cmd_bridge(args) -> int:
         inst = load_instance(args.instance)
     else:
         inst = bridge_mod.make_demo_instance(n_points=args.grid_points, epsilon=args.epsilon)
+    mc_term, disc_term = bridge_mod.tv_tolerance_terms(args.particles, args.nt)
     if args.phi == "oracle":
         phi = oracle_solve(inst)
     else:
@@ -183,7 +184,6 @@ def cmd_bridge(args) -> int:
     hist = bridge_mod.terminal_histogram(sim.positions, inst.nu.points[:, 0])
     static = marginal_y(phi, inst)
     tv = 0.5 * float(np.abs(hist - static).sum())
-    mc_term, disc_term = bridge_mod.tv_tolerance_terms(args.particles, inst.nu.points[:, 0])
     doc = {
         "instance_digest": _digest(inst),
         "phi": args.phi,

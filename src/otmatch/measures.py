@@ -202,10 +202,13 @@ class Instance:
             raise InstanceError(f"epsilon must be a number, got {self.epsilon!r}") from exc
         if not (np.isfinite(eps) and eps > 0.0):
             raise InstanceError(f"epsilon must be a strictly positive real, got {self.epsilon!r}")
-        # each row's Gibbs exponent is normalized by its least C/eps, which must be finite
+        # each row's Gibbs exponent is normalized by its least C/eps, which must
+        # be finite; a column whose every C/eps overflows has no Gibbs mass for b_j
         row_min = c.min(axis=1)
         if float(row_min.max()) / eps == np.inf:
             raise InstanceError(f"C/eps overflows float64 on a whole row of the cost (epsilon={eps!r})")
+        if float(c.min(axis=0).max()) / eps == np.inf:
+            raise InstanceError(f"C/eps overflows float64 on a whole column of the cost (epsilon={eps!r})")
         if float(row_min.min()) / eps == -np.inf:
             raise InstanceError(f"C/eps overflows float64 to -inf (epsilon={eps!r})")
         c = c.copy()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from otmatch import semidual, solvers
-from otmatch.bridge import _log_heat, _neg_half_sq
+from otmatch.logops import logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch.solvers import SolverConfig, oracle_solve, run
 from otmatch.verify import random_instance
@@ -70,8 +70,10 @@ def write_instance(inst: Instance, path) -> None:
 
 def heat(log_terminal: np.ndarray, s: float, x: np.ndarray) -> np.ndarray:
     """The terminal density exp(log_terminal) on the equispaced nodes ``x``
-    after backward heat propagation for time s > 0 (variance s)."""
-    return np.exp(_log_heat(_neg_half_sq(x, x), log_terminal, s, float(x[1] - x[0])))
+    after backward heat propagation for time s > 0 (variance s): the grid
+    convolution with the exact Gaussian kernel, summed in the log domain."""
+    kern = -0.5 * (x[:, None] - x[None, :]) ** 2 / s - 0.5 * np.log(2.0 * np.pi * s)
+    return np.exp(logsumexp(kern + log_terminal[None, :] + np.log(x[1] - x[0]), axis=1))
 
 
 def zero_cost_instance(n: int = 4, m: int = 5, seed: int = 0) -> Instance:
@@ -92,6 +94,21 @@ def underflow_instance() -> Instance:
     mu = DiscreteMeasure(points=np.array([[0.0], [0.1]]), weights=np.array([0.5, 0.5]))
     nu = DiscreteMeasure(points=np.array([[0.0], [5.0]]), weights=np.array([0.5, 0.5]))
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.01)
+
+
+def two_source_instance(targets, epsilon=0.5):
+    """Uniform sources at -0.5 and 0.5 and uniform targets at ``targets``,
+    in the given order, with quadratic cost."""
+    mu = DiscreteMeasure(points=np.array([[-0.5], [0.5]]), weights=np.full(2, 0.5))
+    ys = np.array(targets, dtype=float)[:, None]
+    nu = DiscreteMeasure(points=ys, weights=np.full(ys.size, 1.0 / ys.size))
+    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
+
+
+# targets unequally spaced, unsorted, or equispaced with the sources halfway between them
+OFF_LATTICE_TARGETS = pytest.mark.parametrize(
+    "targets", [[-1.0, -0.9, 0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]], ids=["unequal", "unsorted", "sorted"]
+)
 
 
 def extreme_instance(rng, n, m, epsilon):

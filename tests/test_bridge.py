@@ -6,20 +6,20 @@ from otmatch.bridge import (
     GridError,
     SpaceTimeGrid,
     _interp_uniform,
-    _log_heat,
-    _neg_half_sq,
     _slopes,
     bridge_from_potential,
     bridge_grid_for,
     make_demo_instance,
     simulate_em,
     terminal_histogram,
+    tv_tolerance_terms,
 )
+from otmatch.logops import logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix, make_grid_measure
 from otmatch.semidual import marginal_y
 from otmatch.solvers import oracle_solve
 
-from conftest import heat
+from conftest import OFF_LATTICE_TARGETS, heat, two_source_instance
 
 
 def small_grid(T=1.0, n_t=21, span=8.0, n_x=161):
@@ -43,30 +43,37 @@ class TestSpaceTimeGrid:
         assert g.T == 1.0
 
     def test_covering_contains_margin(self):
-        g = bridge_grid_for(make_demo_instance(n_points=41, epsilon=1.0), n_t=11)  # spacing 0.1
-        assert g.dx == pytest.approx(0.1)
+        # spacing sqrt(1/10) whatever the 41 atoms' gap, nodes k dx about 0
+        # for |k| up to ceil((2 + 6 sqrt 2) / dx) = 34
+        g = bridge_grid_for(make_demo_instance(n_points=41, epsilon=1.0), n_t=11)
+        assert g.dx == pytest.approx(np.sqrt(0.1), rel=1e-12)
+        assert g.n_x == 69 and g.x[34] == 0.0
         margin = 6.0 * np.sqrt(2.0)
-        assert g.x[0] <= -2.0 - margin + 0.1
-        assert g.x[-1] >= 2.0 + margin - 0.1
-        # support endpoints land on nodes
-        assert np.min(np.abs(g.x - (-2.0))) <= 1e-12
-        assert np.min(np.abs(g.x - 2.0)) <= 1e-9
+        assert g.x[0] <= -2.0 - margin < g.x[1]
+        assert g.x[-2] < 2.0 + margin <= g.x[-1]
+
+    @pytest.mark.parametrize("n_t", [1, 0, -3])
+    def test_fewer_than_two_time_nodes_raise_grid_error(self, n_t):
+        with pytest.raises(GridError, match=f"at least two time nodes, got {n_t}"):
+            bridge_grid_for(make_demo_instance(n_points=8), n_t)
 
     @pytest.mark.parametrize("inst", [
         *(make_demo_instance(n_points=n, epsilon=eps) for n in (2, 17, 64) for eps in (0.05, 1.0, 4.0)),
         grid_instance(64, mu_center=0.3, mu_width=0.5, uniform_target=False),
     ])
     def test_bridge_grid_geometry(self, inst):
-        # what bridge_from_potential relies on: time nodes on [0, epsilon],
-        # the 6 sqrt(2 eps) margin past both supports, every atom on a node
+        # the contract: time nodes on [0, epsilon], spacing sqrt(eps / (n_t - 1))
+        # whatever the atoms, the 6 sqrt(2 eps) margin past both supports
+        # (by less than one more spacing), symmetry about the supports' midpoint
         g = bridge_grid_for(inst, n_t=11)
-        assert g.times[0] == 0.0 and g.times[-1] == inst.epsilon
+        assert g.times[0] == 0.0 and g.times[-1] == inst.epsilon and g.n_t == 11
+        assert g.dx == pytest.approx(np.sqrt(inst.epsilon / 10), rel=1e-12)
         atoms = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
         margin = 6.0 * np.sqrt(2.0 * inst.epsilon)
         assert g.x[0] <= atoms.min() - margin + 1e-9 and g.x[-1] >= atoms.max() + margin - 1e-9
         assert g.x[0] > atoms.min() - margin - g.dx and g.x[-1] < atoms.max() + margin + g.dx
-        off_node = np.min(np.abs(atoms[:, None] - g.x[None, :]), axis=1)
-        assert np.max(off_node) <= 1e-9 * g.dx
+        mid = 0.5 * (atoms.min() + atoms.max())
+        np.testing.assert_allclose(g.x - mid, -(g.x[::-1] - mid), rtol=0, atol=1e-12 * (g.x[-1] - g.x[0]))
 
     def test_validation(self):
         with pytest.raises(GridError):
@@ -108,17 +115,16 @@ class TestHeatPropagate:
 
 class TestDriftField:
     def test_gaussian_bump_matches_analytic_gradient(self):
-        # one target atom: g_t is a Gaussian bump around it whose log is
-        # quadratic, so central differences give grad log g_t = (y - x)/(T - t)
-        # exactly at interior nodes
-        T, y = 0.5, 0.25
-        grid = SpaceTimeGrid(x=y + 0.05 * np.arange(-120, 121), times=np.linspace(0.0, T, 11))
-        s = np.maximum(T - grid.times, grid.dt)[:, None]  # the last node reuses the step before
-        neg_half_sq = _neg_half_sq(grid.x, np.array([y]))
-        rows = np.array([_log_heat(neg_half_sq, np.array([0.7]), float(sk), grid.dx) for sk in s[:, 0]])
-        drift = np.gradient(rows, grid.dx, axis=1)
-        analytic = (y - grid.x)[None, :] / s
-        np.testing.assert_allclose(drift[:, 1:-1], analytic[:, 1:-1], rtol=1e-9, atol=1e-9)
+        # one target atom: g_t is a Gaussian bump around it, so
+        # grad log g_t = (y - x)/s at every node, the ends included
+        y = 0.25
+        mu = DiscreteMeasure(points=np.array([[-0.3], [0.9]]), weights=np.array([0.4, 0.6]))
+        nu = DiscreteMeasure(points=np.array([[y]]), weights=np.array([1.0]))
+        inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.5)
+        field = bridge_from_potential(np.array([0.7]), inst, 11)
+        grid = field.grid
+        s = np.maximum(grid.T - grid.times, grid.dt)[:, None]  # the last node reuses the step before
+        np.testing.assert_allclose(field.values, (y - grid.x)[None, :] / s, rtol=1e-12, atol=0)
 
     def test_csv_header(self):
         g = small_grid(n_t=3, n_x=5, span=2.0)
@@ -178,23 +184,23 @@ class TestInterpolation:
 
 class TestBridgeFromPotential:
     @pytest.mark.parametrize("uniform_target", [True, False])
-    def test_support_columns_match_full_grid_heat_pass(self, uniform_target):
-        # the terminal data is -inf off the target nodes; propagating it over
-        # the whole grid must give the same drift as over the targets only
+    def test_drift_is_central_difference_of_log_mixture(self, uniform_target):
+        # the closed form against d/dx of log sum_j exp(phi_j + log b_j - (x - y_j)^2 / (2s))
+        # by a central difference of step h = 1e-5 at every node and time; its
+        # truncation and rounding errors were 8.7e-11 of the largest |v| (258)
         inst = grid_instance(48, uniform_target=uniform_target)
         phi = oracle_solve(inst)
         field = bridge_from_potential(phi, inst, 31)
-        grid = field.grid
-        y_idx = np.round((inst.nu.points[:, 0] - grid.x[0]) / grid.dx).astype(int)
-        log_term = np.full(grid.n_x, -np.inf)
-        log_term[y_idx] = phi + inst.log_b + np.log(inst.m)
-        full = _neg_half_sq(grid.x, grid.x)
-        rows = np.array([
-            _log_heat(full, log_term, max(grid.T - float(t), grid.dt), grid.dx) for t in grid.times
+        grid, y, h = field.grid, inst.nu.points[:, 0], 1e-5
+
+        def log_g(x, s):
+            return logsumexp(phi + inst.log_b - (x[:, None] - y[None, :]) ** 2 / (2.0 * s), axis=1)
+
+        expected = np.array([
+            (log_g(grid.x + h, s) - log_g(grid.x - h, s)) / (2.0 * h)
+            for s in np.maximum(grid.T - grid.times, grid.dt)
         ])
-        expected = np.gradient(rows, grid.dx, axis=1)
-        got = field.values
-        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+        assert np.max(np.abs(field.values - expected)) <= 1e-9 * np.max(np.abs(field.values))
 
     def test_zero_potential_drift_antisymmetric_for_symmetric_instance(self):
         inst = grid_instance(33, mu_center=0.0, mu_width=0.5)
@@ -233,12 +239,18 @@ class TestBridgeFromPotential:
         np.testing.assert_array_equal(field.grid.x, expected.x)
         np.testing.assert_array_equal(field.grid.times, expected.times)
 
-    def test_one_target_atom_raises_grid_error(self):
+    def test_one_target_atom_takes_all_the_mass(self):
+        # the grid no longer needs a gap between target atoms
         mu = DiscreteMeasure(points=np.array([[0.0], [0.5]]), weights=np.array([0.5, 0.5]))
         nu = DiscreteMeasure(points=np.array([[0.25]]), weights=np.array([1.0]))
         inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=1.0)
-        with pytest.raises(GridError, match="at least two distinct target atoms, got 1"):
-            bridge_from_potential(np.zeros(1), inst, 11)
+        sim = simulate_em(bridge_from_potential(np.zeros(1), inst, 11), inst.mu, 1000, seed=3)
+        np.testing.assert_array_equal(terminal_histogram(sim.positions, inst.nu.points[:, 0]), [1.0])
+
+    def test_coincident_target_atoms_raise_grid_error(self):
+        inst = two_source_instance([-1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(GridError, match="distinct target atoms"):
+            bridge_from_potential(np.zeros(inst.m), inst, 11)
 
     def test_terminal_marginal_matches_static_with_nonuniform_target(self):
         inst = grid_instance(32, uniform_target=False)
@@ -249,8 +261,18 @@ class TestBridgeFromPotential:
             sim = simulate_em(field, inst.mu, n, seed=11)
             hist = terminal_histogram(sim.positions, inst.nu.points[:, 0])
             tv = 0.5 * np.abs(hist - marginal_y(phi, inst)).sum()
-            dx = inst.nu.points[1, 0] - inst.nu.points[0, 0]
-            assert tv <= 3.0 / np.sqrt(n) + 2.0 * dx
+            assert tv <= sum(tv_tolerance_terms(n, 51))
+
+    @OFF_LATTICE_TARGETS
+    def test_terminal_marginal_matches_static_off_the_lattice(self, targets):
+        inst = two_source_instance(targets)
+        n, n_t = 20_000, 51
+        tol = sum(tv_tolerance_terms(n, n_t))
+        assert tol < 1.0
+        for phi in (np.zeros(inst.m), oracle_solve(inst)):
+            sim = simulate_em(bridge_from_potential(phi, inst, n_t), inst.mu, n, seed=5)
+            hist = terminal_histogram(sim.positions, inst.nu.points[:, 0])
+            assert 0.5 * np.abs(hist - marginal_y(phi, inst)).sum() <= tol
 
 
 class TestHistogram:
@@ -258,3 +280,29 @@ class TestHistogram:
         support = np.array([0.0, 1.0, 2.0])
         pos = np.array([0.1, 0.9, 1.2, 2.4, -5.0])
         np.testing.assert_allclose(terminal_histogram(pos, support), [0.4, 0.4, 0.2])
+
+    def test_unequal_and_unsorted_atoms(self):
+        # the boundaries are the midpoints of neighbours in sorted order
+        support = np.array([1.0, -0.9, 0.0, -1.0])
+        pos = np.array([-1.2, -0.96, -0.94, -0.5, -0.4, 0.49, 0.51, 0.3])
+        np.testing.assert_allclose(terminal_histogram(pos, support), [0.125, 0.25, 0.375, 0.25])
+
+
+class TestToleranceTerms:
+    def test_terms(self):
+        mc_term, disc_term = tv_tolerance_terms(10_000, 101)
+        assert mc_term == pytest.approx(0.03, rel=1e-15) and disc_term == pytest.approx(0.1, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "particles, n_t, error, message",
+        [
+            (0, 101, ValueError, "at least one particle, got 0"),
+            (100, 1, GridError, "at least two time nodes, got 1"),
+            (100_000, 2, ValueError, "TV tolerance 1.009 of 100000 particles and 2 time nodes is at least 1"),
+            (9, 101, ValueError, "TV tolerance 1.1 of 9 particles"),
+        ],
+        ids=["no_particles", "one_time_node", "one_step", "few_particles"],
+    )
+    def test_inputs_whose_tolerance_is_undefined_or_cannot_fail(self, particles, n_t, error, message):
+        with pytest.raises(error, match=message):
+            tv_tolerance_terms(particles, n_t)

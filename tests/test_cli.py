@@ -19,7 +19,9 @@ from otmatch.kernels import gram, parse_kernel_spec
 from otmatch.solvers import DivergenceError, OracleError, SolverConfig, run
 from otmatch.verify import CheckResult, random_instance
 
-from conftest import NON_FINITE, SHIFTS, poison_update, write_instance, zero_cost_instance
+from conftest import (
+    NON_FINITE, OFF_LATTICE_TARGETS, SHIFTS, poison_update, two_source_instance, write_instance, zero_cost_instance,
+)
 
 
 @pytest.fixture()
@@ -547,8 +549,7 @@ class TestBridgeCommand:
         assert float(doc["tv_terminal_vs_static"]) <= float(doc["tv_tolerance"])
 
     @pytest.mark.parametrize("source", ["demo", "file"])
-    def test_one_target_atom_is_an_input_error(self, tmp_path, capsys, source):
-        # the grid spacing is the gap between target atoms, so one atom has none
+    def test_one_target_atom_takes_all_the_mass(self, tmp_path, capsys, source):
         summary = tmp_path / "s.json"
         if source == "demo":
             args = ["--grid-points", "1"]
@@ -558,10 +559,46 @@ class TestBridgeCommand:
             path = tmp_path / "one.json"
             write_instance(Instance(mu=mu, nu=nu, cost=np.array([[0.03125], [0.03125]]), epsilon=1.0), path)
             args = ["--instance", str(path)]
-        assert main(["bridge", *args, "--summary", str(summary)]) == 1
+        assert main(["bridge", *args, "--particles", "2000", "--summary", str(summary)]) == 0
+        assert capsys.readouterr().err == ""
+        # the histogram is [1.0], the static marginal too
+        assert json.loads(summary.read_text())["tv_terminal_vs_static"] == "0.0"
+
+    @OFF_LATTICE_TARGETS
+    @pytest.mark.parametrize("phi", ["zero", "oracle"])
+    def test_targets_off_the_lattice(self, tmp_path, targets, phi):
+        path = tmp_path / "inst.json"
+        write_instance(two_source_instance(targets), path)
+        summary = tmp_path / "s.json"
+        args = ["--instance", str(path), "--phi", phi, "--particles", "20000", "--summary", str(summary)]
+        assert main(["bridge", *args]) == 0
+        doc = json.loads(summary.read_text())
+        assert float(doc["tv_terminal_vs_static"]) <= float(doc["tv_tolerance"]) < 1.0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--particles", "0"], "need at least one particle, got 0"),
+            (["--nt", "1"], "the bridge needs at least two time nodes, got 1"),
+            (["--nt", "2"], "the TV tolerance 1.009 of 100000 particles and 2 time nodes is at least 1"),
+            (["--particles", "9"], "the TV tolerance 1.1 of 9 particles and 101 time nodes is at least 1"),
+        ],
+        ids=["no_particles", "one_time_node", "one_step", "few_particles"],
+    )
+    def test_run_inputs_are_checked_before_the_oracle(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.setattr(cli, "oracle_solve", lambda inst: pytest.fail("the oracle ran"))
+        summary = tmp_path / "s.json"
+        assert main(["bridge", "--grid-points", "8", "--phi", "oracle", *args, "--summary", str(summary)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: the bridge needs at least two distinct target atoms, got 1\n", err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not summary.exists()
+
+    def test_coincident_target_atoms_are_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        write_instance(two_source_instance([0.0, 0.0, 1.0]), path)
+        assert main(["bridge", "--instance", str(path), "--particles", "2000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bridge needs distinct target atoms") and err.count("\n") == 1, err
 
 
 class TestFlowCommand:
@@ -639,9 +676,11 @@ class TestValidate:
         assert main(["validate", "--instance", str(bad)]) == 1
 
     @pytest.mark.parametrize(
-        "cost", [[[1e308, 1e308], [1e308, 1e308]], [[-1e308, 0.0], [0.0, 0.0]]], ids=["row_inf", "minus_inf"]
+        "cost",
+        [[[1e308, 1e308], [1e308, 1e308]], [[0.0, 1e308], [0.0, 1e308]], [[-1e308, 0.0], [0.0, 0.0]]],
+        ids=["row_inf", "col_inf", "minus_inf"],
     )
-    @pytest.mark.parametrize("command", [["validate"], ["solve", "--method", "sinkhorn"]])
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "--method", "sinkhorn"], ["oracle"]])
     def test_overflowing_c_over_eps_is_an_input_error(self, tmp_path, capsys, cost, command):
         inst = two_atom_file(tmp_path, cost, 0.5)
         assert main([*command, "--instance", str(inst)]) == 1

@@ -187,9 +187,10 @@ class TestInstance:
         "cost, epsilon, message",
         [
             ([[1e308, 1e308], [1e308, 1e308]], 0.5, "on a whole row"),
+            ([[0.0, 1e300], [0.0, 1e300]], 1e-10, "on a whole column"),
             ([[-1e308, 0.0], [0.0, 0.0]], 0.5, "to -inf"),
         ],
-        ids=["row_inf", "minus_inf"],
+        ids=["row_inf", "col_inf", "minus_inf"],
     )
     def test_rejects_cost_over_eps_that_overflows(self, cost, epsilon, message):
         mu = DiscreteMeasure(points=np.zeros((2, 1)), weights=np.full(2, 0.5))

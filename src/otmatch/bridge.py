@@ -13,7 +13,9 @@ The terminal data is atomic, so g_t is a Gaussian mixture over the target
 atoms and the drift has a closed form, tabulated on a uniform grid set by
 epsilon and the number of time nodes, not by the atoms.  The simulation
 interpolates it by grid index, with the values ``np.interp`` gives, and
-bins each particle to its nearest target atom.
+bins each particle to its nearest target atom.  Inputs are checked where
+they enter, in :func:`bridge_from_potential` and :func:`simulate_em`; the
+grid and the drift they build need no second check.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, Instance, cost_matrix, make_grid_measure
+from .semidual import _potential
 
 __all__ = [
-    "SpaceTimeGrid",
     "DriftField",
     "SimulationResult",
     "simulate_em",
@@ -43,30 +45,19 @@ CLAMP_REPORT_FRACTION = 0.01
 
 
 class GridError(ValueError):
-    """Raised when grid geometry or the cost/epsilon correspondence is violated."""
+    """Raised when the bridge's instance or time grid is unusable: not 1-D,
+    a cost other than |x-y|^2/2, coincident target atoms or fewer than two
+    time nodes."""
 
 
 @dataclass(frozen=True)
-class SpaceTimeGrid:
-    """Equispaced spatial nodes plus uniform time nodes on [0, T]."""
+class DriftField:
+    """The drift of :func:`bridge_from_potential`: ``values[k]`` on the
+    equispaced nodes ``x`` at the uniform time ``times[k]`` of [0, T]."""
 
     x: np.ndarray
     times: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        ts = np.asarray(self.times, dtype=np.float64)
-        if x.ndim != 1 or x.size < 2 or ts.ndim != 1 or ts.size < 2:
-            raise GridError("need at least two spatial nodes and two time nodes")
-        dx = np.diff(x)
-        if np.any(dx <= 0) or np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0]:
-            raise GridError("spatial nodes must be strictly increasing and equispaced")
-        dt = np.diff(ts)
-        if ts[0] != 0.0 or np.any(dt <= 0) or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
-            raise GridError("time nodes must run from 0 with uniform positive spacing")
-        for name, nodes in (("x", x.copy()), ("times", ts.copy())):
-            nodes.setflags(write=False)
-            object.__setattr__(self, name, nodes)
+    values: np.ndarray  # (times.size, x.size)
 
     @property
     def dx(self) -> float:
@@ -80,41 +71,14 @@ class SpaceTimeGrid:
     def T(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def n_x(self) -> int:
-        return self.x.size
-
-    @property
-    def n_t(self) -> int:
-        return self.times.size
-
-
-@dataclass(frozen=True)
-class DriftField:
-    """Drift values on the space-time grid (rows = time nodes)."""
-
-    grid: SpaceTimeGrid
-    values: np.ndarray  # (n_t, n_x)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.n_t, self.grid.n_x):
-            raise GridError(f"drift shape {v.shape} does not match grid ({self.grid.n_t}, {self.grid.n_x})")
-        if not np.all(np.isfinite(v)):
-            raise GridError("drift field must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
     def to_csv(self) -> str:
-        g = self.grid
         lines = [
-            f"# n_t={g.n_t} n_x={g.n_x} T={g.T!r} dt={g.dt!r} dx={g.dx!r} x0={float(g.x[0])!r}",
-            ",".join(["t"] + [repr(float(xx)) for xx in g.x]),
+            f"# n_t={self.times.size} n_x={self.x.size} T={self.T!r} dt={self.dt!r} dx={self.dx!r} "
+            f"x0={float(self.x[0])!r}",
+            ",".join(["t"] + [repr(float(xx)) for xx in self.x]),
         ]
-        for k in range(g.n_t):
-            row = [repr(float(g.times[k]))] + [repr(float(v)) for v in self.values[k]]
-            lines.append(",".join(row))
+        for t, row in zip(self.times, self.values):
+            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
         return "\n".join(lines) + "\n"
 
 
@@ -139,34 +103,33 @@ def simulate_em(drift: DriftField, mu: DiscreteMeasure, n_particles: int, seed: 
         raise ValueError("need at least one particle")
     if mu.dim != 1:
         raise ValueError("simulation is one-dimensional")
-    g = drift.grid
     rng = np.random.default_rng(seed)
     idx = rng.choice(mu.n_atoms, size=n_particles, p=mu.weights)
     x_pos = mu.points[:, 0][idx].astype(np.float64)
-    lo, hi = g.x[0], g.x[-1]
-    dt = g.dt
+    x, lo, hi = drift.x, drift.x[0], drift.x[-1]
+    dt = drift.dt
     sqdt = np.sqrt(dt)
-    slopes = _slopes(g.x, drift.values)
+    slopes = _slopes(x, drift.values)
     work = (np.empty(n_particles), np.empty(n_particles), np.empty(n_particles, np.intp),
             np.empty(n_particles, bool))
     noise = np.empty(n_particles)
     low = np.empty(n_particles, bool)
     high = np.empty(n_particles, bool)
     n_clamped = 0
-    for k in range(g.n_t - 1):
+    for k in range(drift.times.size - 1):
         # x + v dt + sqrt(dt) z, in place and in that order
-        step = _interp_uniform(x_pos, g.x, drift.values[k], slopes[k], work)
+        step = _interp_uniform(x_pos, x, drift.values[k], slopes[k], work)
         step *= dt
         x_pos += step
         rng.standard_normal(out=noise)
         noise *= sqdt
         x_pos += noise
-        np.less(x_pos, lo - g.dx, out=low)
-        np.greater(x_pos, hi + g.dx, out=high)
+        np.less(x_pos, lo - drift.dx, out=low)
+        np.greater(x_pos, hi + drift.dx, out=high)
         n_clamped += int(np.count_nonzero(low) + np.count_nonzero(high))
         x_pos[low] = lo
         x_pos[high] = hi
-    frac = n_clamped / (n_particles * (g.n_t - 1))
+    frac = n_clamped / (n_particles * (drift.times.size - 1))
     return SimulationResult(
         positions=x_pos,
         clamp_fraction=frac,
@@ -215,16 +178,15 @@ def bridge_from_potential(phi: np.ndarray, inst: Instance, n_t: int) -> DriftFie
     """Drift field of the bridge induced by a solved potential, on the grid
     of :func:`bridge_grid_for` with ``n_t`` time nodes and horizon T = epsilon.
 
-    Requires a 1-D instance with cost |x-y|^2/2 between its supports and
-    distinct target atoms (no binning can split coincident atoms' mass).
+    Requires a finite potential of shape (m,), a 1-D instance with cost
+    |x-y|^2/2 between its supports and distinct target atoms (no binning
+    can split coincident atoms' mass); then the drift is finite.
     g_t is a Gaussian mixture over the target atoms, so its log-gradient is
     v = (sum_j w_j y_j - x)/s with w = softmax_j(phi_j + log b_j -
     (x - y_j)^2/(2s)) and s = max(T - t, dt): the last time node reuses the
     preceding bandwidth, since the drift needs positive remaining time.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (inst.m,):
-        raise GridError(f"phi has shape {phi.shape}, expected ({inst.m},)")
+    phi = _potential(phi, inst.m, "phi")
     if inst.mu.dim != 1 or inst.nu.dim != 1:
         raise GridError("bridge construction is one-dimensional")
     quad = cost_matrix(inst.mu, inst.nu, "half_sqeuclidean")
@@ -233,17 +195,17 @@ def bridge_from_potential(phi: np.ndarray, inst: Instance, n_t: int) -> DriftFie
     y = inst.nu.points[:, 0]
     if np.unique(y).size < y.size:
         raise GridError("the bridge needs distinct target atoms: no binning can split the mass of coincident ones")
-    grid = bridge_grid_for(inst, n_t)
-    neg_half_sq = -0.5 * (grid.x[:, None] - y[None, :]) ** 2
+    x, times = bridge_grid_for(inst, n_t)
+    field = DriftField(x=x, times=times, values=np.empty((times.size, x.size)))
+    neg_half_sq = -0.5 * (x[:, None] - y[None, :]) ** 2
     log_weight = phi + inst.log_b
-    v = np.empty((grid.n_t, grid.n_x))
-    for k, t in enumerate(grid.times):
-        s = max(grid.T - float(t), grid.dt)
+    for t, v in zip(times, field.values):
+        s = max(field.T - float(t), field.dt)
         w = neg_half_sq / s + log_weight
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
-        v[k] = (w @ y / w.sum(axis=1) - grid.x) / s
-    return DriftField(grid=grid, values=v)
+        v[:] = (w @ y / w.sum(axis=1) - x) / s
+    return field
 
 
 def terminal_histogram(positions: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -292,16 +254,17 @@ def _steps(n_t: int) -> int:
     return n_t - 1
 
 
-def bridge_grid_for(inst: Instance, n_t: int) -> SpaceTimeGrid:
-    """The bridge's grid: ``n_t`` time nodes on [0, T], T = epsilon, and
-    nodes spaced by one Euler-Maruyama step's diffusive length
-    dx = sqrt(eps / (n_t - 1)), symmetric about the supports' midpoint and
-    reaching 6 sqrt(2 eps) past both; atoms need not sit on nodes.  Supports
-    of width W get about (W + 12 sqrt(2 eps)) sqrt(n_t - 1) / sqrt(eps)
-    nodes: 211 at eps 1 and 4,171 at eps 1e-4 on [-2, 2] with n_t = 101."""
+def bridge_grid_for(inst: Instance, n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bridge's grid ``(x, times)``: ``n_t`` time nodes on [0, T],
+    T = epsilon, and spatial nodes spaced by one Euler-Maruyama step's
+    diffusive length dx = sqrt(eps / (n_t - 1)), symmetric about the
+    supports' midpoint and reaching 6 sqrt(2 eps) past both; atoms need not
+    sit on nodes.  Supports of width W get about (W + 12 sqrt(2 eps))
+    sqrt(n_t - 1) / sqrt(eps) nodes: 211 at eps 1 and 4,171 at eps 1e-4 on
+    [-2, 2] with n_t = 101."""
     dx = np.sqrt(inst.epsilon / _steps(n_t))
     xs = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
     lo, hi = float(xs.min()), float(xs.max())
     k = int(np.ceil((0.5 * (hi - lo) + GRID_MARGIN_FACTOR * np.sqrt(2.0 * inst.epsilon)) / dx))
     x = 0.5 * (lo + hi) + dx * np.arange(-k, k + 1)
-    return SpaceTimeGrid(x=x, times=np.linspace(0.0, inst.epsilon, n_t))
+    return x, np.linspace(0.0, inst.epsilon, n_t)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Instance
-from .semidual import InducedCache, _induced_kl, induced_marginal
+from .semidual import InducedCache, _induced_kl, _potential, induced_marginal
 from .solvers import oracle_solve
 
 __all__ = ["FlowRunResult", "flow_run", "FlowBlowupError"]
@@ -153,11 +153,7 @@ def flow_run(
     if n_grid == math.inf:
         raise ValueError(f"record grid too fine to count: (t_end - t0) / (record_every * dt) = {n_grid}")
     n_records = max(1, math.ceil(n_grid))
-    phi0 = np.asarray(phi0, dtype=np.float64)
-    if phi0.shape != (inst.m,):
-        raise ValueError(f"phi0 has shape {phi0.shape}, expected ({inst.m},)")
-    if not np.all(np.isfinite(phi0)):
-        raise ValueError("phi0 must be finite")
+    phi0 = _potential(phi0, inst.m, "phi0")
     if phi_star is None:
         phi_star = oracle_solve(inst)
     star_plus, q_star = induced_marginal(phi_star, inst)
@@ -186,7 +182,7 @@ def flow_run(
 
     def field(s, state):  # (q', g') at time s, end to end
         q, g = state[: inst.m], state[inst.m :]
-        return np.concatenate(((r / s) * (cache.marginal(g) - q), (s / r) * (inst.b - q)))
+        return np.concatenate(((r / s) * (cache(g)[1] - q), (s / r) * (inst.b - q)))
 
     record()
     h, h_min = float(dt), MIN_STEP * dt

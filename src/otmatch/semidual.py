@@ -36,11 +36,12 @@ give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
 ``E`` is dropped and the exponential pass of :func:`induced_marginal` runs
 at phi, which becomes the new reference.  Both use one code path, so a
 cache's first evaluation equals :func:`induced_marginal` bit for bit.  A
-potential is checked once, where it enters: :func:`induced_marginal` (which
-:func:`plus_transform`, the objective and the coupling read) rejects a
-phi that is not a finite vector of shape (m,), and a cache checks nothing,
-because its two loops check their start and see a non-finite iterate in
-the objective or state.  Only the identity link reads ``log p``, which
+potential is checked once, where it enters, by :func:`_potential`:
+:func:`induced_marginal` (which :func:`plus_transform`, the objective and
+the coupling read), the start of the two loops over a cache, and the
+bridge reject a phi that is not a finite vector of shape (m,).  A cache
+checks nothing, because its loops see a non-finite iterate in the
+objective or state.  Only the identity link reads ``log p``, which
 :func:`_log_mass` forms from the pair: a column whose ``p_j`` lies below
 ``P_FLOOR`` may have lost its mass to underflow, so its ``log p_j`` is
 recomputed exactly as the logsumexp over rows of the coupling's log masses
@@ -183,14 +184,19 @@ def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.nd
 
     ``phi_plus`` is what :func:`plus_transform` returns, and ``p`` is the
     pass's ``(a / s) @ E``.  phi enters the semi-dual calculus here, so this
-    is where it is checked: it must have shape (m,) and be finite everywhere.
+    is where :func:`_potential` checks it.
     """
+    return _absorb(_potential(phi, inst.m, "phi"), inst)[2:]
+
+
+def _potential(phi, m: int, name: str) -> np.ndarray:
+    """phi as a float64 array, checked where it enters: shape (m,), finite everywhere."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (inst.m,):
-        raise ValueError(f"phi has shape {phi.shape}, expected ({inst.m},)")
+    if phi.shape != (m,):
+        raise ValueError(f"{name} has shape {phi.shape}, expected ({m},)")
     if not np.all(np.isfinite(phi)):
-        raise ValueError("phi must be finite everywhere")
-    return _absorb(phi, inst)[2:]
+        raise ValueError(f"{name} must be finite everywhere")
+    return phi
 
 
 def _absorb(phi, inst):
@@ -206,8 +212,7 @@ class InducedCache:
     absorption point, makes the exponential pass of :func:`induced_marginal`
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
-    to rounding.  :meth:`marginal` returns the masses p alone under the
-    same absorption rule.  Neither checks phi: its loop checks the start, and
+    to rounding.  It does not check phi: its loop checks the start, and
     a NaN or infinite entry fails the radius test, so the absorbing pass
     carries it into ``(phi_plus, p)``, where the loop reports it.  A cache
     belongs to one run: it is neither thread-safe nor meant to be stored on
@@ -219,33 +224,14 @@ class InducedCache:
         self._e = self._rowmax = self._phi_ref = None
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta = self._delta(phi)
-        if delta is None:
-            return self._absorb(phi)
-        v = np.exp(delta)
-        t = self._e.dot(v)
-        return self._rowmax + np.log(t), v * (self._inst.a / t).dot(self._e)
-
-    def marginal(self, phi: np.ndarray) -> np.ndarray:
-        """Y-marginal masses p at phi, without the transform (the mirror flow's right-hand side)."""
-        delta = self._delta(phi)
-        if delta is None:
-            return self._absorb(phi)[1]
-        v = np.exp(delta)
-        return v * (self._inst.a / self._e.dot(v)).dot(self._e)
-
-    def _delta(self, phi):
-        """``phi - phi_ref`` if phi lies within ``ABSORB_AT`` of the reference, else None."""
         if self._e is not None:
             delta = phi - self._phi_ref
             # the 2-norm bounds the sup norm and is one call where m is small
             if delta.dot(delta) <= ABSORB_AT**2 or abs(delta).max() <= ABSORB_AT:
-                return delta
+                v = np.exp(delta)
+                t = self._e.dot(v)
+                return self._rowmax + np.log(t), v * (self._inst.a / t).dot(self._e)
             self._e = None  # free the old matrix before the pass allocates a new one
-        return None
-
-    def _absorb(self, phi):
-        """Make phi the reference; return its ``(phi_plus, p)``."""
         self._e, self._rowmax, phi_plus, p = _absorb(phi, self._inst)
         self._phi_ref = phi.copy()
         return phi_plus, p

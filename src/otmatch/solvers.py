@@ -31,7 +31,7 @@ from .kernels import Gram
 from .logops import kl
 from .measures import Instance
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
-from .semidual import InducedCache, _log_mass, marginal_y, plus_transform
+from .semidual import InducedCache, _log_mass, _potential, marginal_y, plus_transform
 
 __all__ = [
     "METHODS",
@@ -336,11 +336,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
     only the identity link forms ``log p``.
     """
-    phi = np.zeros(inst.m) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
-    if phi.shape != (inst.m,):
-        raise ValueError(f"phi0 has shape {phi.shape}, expected ({inst.m},)")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi0 must be finite")
+    phi = np.zeros(inst.m) if phi0 is None else _potential(phi0, inst.m, "phi0").copy()
 
     spec = METHODS[cfg.method]
     B = None
@@ -398,7 +394,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
         if spec.family == "sign":
             phi = _sign_update(phi, b - p, eta, anchor)
         else:  # the matching step from x: the accelerated method's extrapolated point, else phi
-            x, p_x = (inner, evaluate.marginal(inner)) if momentum else (phi, p)
+            x, p_x = (inner, evaluate(inner)[1]) if momentum else (phi, p)
             lp = _log_mass(p, phi, phi_plus, inst) if spec.link == "identity" else None
             step = x - eta * link_correction(spec.link, p_x, lp, inst, gram)
             if B is not None:  # the clamp is the exact L2(b) projection: the box is separable

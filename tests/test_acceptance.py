@@ -197,17 +197,17 @@ def test_criterion_10_bridge_consistency():
     inst = make_demo_instance(n_points=64)
     rep = check_bridge_marginal(inst, 101, 100_000, SEED)
     # heat-semigroup composition on the same grid
-    grid = bridge_grid_for(inst, n_t=101)
+    x, times = bridge_grid_for(inst, n_t=101)
     rng = np.random.default_rng(SEED)
-    phi_smooth = -0.5 * ((grid.x - 0.2) / 0.6) ** 2
-    margin = 6.0 * np.sqrt(2.0 * grid.T)
-    interior = (grid.x > grid.x[0] + margin) & (grid.x < grid.x[-1] - margin)
+    phi_smooth = -0.5 * ((x - 0.2) / 0.6) ** 2
+    margin = 6.0 * np.sqrt(2.0 * times[-1])
+    interior = (x > x[0] + margin) & (x < x[-1] - margin)
     semi_err = 0.0
     for _ in range(10):
         s1, s2 = rng.uniform(0.05, 0.45, 2)
-        mid = np.log(conftest.heat(phi_smooth, s1, grid.x))
-        two = conftest.heat(mid, s2, grid.x)
-        direct = conftest.heat(phi_smooth, s1 + s2, grid.x)
+        mid = np.log(conftest.heat(phi_smooth, s1, x))
+        two = conftest.heat(mid, s2, x)
+        direct = conftest.heat(phi_smooth, s1 + s2, x)
         semi_err = max(semi_err, float(np.max(np.abs(two - direct)[interior] / direct[interior])))
     elapsed = time.perf_counter() - t0
     ok = rep.passed and semi_err <= 1e-8 and elapsed <= 120.0

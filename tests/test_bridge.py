@@ -4,7 +4,6 @@ import pytest
 from otmatch.bridge import (
     DriftField,
     GridError,
-    SpaceTimeGrid,
     _interp_uniform,
     _slopes,
     bridge_from_potential,
@@ -22,8 +21,10 @@ from otmatch.solvers import oracle_solve
 from conftest import OFF_LATTICE_TARGETS, heat, two_source_instance
 
 
-def small_grid(T=1.0, n_t=21, span=8.0, n_x=161):
-    return SpaceTimeGrid(x=np.linspace(-span, span, n_x), times=np.linspace(0.0, T, n_t))
+def constant_drift(value=0.0, T=1.0, n_t=21, span=8.0, n_x=161):
+    """The drift ``value`` on ``n_x`` equispaced nodes of [-span, span] at ``n_t`` times of [0, T]."""
+    return DriftField(x=np.linspace(-span, span, n_x), times=np.linspace(0.0, T, n_t),
+                      values=np.full((n_t, n_x), value))
 
 
 def grid_instance(n_points, mu_center=-0.5, mu_width=0.4, uniform_target=True):
@@ -35,22 +36,16 @@ def grid_instance(n_points, mu_center=-0.5, mu_width=0.4, uniform_target=True):
     return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=1.0)
 
 
-class TestSpaceTimeGrid:
-    def test_properties(self):
-        g = small_grid()
-        assert g.dx == pytest.approx(0.1)
-        assert g.dt == pytest.approx(0.05)
-        assert g.T == 1.0
-
+class TestBridgeGrid:
     def test_covering_contains_margin(self):
         # spacing sqrt(1/10) whatever the 41 atoms' gap, nodes k dx about 0
         # for |k| up to ceil((2 + 6 sqrt 2) / dx) = 34
-        g = bridge_grid_for(make_demo_instance(n_points=41, epsilon=1.0), n_t=11)
-        assert g.dx == pytest.approx(np.sqrt(0.1), rel=1e-12)
-        assert g.n_x == 69 and g.x[34] == 0.0
+        x, _ = bridge_grid_for(make_demo_instance(n_points=41, epsilon=1.0), n_t=11)
+        assert x[1] - x[0] == pytest.approx(np.sqrt(0.1), rel=1e-12)
+        assert x.size == 69 and x[34] == 0.0
         margin = 6.0 * np.sqrt(2.0)
-        assert g.x[0] <= -2.0 - margin < g.x[1]
-        assert g.x[-2] < 2.0 + margin <= g.x[-1]
+        assert x[0] <= -2.0 - margin < x[1]
+        assert x[-2] < 2.0 + margin <= x[-1]
 
     @pytest.mark.parametrize("n_t", [1, 0, -3])
     def test_fewer_than_two_time_nodes_raise_grid_error(self, n_t):
@@ -65,55 +60,57 @@ class TestSpaceTimeGrid:
         # the contract: time nodes on [0, epsilon], spacing sqrt(eps / (n_t - 1))
         # whatever the atoms, the 6 sqrt(2 eps) margin past both supports
         # (by less than one more spacing), symmetry about the supports' midpoint
-        g = bridge_grid_for(inst, n_t=11)
-        assert g.times[0] == 0.0 and g.times[-1] == inst.epsilon and g.n_t == 11
-        assert g.dx == pytest.approx(np.sqrt(inst.epsilon / 10), rel=1e-12)
+        x, times = bridge_grid_for(inst, n_t=11)
+        assert times[0] == 0.0 and times[-1] == inst.epsilon and times.size == 11
+        dx = x[1] - x[0]
+        assert dx == pytest.approx(np.sqrt(inst.epsilon / 10), rel=1e-12)
+        np.testing.assert_allclose(np.diff(x), dx, rtol=1e-12, atol=0)
         atoms = np.concatenate([inst.mu.points[:, 0], inst.nu.points[:, 0]])
         margin = 6.0 * np.sqrt(2.0 * inst.epsilon)
-        assert g.x[0] <= atoms.min() - margin + 1e-9 and g.x[-1] >= atoms.max() + margin - 1e-9
-        assert g.x[0] > atoms.min() - margin - g.dx and g.x[-1] < atoms.max() + margin + g.dx
+        assert x[0] <= atoms.min() - margin + 1e-9 and x[-1] >= atoms.max() + margin - 1e-9
+        assert x[0] > atoms.min() - margin - dx and x[-1] < atoms.max() + margin + dx
         mid = 0.5 * (atoms.min() + atoms.max())
-        np.testing.assert_allclose(g.x - mid, -(g.x[::-1] - mid), rtol=0, atol=1e-12 * (g.x[-1] - g.x[0]))
-
-    def test_validation(self):
-        with pytest.raises(GridError):
-            SpaceTimeGrid(x=np.array([0.0, 1.0, 1.5]), times=np.array([0.0, 1.0]))
-        with pytest.raises(GridError):
-            SpaceTimeGrid(x=np.array([0.0, 1.0]), times=np.array([0.5, 1.0]))
+        np.testing.assert_allclose(x - mid, -(x[::-1] - mid), rtol=0, atol=1e-12 * (x[-1] - x[0]))
 
 
 class TestHeatPropagate:
     def test_constant_data_is_preserved_interior(self):
-        g = small_grid()
+        x = np.linspace(-8.0, 8.0, 161)
         kappa = 0.3
-        out = heat(np.full(g.n_x, kappa), 1.0, g.x)
-        interior = np.abs(g.x) <= 2.0
+        out = heat(np.full(x.size, kappa), 1.0, x)
+        interior = np.abs(x) <= 2.0
         np.testing.assert_allclose(out[interior], np.exp(kappa), rtol=1e-9)
 
     def test_semigroup_composition(self):
-        g = small_grid(span=12.0, n_x=241)
+        x = np.linspace(-12.0, 12.0, 241)
         rng = np.random.default_rng(0)
-        phi = -0.5 * ((g.x - 0.3) / 0.5) ** 2
+        phi = -0.5 * ((x - 0.3) / 0.5) ** 2
         margin = 6.0 * np.sqrt(2.0)
-        interior = (g.x > g.x[0] + margin) & (g.x < g.x[-1] - margin)
+        interior = (x > x[0] + margin) & (x < x[-1] - margin)
         for _ in range(10):
             s1, s2 = rng.uniform(0.05, 0.45, 2)
-            mid = np.log(heat(phi, s1, g.x))
+            mid = np.log(heat(phi, s1, x))
             # propagate the intermediate data by s2 more
-            two_step = heat(mid, s2, g.x)
-            direct = heat(phi, s1 + s2, g.x)
+            two_step = heat(mid, s2, x)
+            direct = heat(phi, s1 + s2, x)
             rel = np.abs(two_step[interior] - direct[interior]) / direct[interior]
             assert np.max(rel) <= 1e-8
 
     def test_positivity(self):
-        g = small_grid()
-        phi = np.full(g.n_x, -np.inf)
-        phi[g.n_x // 2] = 0.0
-        out = heat(phi, 0.5, g.x)
+        x = np.linspace(-8.0, 8.0, 161)
+        phi = np.full(x.size, -np.inf)
+        phi[x.size // 2] = 0.0
+        out = heat(phi, 0.5, x)
         assert np.all(out > 0.0)
 
 
 class TestDriftField:
+    def test_properties(self):
+        field = constant_drift()
+        assert field.dx == pytest.approx(0.1)
+        assert field.dt == pytest.approx(0.05)
+        assert field.T == 1.0
+
     def test_gaussian_bump_matches_analytic_gradient(self):
         # one target atom: g_t is a Gaussian bump around it, so
         # grad log g_t = (y - x)/s at every node, the ends included
@@ -122,13 +119,11 @@ class TestDriftField:
         nu = DiscreteMeasure(points=np.array([[y]]), weights=np.array([1.0]))
         inst = Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=0.5)
         field = bridge_from_potential(np.array([0.7]), inst, 11)
-        grid = field.grid
-        s = np.maximum(grid.T - grid.times, grid.dt)[:, None]  # the last node reuses the step before
-        np.testing.assert_allclose(field.values, (y - grid.x)[None, :] / s, rtol=1e-12, atol=0)
+        s = np.maximum(field.T - field.times, field.dt)[:, None]  # the last node reuses the step before
+        np.testing.assert_allclose(field.values, (y - field.x)[None, :] / s, rtol=1e-12, atol=0)
 
     def test_csv_header(self):
-        g = small_grid(n_t=3, n_x=5, span=2.0)
-        field = DriftField(grid=g, values=np.zeros((3, 5)))
+        field = constant_drift(n_t=3, n_x=5, span=2.0)
         lines = field.to_csv().strip().split("\n")
         assert lines[0].startswith("# n_t=3 n_x=5")
         assert len(lines) == 2 + 3
@@ -136,8 +131,7 @@ class TestDriftField:
 
 class TestSimulate:
     def test_pure_diffusion_statistics(self):
-        g = small_grid(T=1.0, n_t=101, span=10.0, n_x=201)
-        field = DriftField(grid=g, values=np.zeros((g.n_t, g.n_x)))
+        field = constant_drift(T=1.0, n_t=101, span=10.0, n_x=201)
         mu = DiscreteMeasure(points=np.array([[0.0]]), weights=np.array([1.0]))
         n = 100_000
         sim = simulate_em(field, mu, n, seed=5)
@@ -146,16 +140,14 @@ class TestSimulate:
         assert sim.clamp_fraction == 0 and not sim.clamp_excessive
 
     def test_seed_determinism(self):
-        g = small_grid(n_t=11)
-        field = DriftField(grid=g, values=np.zeros((g.n_t, g.n_x)))
+        field = constant_drift(n_t=11)
         mu = DiscreteMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]))
         a = simulate_em(field, mu, 1000, seed=7).positions
         b = simulate_em(field, mu, 1000, seed=7).positions
         np.testing.assert_array_equal(a, b)
 
     def test_outward_drift_gets_clamped_and_flagged(self):
-        g = SpaceTimeGrid(x=np.linspace(-1, 1, 21), times=np.linspace(0, 1, 41))
-        field = DriftField(grid=g, values=np.full((41, 21), 50.0))
+        field = constant_drift(50.0, T=1.0, n_t=41, span=1.0, n_x=21)
         mu = DiscreteMeasure(points=np.array([[0.0]]), weights=np.array([1.0]))
         sim = simulate_em(field, mu, 200, seed=1)
         assert sim.clamp_fraction > 0
@@ -167,7 +159,7 @@ class TestInterpolation:
     def test_equals_np_interp(self, n_x):
         rng = np.random.default_rng(n_x)
         x0, dx = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5)
-        x = SpaceTimeGrid(x=x0 + dx * np.arange(n_x), times=[0.0, 1.0]).x
+        x = x0 + dx * np.arange(n_x)
         vals = rng.normal(size=(2, n_x))
         lo, hi = x[0], x[-1]
         pts = np.concatenate([
@@ -191,24 +183,23 @@ class TestBridgeFromPotential:
         inst = grid_instance(48, uniform_target=uniform_target)
         phi = oracle_solve(inst)
         field = bridge_from_potential(phi, inst, 31)
-        grid, y, h = field.grid, inst.nu.points[:, 0], 1e-5
+        y, h = inst.nu.points[:, 0], 1e-5
 
         def log_g(x, s):
             return logsumexp(phi + inst.log_b - (x[:, None] - y[None, :]) ** 2 / (2.0 * s), axis=1)
 
         expected = np.array([
-            (log_g(grid.x + h, s) - log_g(grid.x - h, s)) / (2.0 * h)
-            for s in np.maximum(grid.T - grid.times, grid.dt)
+            (log_g(field.x + h, s) - log_g(field.x - h, s)) / (2.0 * h)
+            for s in np.maximum(field.T - field.times, field.dt)
         ])
         assert np.max(np.abs(field.values - expected)) <= 1e-9 * np.max(np.abs(field.values))
 
     def test_zero_potential_drift_antisymmetric_for_symmetric_instance(self):
         inst = grid_instance(33, mu_center=0.0, mu_width=0.5)
         field = bridge_from_potential(np.zeros(inst.m), inst, 21)
-        grid = field.grid
         # nu symmetric about 0 and grid symmetric: v(t, -x) == -v(t, x)
-        center = np.argmin(np.abs(grid.x))
-        assert abs(grid.x[center]) <= 1e-9
+        center = np.argmin(np.abs(field.x))
+        assert abs(field.x[center]) <= 1e-9
         left = field.values[:, center - 30 : center]
         right = field.values[:, center + 1 : center + 31]
         np.testing.assert_allclose(left, -right[:, ::-1], atol=1e-9)
@@ -218,13 +209,13 @@ class TestBridgeFromPotential:
         # support ends, so a short horizon leaves the interior drift-free
         inst = make_demo_instance(n_points=65, epsilon=0.05)
         field = bridge_from_potential(np.full(inst.m, 1.3), inst, 21)
-        x = field.grid.x
+        x = field.x
         assert np.max(np.abs(field.values[0][np.abs(x) <= 1.0])) <= 1e-3
         assert np.max(np.abs(field.values[0][np.abs(x) <= 0.5])) <= 1e-6
 
     def test_correspondence_validation(self):
         inst = make_demo_instance(n_points=17)
-        with pytest.raises(GridError):
+        with pytest.raises(ValueError, match=r"^phi has shape \(18,\), expected \(17,\)$"):
             bridge_from_potential(np.zeros(inst.m + 1), inst, 11)
         bad_cost = Instance(mu=inst.mu, nu=inst.nu, cost=cost_matrix(inst.mu, inst.nu, "euclidean"), epsilon=1.0)
         with pytest.raises(GridError):
@@ -235,9 +226,9 @@ class TestBridgeFromPotential:
     )
     def test_field_grid_is_bridge_grid_for(self, inst):
         field = bridge_from_potential(np.zeros(inst.m), inst, 11)
-        expected = bridge_grid_for(inst, 11)
-        np.testing.assert_array_equal(field.grid.x, expected.x)
-        np.testing.assert_array_equal(field.grid.times, expected.times)
+        x, times = bridge_grid_for(inst, 11)
+        np.testing.assert_array_equal(field.x, x)
+        np.testing.assert_array_equal(field.times, times)
 
     def test_one_target_atom_takes_all_the_mass(self):
         # the grid no longer needs a gap between target atoms

@@ -118,6 +118,19 @@ def test_induced_cache_is_read_only_by_the_two_loops():
     assert readers == {"solvers.run", "mirrorflow.flow_run"}, sorted(readers)
 
 
+def test_potentials_are_checked_where_they_enter():
+    # shape and finiteness are checked once, by one helper: where the
+    # semi-dual calculus takes phi, at the start of the two loops over a
+    # cache, and at the bridge.  A fifth reader would be an entry beside them
+    readers = set().union(*(_readers(p, "_potential") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {
+        "semidual.induced_marginal",
+        "solvers.run",
+        "mirrorflow.flow_run",
+        "bridge.bridge_from_potential",
+    }, sorted(readers)
+
+
 def test_log_p_is_formed_only_for_the_identity_link():
     # every evaluator returns (phi_plus, p); the Sinkhorn update is the one
     # reader of log p, so only run forms it, and only for the identity link

@@ -24,11 +24,11 @@ def _q(phi, inst):
 def _dp_steps(t, q, g, h, n, inst, r):
     """``n`` Dormand-Prince steps of size ``h`` from (t, q, g) on the closed
     flow; returns the new (q, g) and the error estimate of the last step."""
-    marginal = InducedCache(inst).marginal
+    cache = InducedCache(inst)
 
     def field(s, y):
         q, g = y[: inst.m], y[inst.m :]
-        return np.concatenate(((r / s) * (marginal(g) - q), -(s / r) * (q - inst.b)))
+        return np.concatenate(((r / s) * (cache(g)[1] - q), -(s / r) * (q - inst.b)))
 
     y = np.concatenate((q, g))
     for k in range(n):
@@ -281,8 +281,8 @@ class TestFlowRun:
         inst = random_instance(np.random.default_rng([42, 9]), 16, 16, 0.5)
         phi_star = oracle_solve(inst)
         calls = []
-        marginal = InducedCache.marginal
-        monkeypatch.setattr(InducedCache, "marginal", lambda self, g: calls.append(1) or marginal(self, g))
+        evaluate = InducedCache.__call__
+        monkeypatch.setattr(InducedCache, "__call__", lambda self, g: calls.append(1) or evaluate(self, g))
         res = flow_run(inst, np.zeros(inst.m), r=2.0, t_end=50.0, record_every=50, phi_star=phi_star)
         assert len(calls) <= 10_000
         assert res.v_increase_max <= res.slack and res.rate_violation_max <= res.slack
@@ -293,7 +293,14 @@ class TestFlowRun:
         # so the run stops after the few rejections that reach MIN_STEP * dt
         phi_star = oracle_cache("flow-6x6", inst, tol=1e-13)
         calls = []
-        monkeypatch.setattr(InducedCache, "marginal", lambda self, g: calls.append(1) or np.full(g.shape, np.nan))
+        evaluate = InducedCache.__call__
+
+        def nan_after_the_start(self, g):  # the start's q is finite, every later p is NaN
+            calls.append(1)
+            g_plus, p = evaluate(self, g)
+            return g_plus, p if len(calls) == 1 else np.full(g.shape, np.nan)
+
+        monkeypatch.setattr(InducedCache, "__call__", nan_after_the_start)
         with pytest.raises(FlowBlowupError, match="step size fell below"):
             flow_run(inst, np.zeros(inst.m), r=2.0, t0=0.01, t_end=50.0, dt=1e-3, phi_star=phi_star)
         assert len(calls) <= 6 * 10

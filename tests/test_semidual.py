@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otmatch.bridge import bridge_from_potential, make_demo_instance
 from otmatch.logops import kl, logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch import semidual
@@ -27,7 +28,14 @@ from otmatch.semidual import (
 from otmatch.solvers import _duality_gap, default_bound, lambda_bound, oracle_solve
 from otmatch.verify import random_instance, variance_identity_residual
 
-from conftest import extreme_instance, floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance
+from conftest import (
+    NON_FINITE, extreme_instance, floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance,
+)
+
+
+def bridge_drift(phi, inst):
+    """The bridge's drift from phi on 11 time nodes: the one entry of a potential outside the semi-dual calculus."""
+    return bridge_from_potential(phi, inst, 11)
 
 
 def with_log_p(cache, phi, inst):
@@ -157,16 +165,24 @@ class TestInducedMarginal:
         assert log_p[1] == two_pass_log_p(phi, inst)[1]
         np.testing.assert_array_equal(phi_plus, written_out_plus(phi, inst))
 
-    def test_rejects_non_finite_potential(self, small_instance):
-        with pytest.raises(ValueError):
-            induced_marginal(np.full(small_instance.m, np.nan), small_instance)
+    @pytest.mark.filterwarnings("error")
+    @NON_FINITE
+    @pytest.mark.parametrize("fn", [induced_marginal, bridge_drift])
+    def test_rejects_non_finite_potential(self, small_instance, fn, bad):
+        # one ValueError before any pass, so numpy has no inf - inf to warn about
+        inst = make_demo_instance(n_points=5) if fn is bridge_drift else small_instance
+        phi = np.zeros(inst.m)
+        phi[1] = bad
+        with pytest.raises(ValueError, match="^phi must be finite everywhere$"):
+            fn(phi, inst)
 
     @pytest.mark.parametrize(
-        "fn", [induced_marginal, plus_transform, semidual_value, marginal_y, first_variation, coupling]
+        "fn", [induced_marginal, plus_transform, semidual_value, marginal_y, first_variation, coupling, bridge_drift]
     )
     def test_one_shot_evaluators_reject_a_potential_of_the_wrong_shape(self, fn):
         # a length-1 phi used to broadcast into the constant potential
-        inst = random_instance(np.random.default_rng(1), 4, 5, 0.5)
+        rng = np.random.default_rng(1)
+        inst = make_demo_instance(n_points=5) if fn is bridge_drift else random_instance(rng, 4, 5, 0.5)
         for shape in [(1,), (inst.m + 1,), (inst.m, inst.m)]:
             with pytest.raises(ValueError, match=rf"^phi has shape {re.escape(str(shape))}, expected \(5,\)$"):
                 fn(np.full(shape, 0.5), inst)

@@ -40,8 +40,8 @@ potential is checked once, where it enters, by :func:`_potential`:
 :func:`induced_marginal` (which :func:`plus_transform`, the objective and
 the coupling read), the start of the two loops over a cache, and the
 bridge reject a phi that is not a finite vector of shape (m,).  A cache
-checks nothing, because its loops see a non-finite iterate in the
-objective or state.  Only the identity link reads ``log p``, which
+checks nothing: a non-finite iterate gives a NaN pair, which its loops see
+in the objective or state.  Only the identity link reads ``log p``, which
 :func:`_log_mass` forms from the pair: a column whose ``p_j`` lies below
 ``P_FLOOR`` may have lost its mass to underflow, so its ``log p_j`` is
 recomputed exactly as the logsumexp over rows of the coupling's log masses
@@ -212,25 +212,27 @@ class InducedCache:
     absorption point, makes the exponential pass of :func:`induced_marginal`
     and keeps its n x m matrix; calls within that radius cost two
     matrix-vector products.  Results agree with :func:`induced_marginal`
-    to rounding.  It does not check phi: its loop checks the start, and
-    a NaN or infinite entry fails the radius test, so the absorbing pass
-    carries it into ``(phi_plus, p)``, where the loop reports it.  A cache
-    belongs to one run: it is neither thread-safe nor meant to be stored on
-    the shared :class:`Instance`.
+    to rounding.  It does not check phi: its loop checks the start, and a
+    NaN or infinite entry makes the radius test's sup norm NaN or infinite,
+    so the call returns a NaN pair without a pass and keeps its matrix; the
+    loop reports the NaN.  A cache belongs to one run: it is neither
+    thread-safe nor meant to be stored on the shared :class:`Instance`.
     """
 
     def __init__(self, inst: Instance):
-        self._inst = inst
+        self._inst, self._a = inst, inst.a
         self._e = self._rowmax = self._phi_ref = None
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._e is not None:
             delta = phi - self._phi_ref
             # the 2-norm bounds the sup norm and is one call where m is small
-            if delta.dot(delta) <= ABSORB_AT**2 or abs(delta).max() <= ABSORB_AT:
+            if delta.dot(delta) <= ABSORB_AT**2 or (sup := abs(delta).max()) <= ABSORB_AT:
                 v = np.exp(delta)
                 t = self._e.dot(v)
-                return self._rowmax + np.log(t), v * (self._inst.a / t).dot(self._e)
+                return self._rowmax + np.log(t), v * (self._a / t).dot(self._e)
+            if not sup < np.inf:  # a NaN or infinite iterate: a NaN pair, with no pass
+                return np.full(self._rowmax.size, np.nan), np.full(phi.size, np.nan)
             self._e = None  # free the old matrix before the pass allocates a new one
         self._e, self._rowmax, phi_plus, p = _absorb(phi, self._inst)
         self._phi_ref = phi.copy()

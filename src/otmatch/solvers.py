@@ -60,6 +60,12 @@ DIVERGENCE_GUARD = 1e-6
 
 TINY = float(np.finfo(np.float64).smallest_subnormal)  # log max(p, TINY) is finite: a zero mass adds 0 to kl_y
 
+# run keeps each record's p in a row of one block and takes the block's kl_y
+# at once when it fills or the run ends; a block holds at most this many
+# rows and bytes, and the kl_y pass holds two more arrays of its size
+KL_BLOCK_ROWS = 64
+KL_BLOCK_BYTES = 32 * 1024
+
 
 class DivergenceError(RuntimeError):
     """An ascent method decreased the objective beyond rounding noise, or an iterate's objective is not finite."""
@@ -156,15 +162,16 @@ def t_next(t: float) -> float:
 # Individual update maps
 # ---------------------------------------------------------------------------
 
-def _sign_update(phi, delta, eta, anchor):
+def _sign_update(phi, d, l1, eta, anchor):
     """Steepest-ascent step in L1 geometry, re-centered at an anchor atom.
 
-    Moves by ``eta * |delta|_1`` along ``sign(delta)`` where ``delta`` is
-    the first variation, then shifts so the anchor entry is unchanged
-    (the objective is shift-invariant; anchoring kills the flat direction).
-    ``sign(0) = 0``, which makes an optimal potential a literal fixed point.
+    Moves by ``eta * l1`` against ``sign(d)``, where ``d = p - b`` is minus
+    the first variation and ``l1 = |d|_1`` the residual, then shifts so the
+    anchor entry is unchanged (the objective is shift-invariant; anchoring
+    kills the flat direction).  ``sign(0) = 0``, which makes an optimal
+    potential a literal fixed point.
     """
-    half = phi + eta * np.abs(delta).sum() * np.sign(delta)
+    half = phi - eta * l1 * np.sign(d)
     out = half - (half[anchor] - phi[anchor])
     out[anchor] = phi[anchor]  # exact, not up to rounding
     return out
@@ -334,7 +341,9 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     that underflows to 0.0 (the projected methods' 1/lambda once log lambda
     passes about 745) stops the run before its first update, at iteration 0.
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
-    only the identity link forms ``log p``.
+    only the identity link forms ``log p``.  A record's ``kl_y`` is taken
+    with those of up to ``KL_BLOCK_ROWS`` others, from one block of their
+    marginals, and equals ``kl(log max(p, TINY), log b, p)`` of its own p.
     """
     phi = np.zeros(inst.m) if phi0 is None else _potential(phi0, inst.m, "phi0").copy()
 
@@ -356,11 +365,21 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     eta = auto if isinstance(cfg.eta, str) else float(cfg.eta)
     # an auto step that underflowed to 0.0 would leave phi where it is
     max_iter = 0 if eta == 0.0 else cfg.max_iter
+    tol, every = cfg.tol_l1, cfg.record_every
     gram = cfg.gram
+    # d K d is d d bit for bit where K is exactly the identity: those records take no m x m product
+    unit_gram = gram is not None and np.count_nonzero(gram.matrix) == inst.m and np.all(gram.matrix.diagonal() == 1)
     guard = spec.guard(eta, auto)
     a, b, log_b = inst.a, inst.b, inst.log_b
+    sign, link = spec.family == "sign", spec.link
     momentum = spec.family == "proj_pp"
     inner, t_mom = phi, 1.0  # the accelerated method's extrapolated point and counter
+
+    # each record's p waits in a row of `block` until the block fills or the run ends, when one
+    # log and one row-wise sum give every waiting record its kl_y; ceil(max_iter / every) + 1
+    # records at most are left to make
+    rows = min(KL_BLOCK_ROWS, max(1, KL_BLOCK_BYTES // (8 * inst.m)), -(-max_iter // every) + 1)
+    block, waiting = np.empty((rows, inst.m)), []
 
     evaluate = InducedCache(inst)
     trace = Trace()
@@ -371,7 +390,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
 
     while True:
         phi_plus, p = evaluate(phi)
-        resid = float(np.abs(b - p).sum())
+        d = p - b  # read by the residual, mmd_sq and the sign step
+        resid = float(np.add.reduce(np.abs(d)))  # the reduction of .sum(), without its Python wrapper
         j_val = float(b @ phi - a @ phi_plus)
 
         if not math.isfinite(j_val) or (guard and j_val < prev_j - DIVERGENCE_GUARD):
@@ -379,24 +399,29 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             raise DivergenceError(f"{cfg.method}: objective {change} from {prev_j} to {j_val} at iteration {it}")
         prev_j = max(prev_j, j_val)
 
-        converged = resid <= cfg.tol_l1
+        converged = resid <= tol
         final = converged or it >= max_iter
-        if final or it % cfg.record_every == 0:
+        if final or it % every == 0:
             mmd = None
             if gram is not None:
-                d = p - b
-                mmd = 0.5 * float(d @ gram.matrix @ d)
-            kl_y = kl(np.log(np.maximum(p, TINY)), log_b, p)
-            trace.records.append(TraceRecord(it, j_val, resid, mmd, kl_y, time.perf_counter() - start))
+                mmd = 0.5 * float(d @ d if unit_gram else d @ gram.matrix @ d)
+            block[len(waiting)] = p
+            waiting.append((it, j_val, resid, mmd, time.perf_counter() - start))
+            if final or len(waiting) == rows:
+                filled = block[: len(waiting)]
+                log_p = np.maximum(filled, TINY)
+                kl_y = kl(np.log(log_p, out=log_p), log_b, filled, axis=-1).tolist()
+                trace.records.extend(TraceRecord(i, j, r, mmd, k, e) for (i, j, r, mmd, e), k in zip(waiting, kl_y))
+                waiting.clear()
         if final:
             break
 
-        if spec.family == "sign":
-            phi = _sign_update(phi, b - p, eta, anchor)
+        if sign:
+            phi = _sign_update(phi, d, resid, eta, anchor)
         else:  # the matching step from x: the accelerated method's extrapolated point, else phi
             x, p_x = (inner, evaluate(inner)[1]) if momentum else (phi, p)
-            lp = _log_mass(p, phi, phi_plus, inst) if spec.link == "identity" else None
-            step = x - eta * link_correction(spec.link, p_x, lp, inst, gram)
+            lp = _log_mass(p, phi, phi_plus, inst) if link == "identity" else None
+            step = x - eta * link_correction(link, p_x, lp, inst, gram)
             if B is not None:  # the clamp is the exact L2(b) projection: the box is separable
                 step = np.clip(step, -B, B)
             if momentum:  # the trace follows the projected point

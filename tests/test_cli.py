@@ -290,13 +290,16 @@ class TestSolve:
     @NON_FINITE
     @SHIFTS
     def test_a_non_finite_iterate_is_exit_two(self, instance_file, tmp_path, monkeypatch, capsys, bad, shift):
+        # the suite runs under -W error::RuntimeWarning (pyproject), so a numpy
+        # warning before the one error line would fail the command
         summary = tmp_path / "s.json"
-        with poison_update(monkeypatch, bad, shift, at=3):
-            code = main(["solve", "--instance", str(instance_file), "--method", "sga", "--eta", "1",
-                         "--summary", str(summary)])
+        poison_update(monkeypatch, bad, shift, at=3)
+        code = main(["solve", "--instance", str(instance_file), "--method", "sga", "--eta", "1",
+                     "--summary", str(summary)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sga: objective turned non-finite") and err.count("\n") == 1, err
+        assert err.endswith(" to nan at iteration 3\n"), err
         assert not summary.exists()
 
     def test_out_of_memory_is_exit_two(self, instance_file, monkeypatch, capsys):

@@ -76,6 +76,28 @@ class TestKl:
         lp = log(rng.dirichlet(np.ones(5)))
         assert kl(lp, lp.copy()) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000])
+    def test_row_form_is_the_one_dimensional_call_on_each_row(self, m):
+        # rows with a zero mass take the NaN fallback, and rows with mass
+        # where q has none are infinite, row by row as in the 1-D call
+        rng = np.random.default_rng(m)
+        p = rng.dirichlet(np.ones(m), size=70) * rng.choice([1e-300, 1.0], size=(70, 1))
+        q = rng.dirichlet(np.ones(m))
+        p[::5, 0] = 0.0
+        if m > 1:
+            q[-1] = 0.0
+            p[1::3, -1] = 0.0
+        lp, lq = log(p), log(q)
+        with np.errstate(invalid="ignore"):
+            rows = kl(lp, lq, p, axis=-1)
+            each = [kl(lp[i], lq, p[i]) for i in range(70)]
+            assert np.isnan((p * (lp - lq)).sum(axis=-1)).any()  # some rows took the fallback
+        assert rows.shape == (70,)
+        assert rows.tobytes() == np.array(each).tobytes()
+        assert np.isnan(rows).sum() == 0
+        if m > 1:
+            assert np.isinf(rows).any() and np.isfinite(rows).any()
+
     def test_coupling_form_matches_objective_difference(self, oracle_cache):
         # for two induced couplings, KL(opt||other) telescopes to a J gap
         inst = random_instance(np.random.default_rng(2), 5, 6, 0.5)
@@ -221,7 +243,7 @@ class TestSignAscentCheck:
 
     def test_a_descending_step_fails_instead_of_raising(self, monkeypatch):
         real = solvers._sign_update
-        monkeypatch.setattr(solvers, "_sign_update", lambda phi, delta, eta, anchor: real(phi, -delta, eta, anchor))
+        monkeypatch.setattr(solvers, "_sign_update", lambda phi, d, l1, eta, anchor: real(phi, -d, l1, eta, anchor))
         res = verify.check_sign_ascent(random_instance(np.random.default_rng(9), 6, 6, 0.5), 5)
         assert res.margin == -np.inf and not res.passed
         assert "objective fell" in res.detail
@@ -229,8 +251,8 @@ class TestSignAscentCheck:
     def test_a_moved_anchor_fails(self, monkeypatch):
         real = solvers._sign_update
 
-        def drifting(phi, delta, eta, anchor):
-            out = real(phi, delta, eta, anchor)
+        def drifting(phi, d, l1, eta, anchor):
+            out = real(phi, d, l1, eta, anchor)
             out[anchor] += 1e-9
             return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from otmatch import semidual, solvers
-from otmatch.logops import logsumexp
+from otmatch.logops import kl, logsumexp
 from otmatch.measures import DiscreteMeasure, Instance
 from otmatch.kernels import Gram, KernelSpec, gram
 from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
@@ -533,16 +534,155 @@ class TestRunnerBits:
             assert (res.iterations, res.converged) == (iterations, converged)
 
 
+def spy_marginals(monkeypatch):
+    """Make run's cache keep the p of its every call, in order; returns that list."""
+    marginals = []
+
+    class Spy(semidual.InducedCache):
+        def __call__(self, phi):
+            phi_plus, p = super().__call__(phi)
+            marginals.append(p)
+            return phi_plus, p
+
+    monkeypatch.setattr(solvers, "InducedCache", Spy)
+    return marginals
+
+
+def record_marginals(res, marginals, method):
+    """The p each record of ``res`` read: the accelerated method evaluates twice per iteration."""
+    per_iteration = 2 if METHODS[method].family == "proj_pp" else 1
+    return [marginals[per_iteration * rec.iteration] for rec in res.trace.records]
+
+
+class TestKlBlock:
+    """run takes kl_y for a block of records at once; every record's value
+    is the 1-D kl of its own p, bit for bit, whatever the block's size and
+    fill."""
+
+    @staticmethod
+    def assert_own_kl(res, marginals, inst, method="sga"):
+        for rec, p in zip(res.trace.records, record_marginals(res, marginals, method), strict=True):
+            assert type(rec.kl_y) is float
+            assert repr(rec.kl_y) == repr(kl(np.log(np.maximum(p, solvers.TINY)), inst.log_b, p))
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000])
+    def test_every_target_size(self, monkeypatch, m, every):
+        # 129 records fill two blocks of 64 rows and start a third; a block
+        # holds 32 rows at m = 128, 31 at m = 129 and 4 at m = 1000.  A single
+        # target atom converges early
+        inst = random_instance(np.random.default_rng(m), 3, m, 0.02)
+        marginals = spy_marginals(monkeypatch)
+        res = run(inst, SolverConfig("sga", max_iter=128 * every, tol_l1=0.0, record_every=every))
+        assert len(res.trace.records) == 129 or m == 1
+        self.assert_own_kl(res, marginals, inst)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("records", [1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("m", [16, 1000])
+    def test_every_record_count(self, monkeypatch, m, records, every):
+        inst = random_instance(np.random.default_rng(records), 4, m, 0.5)
+        marginals = spy_marginals(monkeypatch)
+        res = run(inst, SolverConfig("sga", max_iter=(records - 1) * every, tol_l1=0.0, record_every=every))
+        assert len(res.trace.records) == records
+        self.assert_own_kl(res, marginals, inst)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_a_run_converged_in_the_middle_of_a_block(self, monkeypatch, every):
+        inst = random_instance(np.random.default_rng(0), 16, 16, 0.02)
+        marginals = spy_marginals(monkeypatch)
+        res = run(inst, SolverConfig("sinkhorn", max_iter=1000, tol_l1=1e-9, record_every=every))
+        assert res.converged and res.iterations > 64
+        assert len(res.trace.records) % 64 not in (0, 1)  # the final record is not a block's first
+        self.assert_own_kl(res, marginals, inst, "sinkhorn")
+
+    def test_a_block_holds_at_most_32_kib(self):
+        # at m = 4096 one marginal fills 32 KiB, so the block has one row
+        # where 64 rows would hold 64 marginals; the run holds about 13 m-vectors
+        inst = random_instance(np.random.default_rng(1), 2, 4096, 0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(inst, SolverConfig("sga", max_iter=100, tol_l1=0.0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * inst.m
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_marginals_with_exact_zeros(self, monkeypatch, method):
+        inst = underflow_instance()
+        g = gram(KernelSpec("gaussian", 1.0), inst.nu.points) if method == "ksga" else None
+        eta = 0.5 if method.startswith("proj") else "auto"
+        marginals = spy_marginals(monkeypatch)
+        res = run(inst, SolverConfig(method, eta=eta, max_iter=100, tol_l1=1e-9, gram=g))
+        assert any(np.any(p == 0.0) for p in record_marginals(res, marginals, method))
+        self.assert_own_kl(res, marginals, inst, method)
+
+
+class _CountingMatrix(np.ndarray):
+    """A Gram matrix that counts the products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+class TestIdentityGramMmd:
+    """A Gram that is exactly the identity gives mmd_sq = d.d / 2 with no
+    m x m product, bit for bit the product with the Gram; any other Gram
+    takes the product."""
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_equals_the_product_with_the_gram(self, monkeypatch, method):
+        rng = np.random.default_rng(list(METHODS).index(method))
+        marginals = spy_marginals(monkeypatch)
+        for _ in range(50):
+            n, m = rng.integers(1, 30, size=2)
+            inst = random_instance(rng, int(n), int(m), float(rng.choice([0.05, 0.5])))
+            g = gram(KernelSpec("identity"), inst.nu.points)
+            marginals.clear()
+            res = run(inst, SolverConfig(method, max_iter=20, tol_l1=0.0, gram=g))
+            for rec, p in zip(res.trace.records, record_marginals(res, marginals, method), strict=True):
+                d = p - inst.b
+                assert repr(rec.mmd_sq) == repr(0.5 * float(d @ g.matrix @ d))
+
+    @pytest.mark.parametrize("kind", ["identity", "identity_plus_1e-300", "gaussian"])
+    def test_only_an_exact_identity_skips_the_product(self, monkeypatch, kind):
+        inst = random_instance(np.random.default_rng(5), 8, 8, 0.5)
+        if kind == "gaussian":
+            g = gram(KernelSpec("gaussian", 0.3), inst.nu.points)
+        else:
+            k = np.eye(inst.m)
+            if kind == "identity_plus_1e-300":
+                k[0, 1] = k[1, 0] = 1e-300
+            g = Gram(k)
+        matrix = g.matrix
+        object.__setattr__(g, "matrix", matrix.view(_CountingMatrix))
+        monkeypatch.setattr(_CountingMatrix, "products", 0)
+        marginals = spy_marginals(monkeypatch)
+        res = run(inst, SolverConfig("sga", max_iter=10, tol_l1=0.0, gram=g))
+        assert _CountingMatrix.products == (0 if kind == "identity" else len(res.trace.records))
+        for rec, p in zip(res.trace.records, marginals, strict=True):
+            d = p - inst.b
+            assert repr(rec.mmd_sq) == repr(0.5 * float(d @ matrix @ d))
+
+
 class TestNonFiniteIterate:
     """run checks phi0 alone and the cache checks nothing, so a NaN or
-    infinite iterate shows as a non-finite objective, which stops the run."""
+    infinite iterate shows as a NaN objective, with no numpy warning, which
+    stops the run."""
 
     @NON_FINITE
     @SHIFTS
     def test_raises_divergence_at_that_iteration(self, medium_instance, monkeypatch, bad, shift):
-        expected_warning = poison_update(monkeypatch, bad, shift, at=3)
+        poison_update(monkeypatch, bad, shift, at=3)
         cfg = SolverConfig("sga", eta=1.0, max_iter=10, tol_l1=0.0)
-        with expected_warning, pytest.raises(solvers.DivergenceError, match="non-finite .* at iteration 3$"):
+        with pytest.raises(solvers.DivergenceError, match="non-finite .* to nan at iteration 3$"):
             run(medium_instance, cfg)
 
 

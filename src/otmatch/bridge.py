@@ -244,7 +244,7 @@ def make_demo_instance(n_points: int = 64, epsilon: float = 1.0) -> Instance:
     source around -0.5 (width 0.4) and a uniform target on the same grid."""
     mu = make_grid_measure(-2.0, 2.0, n_points, lambda x: np.exp(-0.5 * ((x + 0.5) / 0.4) ** 2))
     nu = make_grid_measure(-2.0, 2.0, n_points, lambda x: 1.0)
-    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
+    return Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=epsilon)
 
 
 def _steps(n_t: int) -> int:

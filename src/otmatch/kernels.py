@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import _pairwise_sum
+from .measures import _as_float_array, _pairwise_sum
 
 __all__ = [
     "KernelSpec",
@@ -39,8 +39,13 @@ class KernelSpec:
             if self.bandwidth is not None:
                 raise ValueError("identity kernel takes no bandwidth")
         else:
-            if self.bandwidth is None or not (0.0 < float(self.bandwidth) < np.inf):
-                raise ValueError(f"{self.kind} kernel needs a strictly positive bandwidth")
+            try:  # the scale gram divides by, written as gram writes it
+                scale = 2.0 * self.bandwidth**2 if self.kind == "gaussian" else 2.0 * self.bandwidth
+            except (TypeError, OverflowError):
+                scale = np.nan
+            if not (0.0 < scale < np.inf and self.bandwidth > 0.0):
+                raise ValueError(f"{self.kind} kernel needs a strictly positive bandwidth with a finite positive "
+                                 f"scale 2*sigma{'^2' if self.kind == 'gaussian' else ''}, got {self.bandwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class Gram:
     c_k: float = field(init=False)
 
     def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=np.float64)
+        k = _as_float_array(self.matrix, "Gram matrix")
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
@@ -65,8 +70,6 @@ class Gram:
         diag = np.diag(k)
         if np.any(diag <= 0.0):
             raise ValueError("Gram diagonal must be strictly positive")
-        k = k.copy()
-        k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
         object.__setattr__(self, "c_k", float(diag.max()))
 
@@ -81,12 +84,13 @@ def gram(spec: KernelSpec, points: np.ndarray) -> Gram:
     m = pts.shape[0]
     if spec.kind == "identity":
         return Gram(matrix=np.eye(m))
-    if spec.kind == "gaussian":
-        sq = _pairwise_sum(pts, pts, 2)
-        return Gram(matrix=np.exp(-sq / (2.0 * spec.bandwidth**2)))
-    # laplace
-    l1 = _pairwise_sum(pts, pts, 1)
-    return Gram(matrix=np.exp(-l1 / (2.0 * spec.bandwidth)))
+    # a ratio past the largest double gives a zero entry, as in semidual._gibbs_exponent
+    with np.errstate(over="ignore"):
+        if spec.kind == "gaussian":
+            k = np.exp(-_pairwise_sum(pts, pts, 2) / (2.0 * spec.bandwidth**2))
+        else:
+            k = np.exp(-_pairwise_sum(pts, pts, 1) / (2.0 * spec.bandwidth))
+    return Gram(matrix=k)
 
 
 def parse_kernel_spec(text: str, points: np.ndarray | None = None) -> KernelSpec:

@@ -2,8 +2,8 @@
 
 A problem instance bundles two weighted point clouds (the marginals), a
 finite cost matrix, and a positive regularization strength.  Everything is
-validated at construction and immutable afterwards, so instances can be
-shared freely between solver runs.
+validated at construction and immutable afterwards: every stored array is
+read-only and the object's own, so instances can be shared freely.
 
 Instance files are UTF-8 JSON.  They are parsed from raw bytes by
 ``orjson``, which rounds every number to the nearest double as ``float()``
@@ -40,30 +40,22 @@ class InstanceError(ValueError):
 
 
 def _as_float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array; anything that is not numbers is an InstanceError.
+    """``value`` as a new read-only float64 array, for a validated type to
+    keep as its own; anything that is not numbers is an InstanceError.
 
     The array is built without a dtype and then checked, because a float64
     conversion would also read numeric strings and booleans.  Integers from
     2^63 to 2^64 arrive as uint64.
     """
     try:
-        arr = np.asarray(value)
+        arr = np.array(value)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{what} must be numbers: {exc}") from exc
     if arr.dtype.kind not in "fiu":
         raise InstanceError(f"{what} must be numbers, got array of {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
-
-
-def _as_points(points) -> np.ndarray:
-    pts = _as_float_array(points, "points")
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InstanceError(f"points must be an (n, d) array with n >= 1, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InstanceError("points contain non-finite values")
-    return pts
+    arr = arr.astype(np.float64, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,13 @@ class DiscreteMeasure:
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _as_float_array(self.points, "points")
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise InstanceError(f"points must be an (n, d) array with n >= 1, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise InstanceError("points contain non-finite values")
         w = _as_float_array(self.weights, "weights").reshape(-1)
         if w.shape[0] != pts.shape[0]:
             raise InstanceError(f"{pts.shape[0]} points but {w.shape[0]} weights")
@@ -89,8 +87,6 @@ class DiscreteMeasure:
             raise InstanceError("all weights must be strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InstanceError(f"weights sum to {float(w.sum())!r}, expected 1 within {WEIGHT_SUM_TOL}")
-        pts.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         lw = np.log(w)
@@ -177,8 +173,10 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind: str) -> np.ndarr
 class Instance:
     """One entropic transport problem: marginals, cost matrix, epsilon.
 
-    The cost is validated here and stored once, as a read-only copy; the
-    ratio C/eps is formed where it is used (``semidual._gibbs_exponent``).
+    ``cost`` is a matrix, converted on entry into an array of the
+    instance's own, or a :func:`cost_matrix` kind, built here and kept as
+    built.  The cost is validated and stored once; the ratio C/eps is
+    formed where it is used (``semidual._gibbs_exponent``).
     """
 
     mu: DiscreteMeasure
@@ -187,7 +185,9 @@ class Instance:
     epsilon: float
 
     def __post_init__(self):
-        c = _as_float_array(self.cost, "cost")
+        c = (cost_matrix(self.mu, self.nu, self.cost) if isinstance(self.cost, str)
+             else _as_float_array(self.cost, "cost"))
+        c.setflags(write=False)
         if c.shape != (self.mu.n_atoms, self.nu.n_atoms):
             raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
         if not np.all(np.isfinite(c)):
@@ -211,8 +211,6 @@ class Instance:
             raise InstanceError(f"C/eps overflows float64 on a whole column of the cost (epsilon={eps!r})")
         if float(row_min.min()) / eps == -np.inf:
             raise InstanceError(f"C/eps overflows float64 to -inf (epsilon={eps!r})")
-        c = c.copy()
-        c.setflags(write=False)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "epsilon", eps)
 
@@ -313,7 +311,4 @@ def load_instance(path) -> Instance:
     nu = _load_measure(doc, "y_points", "y_weights")
     if "cost" not in doc or "epsilon" not in doc:
         raise InstanceError("instance file missing 'cost' or 'epsilon'")
-    cost = doc["cost"]
-    if isinstance(cost, str):
-        cost = cost_matrix(mu, nu, cost)
-    return Instance(mu=mu, nu=nu, cost=cost, epsilon=doc["epsilon"])
+    return Instance(mu=mu, nu=nu, cost=doc["cost"], epsilon=doc["epsilon"])

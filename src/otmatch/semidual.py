@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logops import logsumexp
-from .measures import Instance
+from .measures import Instance, _as_float_array
 
 __all__ = [
     "Coupling",
@@ -104,7 +104,7 @@ class Coupling:
     log_masses: np.ndarray
 
     def __post_init__(self):
-        lm = np.asarray(self.log_masses, dtype=np.float64)
+        lm = _as_float_array(self.log_masses, "log_masses")
         if lm.ndim != 2:
             raise ValueError(f"log_masses must be a matrix, got shape {lm.shape}")
         if np.any(np.isnan(lm)) or np.any(lm == np.inf):
@@ -112,8 +112,6 @@ class Coupling:
         total = float(np.exp(logsumexp(lm.reshape(-1))))
         if abs(total - 1.0) > COUPLING_MASS_TOL:
             raise ValueError(f"coupling mass is {total!r}, expected 1 within {COUPLING_MASS_TOL}")
-        lm = lm.copy()
-        lm.setflags(write=False)
         object.__setattr__(self, "log_masses", lm)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import bridge as bridge_mod
 from .kernels import Gram, KernelSpec, gram
 from .logops import kl, logsumexp
-from .measures import DiscreteMeasure, Instance, cost_matrix
+from .measures import DiscreteMeasure, Instance
 from .mirrorflow import flow_run
 from .primal import (
     mirror_bwd,
@@ -101,7 +101,7 @@ def random_instance(rng: np.random.Generator, n: int, m: int, epsilon: float) ->
     """Instance with uniform points in [0, 1]^2, Dirichlet(1) weights and the half_sqeuclidean cost."""
     mu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (n, 2)), weights=rng.dirichlet(np.ones(n)))
     nu = DiscreteMeasure(points=rng.uniform(0.0, 1.0, (m, 2)), weights=rng.dirichlet(np.ones(m)))
-    return Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, "half_sqeuclidean"), epsilon=epsilon)
+    return Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=epsilon)
 
 
 def classic_log_sinkhorn(

@@ -220,13 +220,25 @@ class TestSolve:
         doc = json.loads(summary.read_text())
         assert doc["iterations"] == 0 and doc["converged"] is True
 
-    def test_infinite_kernel_bandwidth_is_an_input_error(self, instance_file, tmp_path, capsys):
-        for spec in ("gaussian:inf", "laplace:inf"):
-            code = main(["solve", "--instance", str(instance_file), "--method", "ksga", "--kernel", spec,
-                         "--summary", str(tmp_path / "s.json")])
-            assert code == 1
-            assert "strictly positive bandwidth" in capsys.readouterr().err
-        assert not (tmp_path / "s.json").exists()
+    def test_a_bandwidth_is_taken_only_with_a_finite_positive_scale(self, instance_file, tmp_path, capsys):
+        # gram divides by 2 sigma^2 (gaussian) or 2 sigma (laplace).  A scale
+        # that overflows used to end in a traceback (gaussian:1e200) and one
+        # that underflows to 0 in numpy warnings (gaussian:1e-200); a tiny
+        # positive scale overflows the ratio, which gives a zero entry
+        summary = tmp_path / "s.json"
+        args = ["solve", "--instance", str(instance_file), "--method", "ksga", "--tol", "1e-6",
+                "--summary", str(summary)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in ("gaussian:inf", "laplace:inf", "gaussian:1e200", "gaussian:1e-200", "laplace:1e308"):
+                assert main(args + ["--kernel", spec]) == 1
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: ") and "strictly positive bandwidth" in err[0]
+                assert not summary.exists()
+            for spec in ("laplace:1e-310", "gaussian:1e-160"):
+                assert main(args + ["--kernel", spec]) == 0
+                assert capsys.readouterr().err == ""
+                assert summary.exists()
 
     @pytest.mark.parametrize(
         "args",

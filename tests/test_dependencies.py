@@ -131,6 +131,28 @@ def test_potentials_are_checked_where_they_enter():
     }, sorted(readers)
 
 
+def test_a_named_cost_is_built_by_the_instance():
+    # a caller names a cost kind and Instance builds it, keeping it as built;
+    # the bridge rebuilds the quadratic cost only to check an instance's cost
+    # against it.  A third reader would be a cost built to be handed over
+    readers = set().union(*(_readers(p, "cost_matrix") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"measures.Instance.__post_init__", "bridge.bridge_from_potential"}, sorted(readers)
+
+
+def test_stored_arrays_are_converted_where_they_enter():
+    # every type that stores an array it was handed converts it with the one
+    # helper, to a read-only array of its own; the file loader reads weights
+    # through it to check their sum before a measure takes them
+    readers = set().union(*(_readers(p, "_as_float_array") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {
+        "measures.DiscreteMeasure.__post_init__",
+        "measures.Instance.__post_init__",
+        "measures._load_measure",
+        "kernels.Gram.__post_init__",
+        "semidual.Coupling.__post_init__",
+    }, sorted(readers)
+
+
 def test_log_p_is_formed_only_for_the_identity_link():
     # every evaluator returns (phi_plus, p); the Sinkhorn update is the one
     # reader of log p, so only run forms it, and only for the identity link

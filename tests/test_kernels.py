@@ -181,6 +181,14 @@ class TestSpecParsing:
         spec = parse_kernel_spec("gaussian:median", pts)
         assert spec.bandwidth == median_pairwise_distance(pts) == 2.0
 
+    def test_median_bandwidth_takes_the_scale_rule(self):
+        # a median distance of 1e154 gives 2 sigma^2 past the largest double
+        # and 2 sigma well inside it
+        pts = np.array([[0.0], [1e154]])
+        with pytest.raises(ValueError, match=r"finite positive scale 2\*sigma\^2, got 1e\+154$"):
+            parse_kernel_spec("gaussian:median", pts)
+        assert parse_kernel_spec("laplace:median", pts) == KernelSpec("laplace", 1e154)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_kernel_spec("gaussian")

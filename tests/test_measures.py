@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from otmatch.cli import _digest, main
 from otmatch import measures
-from otmatch.kernels import KernelSpec, gram, median_pairwise_distance
+from otmatch.kernels import Gram, KernelSpec, gram, median_pairwise_distance
 from otmatch.measures import (
     DiscreteMeasure,
     Instance,
@@ -17,6 +17,7 @@ from otmatch.measures import (
     load_instance,
     make_grid_measure,
 )
+from otmatch.semidual import Coupling
 from otmatch.verify import random_instance
 
 from conftest import write_instance
@@ -215,6 +216,84 @@ class TestInstance:
         mu = DiscreteMeasure(points=np.zeros((1, 1)), weights=np.ones(1))
         with pytest.raises(InstanceError, match="cost must be numbers"):
             Instance(mu=mu, nu=mu, cost=[["0.5"]], epsilon=1.0)
+
+
+MU2 = DiscreteMeasure(points=np.zeros(2), weights=np.full(2, 0.5))
+
+# what the caller hands over, the object built from it, and the array it stores
+OWNED = {
+    "measure_points_1d": (
+        lambda: np.array([0.0, 1.0, 2.0]),
+        lambda x: DiscreteMeasure(points=x, weights=np.full(3, 1 / 3)),
+        lambda obj: obj.points,
+    ),
+    "measure_points_2d": (
+        lambda: np.arange(6.0).reshape(3, 2),
+        lambda x: DiscreteMeasure(points=x, weights=np.full(3, 1 / 3)),
+        lambda obj: obj.points,
+    ),
+    "measure_weights": (
+        lambda: np.full(3, 1 / 3),
+        lambda x: DiscreteMeasure(points=np.zeros(3), weights=x),
+        lambda obj: obj.weights,
+    ),
+    "instance_cost_array": (
+        lambda: np.array([[0.0, 1.0], [1.0, 0.0]]),
+        lambda x: Instance(mu=MU2, nu=MU2, cost=x, epsilon=1.0),
+        lambda obj: obj.cost,
+    ),
+    "instance_cost_nested_list": (
+        lambda: [[0.0, 1.0], [1.0, 0.0]],
+        lambda x: Instance(mu=MU2, nu=MU2, cost=x, epsilon=1.0),
+        lambda obj: obj.cost,
+    ),
+    "gram": (
+        lambda: np.array([[1.0, 0.5], [0.5, 1.0]]),
+        lambda x: Gram(matrix=x),
+        lambda obj: obj.matrix,
+    ),
+    "coupling": (
+        lambda: np.log(np.full((2, 2), 0.25)),
+        lambda x: Coupling(log_masses=x),
+        lambda obj: obj.log_masses,
+    ),
+}
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("case", list(OWNED))
+    def test_a_stored_array_is_the_objects_own(self, case):
+        # a type validated at construction keeps what it validated: the
+        # caller's array stays writable, and writing to it afterwards reaches
+        # nothing stored, the measure's log weights included
+        make, build, stored = OWNED[case]
+        given = make()
+        obj = build(given)
+        kept = stored(obj).copy()
+        assert not stored(obj).flags.writeable
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+            assert not np.shares_memory(given, stored(obj))
+            given.flat[0] = -5.0
+        else:
+            given[0][0] = -5.0
+        assert stored(obj).tobytes() == kept.tobytes()
+        if isinstance(obj, DiscreteMeasure):
+            assert obj.log_weights.tobytes() == np.log(obj.weights).tobytes()
+
+    @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
+    def test_a_cost_kind_is_built_by_the_instance(self, kind):
+        rng = np.random.default_rng(3)
+        mu = DiscreteMeasure(points=rng.normal(size=(5, 2)), weights=rng.dirichlet(np.ones(5)))
+        nu = DiscreteMeasure(points=rng.normal(size=(4, 2)), weights=rng.dirichlet(np.ones(4)))
+        built = cost_matrix(mu, nu, kind)
+        by_kind = Instance(mu=mu, nu=nu, cost=kind, epsilon=0.5)
+        assert by_kind.cost.tobytes() == built.tobytes() and not by_kind.cost.flags.writeable
+        assert _digest(by_kind) == _digest(Instance(mu=mu, nu=nu, cost=built, epsilon=0.5))
+
+    def test_an_unknown_cost_kind_is_an_instance_error(self):
+        with pytest.raises(InstanceError, match=r"^unknown cost kind 'manhattan'; expected"):
+            Instance(mu=MU2, nu=MU2, cost="manhattan", epsilon=1.0)
 
 
 class TestInstanceFiles:

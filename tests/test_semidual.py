@@ -217,6 +217,14 @@ class TestAllocation:
         held, _ = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5))
         assert held <= 1.1 * self.ARRAY
 
+    def test_instance_from_a_nested_list_holds_one_array_at_peak(self, parts):
+        # the list becomes the array the instance keeps, with no second copy;
+        # the finiteness check's boolean temporary is an eighth of an array
+        mu, nu, cost = parts
+        nested = cost.tolist()
+        _, peak = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost=nested, epsilon=0.5))
+        assert peak <= 1.2 * self.ARRAY
+
     def test_induced_marginal_forms_c_over_eps_in_its_one_buffer(self, parts):
         # (log b + phi) - C/eps written as two operations would hold two
         # n x m arrays at once

@@ -65,7 +65,8 @@ class Gram:
             raise ValueError(f"Gram matrix must be square, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
             raise ValueError("Gram matrix must be finite")
-        if np.max(np.abs(k - k.T)) > GRAM_SYMMETRY_TOL:
+        asym = k - k.T
+        if np.max(np.abs(asym, out=asym)) > GRAM_SYMMETRY_TOL:
             raise ValueError("Gram matrix is not symmetric")
         diag = np.diag(k)
         if np.any(diag <= 0.0):

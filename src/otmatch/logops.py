@@ -36,32 +36,20 @@ def kl(
 ) -> float | np.ndarray:
     """KL divergence sum p log(p/q) between mass arrays given by their logs.
 
-    Zero masses contribute nothing (0 log 0 = 0); mass of p where q has
-    none gives ``inf``.  The plain sum is taken first; a zero mass of p
-    makes it NaN (0 times an infinite log ratio), and only then is it
-    retaken over the masses ``p > 0``.  A caller that already holds the
-    masses ``p = exp(log_p)`` passes them, and both sums read them.  The
-    sum runs over the whole array and gives a float, or along ``axis`` and
-    gives one value per slice, each the 1-D call on that slice (``log_q``
-    broadcasts); for C-contiguous rows and ``axis=-1`` that holds bit for
-    bit, because a row sums in the order of a 1-D array.
+    One masked pass: only the masses ``p > 0`` form a term, so a zero mass
+    contributes nothing (0 log 0 = 0) and raises no floating-point
+    exception, and mass of p where q has none gives ``inf``.  A caller that
+    already holds the masses ``p = exp(log_p)`` passes them.  The sum runs
+    over the whole array and gives a float, or along ``axis`` and gives one
+    value per slice, each the 1-D call on that slice (``log_q`` broadcasts);
+    for C-contiguous rows and ``axis=-1`` that holds bit for bit, because a
+    row sums in the order of a 1-D array.
     """
     if p is None:
         p = np.exp(log_p)
-    terms = log_p - log_q
-    terms *= p
-    val = terms.sum(axis=axis)
-    if axis is not None:
-        nan = np.argwhere(val != val)
-        if nan.size:
-            slices = [np.moveaxis(np.broadcast_to(x, log_p.shape), axis, -1) for x in (log_p, log_q, p)]
-            for idx in map(tuple, nan):
-                val[idx] = kl(*(x[idx] for x in slices))
-        return val
-    val = float(val)
-    if val == val:
-        return val
-    if np.any((log_p > -np.inf) & (log_q == -np.inf)):
-        return float("inf")
     live = p > 0.0
-    return float(np.sum(p[live] * (log_p[live] - log_q[live])))
+    terms = np.zeros(np.broadcast(log_p, log_q, live).shape)
+    np.subtract(log_p, log_q, out=terms, where=live)
+    np.multiply(terms, p, out=terms, where=live)
+    val = terms.sum(axis=axis)
+    return float(val) if axis is None else val

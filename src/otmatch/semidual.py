@@ -224,8 +224,9 @@ class InducedCache:
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._e is not None:
             delta = phi - self._phi_ref
-            # the 2-norm bounds the sup norm and is one call where m is small
-            if delta.dot(delta) <= ABSORB_AT**2 or (sup := abs(delta).max()) <= ABSORB_AT:
+            # the 2-norm bounds the sup norm and is one call where m is small; vdot
+            # overflows to inf without a floating-point warning, and the sup test decides
+            if np.vdot(delta, delta) <= ABSORB_AT**2 or (sup := abs(delta).max()) <= ABSORB_AT:
                 v = np.exp(delta)
                 t = self._e.dot(v)
                 return self._rowmax + np.log(t), v * (self._a / t).dot(self._e)

@@ -58,11 +58,9 @@ ORACLE_MAX_ITER = 500_000  # updates one oracle_solve call may spend, over all i
 # genuine bug, not rounding noise
 DIVERGENCE_GUARD = 1e-6
 
-TINY = float(np.finfo(np.float64).smallest_subnormal)  # log max(p, TINY) is finite: a zero mass adds 0 to kl_y
-
 # run keeps each record's p in a row of one block and takes the block's kl_y
 # at once when it fills or the run ends; a block holds at most this many
-# rows and bytes, and the kl_y pass holds two more arrays of its size
+# rows and bytes, and the kl_y pass holds two more arrays of its size and a mask
 KL_BLOCK_ROWS = 64
 KL_BLOCK_BYTES = 32 * 1024
 
@@ -343,7 +341,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
     only the identity link forms ``log p``.  A record's ``kl_y`` is taken
     with those of up to ``KL_BLOCK_ROWS`` others, from one block of their
-    marginals, and equals ``kl(log max(p, TINY), log b, p)`` of its own p.
+    marginals, and equals ``kl(log p, log b, p)`` of its own p.
     """
     phi = np.zeros(inst.m) if phi0 is None else _potential(phi0, inst.m, "phi0").copy()
 
@@ -409,8 +407,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
             waiting.append((it, j_val, resid, mmd, time.perf_counter() - start))
             if final or len(waiting) == rows:
                 filled = block[: len(waiting)]
-                log_p = np.maximum(filled, TINY)
-                kl_y = kl(np.log(log_p, out=log_p), log_b, filled, axis=-1).tolist()
+                log_p = np.log(filled, out=np.full_like(filled, -np.inf), where=filled > 0.0)
+                kl_y = kl(log_p, log_b, filled, axis=-1).tolist()
                 trace.records.extend(TraceRecord(i, j, r, mmd, k, e) for (i, j, r, mmd, e), k in zip(waiting, kl_y))
                 waiting.clear()
         if final:

@@ -61,6 +61,14 @@ def two_atom_file(tmp_path, cost, epsilon, x_weights=(0.5, 0.5), y_weights=(0.5,
     return path
 
 
+# well-posed 2+2 instances (two_atom_file arguments) that once broke the exit contract
+EXIT_CONTRACT_CORPUS = {
+    # the χ² step (p - b)/b on the 1e-260 mass moves phi by -2.5e259, and
+    # the cache's squared radius overflowed
+    "chi2_radius_overflow": dict(cost="half_sqeuclidean", epsilon=1e-4, y_weights=(1e-260, 1.0)),
+}
+
+
 class TestSolve:
     def test_zero_cost_sinkhorn_converges_fast(self, zero_cost_file, tmp_path, capsys):
         code = main([
@@ -175,6 +183,27 @@ class TestSolve:
         ])
         assert code in (0, 2)
         assert np.isfinite(float(json.loads(summary.read_text())["final_J"]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", list(EXIT_CONTRACT_CORPUS))
+    def test_exit_contract_corpus(self, tmp_path, case, method, capsys):
+        # a well-posed instance converges (residual <= tol) or exits 2, with
+        # at most one stderr line and no warning or traceback
+        inst = two_atom_file(tmp_path, **EXIT_CONTRACT_CORPUS[case])
+        summary = tmp_path / "s.json"
+        kernel = ["--kernel", "gaussian:0.5"] if method == "ksga" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "solve", "--instance", str(inst), "--method", method, *kernel,
+                "--max-iter", "50", "--tol", "1e-6", "--summary", str(summary),
+            ])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err, err
+        if code == 0:
+            assert float(json.loads(summary.read_text())["final_l1_residual"]) <= 1e-6
+        if (case, method) == ("chi2_radius_overflow", "chi2"):
+            assert code == 0 and err == ""
 
     @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
     def test_underflowing_auto_step_stops_before_the_first_update(self, tmp_path, method, capsys):

@@ -187,7 +187,7 @@ def test_criteria_call_the_shared_checkers():
     # the acceptance criteria check each paper statement through the checker
     # verify uses; importing a loop primitive would let a criterion grow its
     # own copy of that check again
-    primitives = {"sign_sga_step", "match_step", "t_next", "Trace", "TraceRecord", "classic_log_sinkhorn"}
+    primitives = {"_sign_update", "link_correction", "t_next", "Trace", "TraceRecord", "classic_log_sinkhorn"}
     tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
     imported = {
         alias.name

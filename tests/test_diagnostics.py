@@ -37,8 +37,7 @@ class TestKl:
         assert kl(lp, lp) == 0.0
 
     def test_point_mass_against_uniform(self):
-        with np.errstate(invalid="ignore"):
-            assert kl(log([1.0, 0.0]), log([0.5, 0.5])) == pytest.approx(math.log(2))
+        assert kl(log([1.0, 0.0]), log([0.5, 0.5])) == pytest.approx(math.log(2))
 
     def test_matches_termwise_oracle(self):
         rng = np.random.default_rng(0)
@@ -48,25 +47,24 @@ class TestKl:
 
     def test_absolute_continuity_violation_is_infinite(self):
         assert kl(log([0.5, 0.5]), log([1.0, 0.0])) == math.inf
-        with np.errstate(invalid="ignore"):
-            assert kl(log([0.5, 0.0, 0.5]), log([0.5, 0.5, 0.0])) == math.inf
+        assert kl(log([0.5, 0.0, 0.5]), log([0.5, 0.5, 0.0])) == math.inf
 
     def test_zero_log_zero_convention(self):
-        with np.errstate(invalid="ignore"):
-            assert kl(log([0.0, 1.0]), log([0.5, 0.5])) == pytest.approx(math.log(2))
-            assert kl(log([[0.0, 0.5], [0.0, 0.5]]), log([[0.0, 0.25], [0.5, 0.25]])) == pytest.approx(math.log(2))
+        assert kl(log([0.0, 1.0]), log([0.5, 0.5])) == pytest.approx(math.log(2))
+        assert kl(log([[0.0, 0.5], [0.0, 0.5]]), log([[0.0, 0.25], [0.5, 0.25]])) == pytest.approx(math.log(2))
 
-    def test_given_masses_are_summed_over_the_live_terms(self):
-        # with a zero mass the retaken sum reads the masses it was given, not
-        # exp(log p), so its bits are those of the plain sum over p > 0
+    def test_given_masses_are_summed_in_one_pass(self):
+        # the masses given, not exp(log p), weigh the terms, and a zero mass
+        # holds a 0 in its place of the one sum
         rng = np.random.default_rng(3)
         for _ in range(50):
             p, q = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
             p[rng.integers(12)] = 0.0
             lp, lq = log(p), log(q)
             live = p > 0.0
-            with np.errstate(invalid="ignore"):
-                assert kl(lp, lq, p) == float(np.sum(p[live] * (lp[live] - lq[live])))
+            terms = np.zeros(12)
+            terms[live] = (lp[live] - lq[live]) * p[live]
+            assert kl(lp, lq, p) == float(terms.sum())
 
     def test_nonnegative_and_faithful(self):
         rng = np.random.default_rng(1)
@@ -78,8 +76,8 @@ class TestKl:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000])
     def test_row_form_is_the_one_dimensional_call_on_each_row(self, m):
-        # rows with a zero mass take the NaN fallback, and rows with mass
-        # where q has none are infinite, row by row as in the 1-D call
+        # rows with a zero mass count it as 0, and rows with mass where q
+        # has none are infinite, row by row as in the 1-D call
         rng = np.random.default_rng(m)
         p = rng.dirichlet(np.ones(m), size=70) * rng.choice([1e-300, 1.0], size=(70, 1))
         q = rng.dirichlet(np.ones(m))
@@ -88,10 +86,8 @@ class TestKl:
             q[-1] = 0.0
             p[1::3, -1] = 0.0
         lp, lq = log(p), log(q)
-        with np.errstate(invalid="ignore"):
-            rows = kl(lp, lq, p, axis=-1)
-            each = [kl(lp[i], lq, p[i]) for i in range(70)]
-            assert np.isnan((p * (lp - lq)).sum(axis=-1)).any()  # some rows took the fallback
+        rows = kl(lp, lq, p, axis=-1)
+        each = [kl(lp[i], lq, p[i]) for i in range(70)]
         assert rows.shape == (70,)
         assert rows.tobytes() == np.array(each).tobytes()
         assert np.isnan(rows).sum() == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmatch.bridge import bridge_from_potential, make_demo_instance
+from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl, logsumexp
 from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
 from otmatch import semidual
@@ -264,6 +265,14 @@ class TestAllocation:
         assert peak <= 1.05 * self.ARRAY + 8 * np.getbufsize()
         _, peak = _traced_bytes(lambda: default_bound(inst))
         assert peak <= 0.1 * self.ARRAY
+
+    def test_gram_symmetry_check_takes_one_temporary(self, parts):
+        # the kernel matrix, the kept copy and one difference whose absolute
+        # value is taken in place; the transposed operand takes numpy's
+        # fixed ufunc buffer
+        mu, _, _ = parts
+        _, peak = _traced_bytes(lambda: gram(KernelSpec("gaussian", 1.0), mu.points))
+        assert peak <= 3.1 * self.ARRAY + 8 * np.getbufsize()
 
 
 def counting_row_pass():

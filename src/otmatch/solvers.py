@@ -12,7 +12,7 @@ one row of ``METHODS``, which gives its update, step rule and guard:
 * steepest ascent in the L1 geometry with an anchored entry (sign_sga),
 * projected ascent on a sup-norm box with the relative-smoothness step
   (proj_sga), and its momentum-accelerated variant (proj_sga_pp),
-* a high-precision reference potential, a gap-certified ``sinkhorn`` run (oracle_solve).
+* a high-precision reference potential, a ``sinkhorn`` run certified by a bound (oracle_solve).
 
 :func:`run` is the only code that applies a method's update; one step of a
 method from phi is ``run(inst, SolverConfig(method, ..., max_iter=1, tol_l1=0.0), phi).phi``.
@@ -31,7 +31,7 @@ from .kernels import Gram
 from .logops import kl
 from .measures import Instance
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
-from .semidual import InducedCache, _log_mass, _potential, marginal_y, plus_transform
+from .semidual import KL_BLOCK_BYTES, InducedCache, _log_mass, _potential, _rounded_primal, plus_transform
 
 __all__ = [
     "METHODS",
@@ -52,7 +52,7 @@ __all__ = [
 
 TRACE_COLUMNS = ("iter", "J", "l1_residual", "mmd_sq", "kl_y", "elapsed_s")
 
-ORACLE_MAX_ITER = 500_000  # updates one oracle_solve call may spend, over all its runs
+ORACLE_MAX_ITER = 500_000  # the update budget of the oracle's one run
 
 # J dropping by more than this on a method with an ascent guarantee means a
 # genuine bug, not rounding noise
@@ -60,9 +60,8 @@ DIVERGENCE_GUARD = 1e-6
 
 # run keeps each record's p in a row of one block and takes the block's kl_y
 # at once when it fills or the run ends; a block holds at most this many
-# rows and bytes, and the kl_y pass holds two more arrays of its size and a mask
+# rows and KL_BLOCK_BYTES, and the kl_y pass holds two more arrays of its size and a mask
 KL_BLOCK_ROWS = 64
-KL_BLOCK_BYTES = 32 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -70,7 +69,7 @@ class DivergenceError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The reference solver exhausted its iteration budget or its gap stayed above the bound."""
+    """The reference solver exhausted its iteration budget or its duality bound is above the gate."""
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +323,7 @@ class RunResult:
     anchor_index: int | None = None
 
 
+@np.errstate(over="ignore")  # an overflowing step shows as the non-finite J the guard reports
 def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> RunResult:
     """Iterate the configured method until the L1 residual meets tol.
 
@@ -335,7 +335,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     extrapolated point for the accelerated one.  Methods with a proven ascent
     property abort with :class:`DivergenceError` if the objective drops by
     more than 1e-6, and every method does if it is not finite: only phi0 is
-    checked, so that is how a NaN or infinite iterate shows.  An auto step
+    checked, so that is how a NaN or infinite iterate (an overflowing step's) shows.  An auto step
     that underflows to 0.0 (the projected methods' 1/lambda once log lambda
     passes about 745) stops the run before its first update, at iteration 0.
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
@@ -445,42 +445,21 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
 # ---------------------------------------------------------------------------
 
 def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
-    """High-precision optimal potential: ``sinkhorn`` runs from phi = 0, certified by the duality gap.
+    """High-precision optimal potential: one ``sinkhorn`` run from phi = 0, certified by a bound.
 
-    Drives the L1 residual below ``tol`` and additionally requires the
-    duality gap (semi-dual value against the primal transport-plus-entropy
-    value of the induced coupling, which reduces to ``|<b - p, phi>|``) to
-    be at most ``10 * tol``, tightening the residual target if needed.  The
-    induced coupling has X-marginal a but Y-marginal p, not b, so it is not
-    a feasible plan: the gap is a stopping test, not a bound on
-    ``J* - J(phi)``.  The result is normalized so its first entry is zero.
+    The run drives the L1 residual below ``tol`` within ``ORACLE_MAX_ITER``
+    updates.  The primal value P of the induced coupling rounded onto U(a, b)
+    (``semidual._rounded_primal``) bounds J*, so phi is accepted, shifted to a
+    first entry of zero, when P - J(phi) <= ``10 * tol * max(1, |J(phi)|)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    phi = np.zeros(inst.m)
-    target = tol
-    left = ORACLE_MAX_ITER
-    while True:
-        # record_every of the whole budget keeps the first and the final record only
-        cfg = SolverConfig("sinkhorn", max_iter=left, tol_l1=target, record_every=ORACLE_MAX_ITER)
-        res = run(inst, cfg, phi)
-        phi, left = res.phi, left - res.iterations
-        resid = res.trace.records[-1].l1_residual
-        if not res.converged:
-            raise OracleError(f"no convergence in {ORACLE_MAX_ITER} iterations; residual {resid}")
-        gap = _duality_gap(phi, inst)
-        if gap <= 10.0 * tol:
-            return phi - phi[0]
-        if target < 1e-17:
-            raise OracleError(f"duality gap {gap} stuck above {10 * tol} at residual {resid}")
-        target /= 4.0
-
-
-def _duality_gap(phi: np.ndarray, inst: Instance) -> float:
-    """|J(phi) - KL(pi || a x b e^{-C/eps})| for the coupling pi induced by phi.
-
-    log(pi / (a x b e^{-C/eps}))_ij = phi_j - phi_plus_i, and pi has
-    marginals a and p, so the KL is <p, phi> - <a, phi_plus> and the gap
-    is |<b - p, phi>|.
-    """
-    return abs(float((inst.b - marginal_y(phi, inst)) @ phi))
+    # record_every of the whole budget keeps the first and the final record only
+    res = run(inst, SolverConfig("sinkhorn", max_iter=ORACLE_MAX_ITER, tol_l1=tol, record_every=ORACLE_MAX_ITER))
+    last = res.trace.records[-1]
+    if not res.converged:
+        raise OracleError(f"no convergence in {ORACLE_MAX_ITER} iterations; residual {last.l1_residual}")
+    bound, gate = _rounded_primal(res.phi, inst) - last.J, 10.0 * tol * max(1.0, abs(last.J))
+    if not bound <= gate:
+        raise OracleError(f"duality bound {bound} above the gate {gate}")
+    return res.phi - res.phi[0]

@@ -66,6 +66,8 @@ EXIT_CONTRACT_CORPUS = {
     # the χ² step (p - b)/b on the 1e-260 mass moves phi by -2.5e259, and
     # the cache's squared radius overflowed
     "chi2_radius_overflow": dict(cost="half_sqeuclidean", epsilon=1e-4, y_weights=(1e-260, 1.0)),
+    # the χ² step (p - b)/b on a subnormal target mass overflowed in the division
+    "chi2_subnormal_overflow": dict(cost="half_sqeuclidean", epsilon=1e-4, y_weights=(1e-320, 1.0)),
 }
 
 
@@ -204,6 +206,32 @@ class TestSolve:
             assert float(json.loads(summary.read_text())["final_l1_residual"]) <= 1e-6
         if (case, method) == ("chi2_radius_overflow", "chi2"):
             assert code == 0 and err == ""
+        if (case, method) == ("chi2_subnormal_overflow", "chi2"):
+            assert code == 2 and "chi2: objective turned non-finite" in err
+
+    def test_a_median_bandwidth_over_one_target_atom_is_an_input_error(self, tmp_path, capsys):
+        # the instance is well-posed, but the option asks for a median over no pairs of target atoms
+        path = tmp_path / "one_target.json"
+        path.write_text(json.dumps({
+            "x_points": [[0.0], [1.0]], "x_weights": [0.5, 0.5], "y_points": [[0.5]], "y_weights": [1.0],
+            "cost": "half_sqeuclidean", "epsilon": 0.5,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--instance", str(path), "--method", "ksga", "--kernel", "gaussian:median"])
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: need at least two points for a median distance\n", err
+
+    def test_an_overflowing_projected_step_is_clamped_quietly(self, tmp_path, capsys):
+        # the χ² step overflows to -inf on the subnormal mass, and the clamp into [-B, B] keeps phi finite
+        inst = two_atom_file(tmp_path, **EXIT_CONTRACT_CORPUS["chi2_subnormal_overflow"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "solve", "--instance", str(inst), "--method", "proj_sga", "--eta", "0.5",
+                "--max-iter", "50", "--tol", "1e-6",
+            ])
+        assert code == 2 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("method", ["proj_sga", "proj_sga_pp"])
     def test_underflowing_auto_step_stops_before_the_first_update(self, tmp_path, method, capsys):
@@ -618,6 +646,14 @@ class TestBridgeCommand:
         assert main(["bridge", *args]) == 0
         doc = json.loads(summary.read_text())
         assert float(doc["tv_terminal_vs_static"]) <= float(doc["tv_tolerance"]) < 1.0
+
+    def test_small_eps_demo_with_the_oracle_potential(self, tmp_path):
+        # at eps 1e-3 the oracle's potential oscillates by about 2,500, and its rounded-plan bound certifies it
+        summary = tmp_path / "s.json"
+        args = ["--epsilon", "1e-3", "--phi", "oracle", "--particles", "1000", "--summary", str(summary)]
+        assert main(["bridge", *args]) == 0
+        doc = json.loads(summary.read_text())
+        assert float(doc["tv_terminal_vs_static"]) <= float(doc["tv_tolerance"])
 
     @pytest.mark.parametrize(
         "args, message",

@@ -169,11 +169,18 @@ def test_plus_transform_runs_only_where_no_cache_is_at_hand():
     assert readers == {"semidual.semidual_value", "semidual.coupling", "verify.check_thm_ksga_rate"}, sorted(readers)
 
 
+def test_the_rounded_plan_certifies_only_the_oracle():
+    # the primal value of the rounded plan is the oracle's certificate; a
+    # second reader (a summary's gap bound, a check command) names itself here
+    readers = set().union(*(_readers(p, "_rounded_primal") for p in (REPO / "src" / "otmatch").glob("*.py")))
+    assert readers == {"solvers.oracle_solve"}, sorted(readers)
+
+
 def test_couplings_are_materialized_only_where_a_matrix_is_read():
-    # a KL between induced couplings and the oracle's duality gap have closed
-    # forms in the potentials, their transforms and marginals; an n x m
-    # coupling is built only for the coupling itself, the exact column
-    # fallback and the primal-view update check
+    # a KL between induced couplings has a closed form in the potentials,
+    # their transforms and marginals, and the rounded plan is formed in row
+    # blocks; an n x m coupling is built only for the coupling itself, the
+    # exact column fallback and the primal-view update check
     sources = list((REPO / "src" / "otmatch").glob("*.py"))
     readers = set().union(*(_readers(p, name) for p in sources for name in ("coupling", "_log_coupling")))
     assert readers == {

@@ -26,7 +26,7 @@ from otmatch.semidual import (
     plus_transform,
     semidual_value,
 )
-from otmatch.solvers import _duality_gap, default_bound, lambda_bound, oracle_solve
+from otmatch.solvers import default_bound, lambda_bound, oracle_solve
 from otmatch.verify import random_instance, variance_identity_residual
 
 from conftest import (
@@ -469,24 +469,23 @@ class TestCoupling:
             Coupling(log_masses=np.log(np.full((2, 2), 0.3)))
 
 
-def materialized_gap(phi, inst):
-    """|J(phi) - KL(pi(phi) || a x b e^{-C/eps})| summed over the n x m coupling, in extended precision.
+def rounded_plan(phi, inst):
+    """pi(phi) rounded onto U(a, b) by Altschuler-Weed-Rigollet's Alg. 2, materialized.
 
-    In double precision each log mass carries an error of about ulp(C/eps),
-    and the log ratio phi_j - phi_plus_i to the Gibbs reference, itself of
-    order C/eps, multiplies it: near 1e-12 relative at eps = 1e-3, the size
-    of the tolerance.
+    Rows scaled down to a, then columns down to b, then the rank-one
+    remainder of the missing masses, its factors clipped at 0.
     """
-    ld = np.longdouble
-    log_a, log_b, phi = np.log(inst.a.astype(ld)), np.log(inst.b.astype(ld)), phi.astype(ld)
-    c_over_eps = inst.cost.astype(ld) / ld(inst.epsilon)
-    w = log_b + phi - c_over_eps
-    rowmax = w.max(axis=1)
-    phi_plus = np.log(np.exp(w - rowmax[:, None]).sum(axis=1)) + rowmax
-    log_pi = w + (log_a - phi_plus)[:, None]
-    log_gibbs = log_a[:, None] + log_b - c_over_eps
-    primal = (np.exp(log_pi) * (log_pi - log_gibbs)).sum()
-    return float(abs(inst.b @ phi - inst.a @ phi_plus - primal))
+    pi = np.exp(coupling(phi, inst).log_masses)
+    with np.errstate(divide="ignore", over="ignore"):  # a row or column of (almost) no mass is not scaled
+        pi *= np.minimum(inst.a / pi.sum(axis=1), 1.0)[:, None]
+        pi *= np.minimum(inst.b / pi.sum(axis=0), 1.0)
+    err_a, err_b = np.maximum(inst.a - pi.sum(axis=1), 0.0), np.maximum(inst.b - pi.sum(axis=0), 0.0)
+    return pi + np.outer(err_a, err_b) / (err_a.sum() or 1.0)
+
+
+def log_normalizer(inst):
+    """log Z of the Gibbs reference a x b e^{-C/eps}, which ``log_reference`` divides out."""
+    return logsumexp((np.log(inst.a)[:, None] + np.log(inst.b) - inst.cost / inst.epsilon).reshape(-1))
 
 
 class TestClosedForms:
@@ -508,7 +507,28 @@ class TestClosedForms:
         assert abs(closed - kl(pi_phi, pi_psi)) <= tol
         closed = _induced_kl(inst, psi, psi_plus, marginal_y(psi, inst), phi, phi_plus)
         assert abs(closed - kl(pi_psi, pi_phi)) <= tol
-        assert abs(_duality_gap(phi, inst) - materialized_gap(phi, inst)) <= tol
+        pi = rounded_plan(phi, inst)
+        np.testing.assert_allclose(pi.sum(axis=1), inst.a, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(pi.sum(axis=0), inst.b, rtol=0.0, atol=1e-15)
+        value = semidual._rounded_primal(phi, inst)
+        with np.errstate(divide="ignore"):
+            materialized = primal_value(Coupling(log_masses=np.log(pi)), inst) - log_normalizer(inst)
+        assert abs(materialized - value) <= 1e-12 * max(1.0, abs(value))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 11),
+        m=st.integers(1, 11),
+        epsilon=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_rounded_plan_bounds_every_objective_value(self, seed, n, m, epsilon):
+        # weak duality: the rounded plan is feasible, so its primal value is at least J(psi) for any psi
+        rng = np.random.default_rng(seed)
+        inst = extreme_instance(rng, n, m, epsilon)
+        phi, psi = rng.normal(0, 3, m), rng.normal(0, 3, m)
+        j = semidual_value(psi, inst)
+        assert semidual._rounded_primal(phi, inst) >= j - 1e-12 * max(1.0, abs(j))
 
 
 def primal_value(pi, inst):

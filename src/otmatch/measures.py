@@ -34,6 +34,11 @@ WEIGHT_SUM_TOL = 1e-12
 # genuine input error and is rejected
 LOAD_RENORMALIZE_TOL = 1e-9
 
+# bytes of one row block in a blocked pass over an n x m array (the cost
+# build here, the cached evaluation in ``semidual``): half of one core's
+# 2 MiB L2, so a block is still in cache when a pass reads it a second time
+ROW_BLOCK_BYTES = 1 << 20
+
 
 class InstanceError(ValueError):
     """Raised when measure or instance data violates an invariant."""
@@ -127,23 +132,38 @@ def make_grid_measure(
     return DiscreteMeasure(points=xs, weights=vals / total)
 
 
+def _row_blocks(n: int, m: int):
+    """Consecutive row slices of an n x m float64 array, each of at most
+    ``ROW_BLOCK_BYTES`` (one row where a single row is larger)."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * m))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int) -> np.ndarray:
     """``out_ij = sum_k |x_ik - y_jk| ** power`` for ``power`` 1 or 2.
 
-    Accumulated one dimension at a time in place, so no (n, m, d) temporary
-    is built.  For d <= 2 the sum is bit-identical to summing the (n, m, d)
-    differences along the last axis; for larger d numpy's pairwise sum adds
-    the same terms in another order.
+    Built in row blocks of at most ``ROW_BLOCK_BYTES``: the first dimension
+    is written into the block of ``out`` itself, and each further dimension
+    into one block-sized scratch array before it is added, so no n x m or
+    (n, m, d) temporary is built.  Every entry adds the same terms in the
+    same order whatever the block size.  For d <= 2 the sum is bit-identical
+    to summing the (n, m, d) differences along the last axis; for larger d
+    numpy's pairwise sum adds the same terms in another order.
     """
-    out = np.zeros((x.shape[0], y.shape[0]))
-    t = np.empty_like(out)
-    for k in range(x.shape[1]):
-        np.subtract.outer(x[:, k], y[:, k], out=t)
-        if power == 2:
-            t *= t
-        else:
-            np.abs(t, out=t)
-        out += t
+    out = np.empty((x.shape[0], y.shape[0]))
+    blocks = _row_blocks(*out.shape)
+    scratch = np.empty_like(out[blocks[0]])
+    for rows in blocks:
+        o = out[rows]
+        for k in range(x.shape[1]):
+            t = o if k == 0 else scratch[: o.shape[0]]
+            np.subtract.outer(x[rows, k], y[:, k], out=t)
+            if power == 2:
+                t *= t
+            else:
+                np.abs(t, out=t)
+            if k:
+                o += t
     return out
 
 

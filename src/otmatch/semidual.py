@@ -32,7 +32,12 @@ such pass (its absorption point ``phi_ref``).  While
 ``max|phi - phi_ref| <= ABSORB_AT``, the row-shifted Gibbs matrix at phi is
 ``E * v`` with ``v = exp(phi - phi_ref)``, so two matrix-vector products
 give the pair: ``t = E @ v``, ``phi_plus = rowmax + log t`` and
-``p = v * ((a / t) @ E)``.  A potential farther out is absorbed: the old
+``p = v * ((a / t) @ E)``.  Row i's share of ``p`` needs only ``t_i``, so
+both products run on one row block of ``E`` (at most ``ROW_BLOCK_BYTES``,
+half of one core's L2) before the next (:func:`_products`), and ``E`` is
+read from memory once per evaluation.  A matrix of one block (n m up to
+131,072, such as 362 x 362) gets the two whole-matrix products bit for bit.
+A potential farther out is absorbed: the old
 ``E`` is dropped and the exponential pass of :func:`induced_marginal` runs
 at phi, which becomes the new reference.  Both use one code path, so a
 cache's first evaluation equals :func:`induced_marginal` bit for bit.  A
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logops import kl, logsumexp
-from .measures import Instance, _as_float_array
+from .measures import Instance, _as_float_array, _row_blocks
 
 __all__ = [
     "Coupling",
@@ -235,13 +240,33 @@ def _absorb(phi, inst):
     return e, rowmax, np.log(s) + rowmax, (inst.a / s) @ e
 
 
+def _products(blocks, v):
+    """Column sums ``(a / t) @ E`` of the cached pair, with ``t = E @ v`` written into the cache's buffer.
+
+    ``blocks`` holds each row block's views ``(E_b, a_b, t_b)``, at most
+    ``ROW_BLOCK_BYTES`` of ``E`` each: both products read a block before the
+    next, while it is still in cache, so ``E`` is read from memory once.  The
+    blocks' column sums are added in row order; with one block they are the
+    two products over the whole matrix, bit for bit.
+    """
+    col = None
+    for eb, ab, tb in blocks:
+        cb = (ab / eb.dot(v, out=tb)).dot(eb)
+        if col is None:
+            col = cb
+        else:
+            col += cb
+    return col
+
+
 class InducedCache:
     """Per-run evaluator of ``(phi_plus, p)`` on a cached Gibbs matrix.
 
     The first call, and any call farther than ``ABSORB_AT`` from the last
     absorption point, makes the exponential pass of :func:`induced_marginal`
-    and keeps its n x m matrix; calls within that radius cost two
-    matrix-vector products.  Results agree with :func:`induced_marginal`
+    and keeps its n x m matrix ``E``; a call within that radius costs the
+    two matrix-vector products of :func:`_products`, which read ``E`` once,
+    one row block at a time.  Results agree with :func:`induced_marginal`
     to rounding.  It does not check phi: its loop checks the start, and a
     NaN or infinite entry makes the radius test's sup norm NaN or infinite,
     so the call returns a NaN pair without a pass and keeps its matrix; the
@@ -250,22 +275,24 @@ class InducedCache:
     """
 
     def __init__(self, inst: Instance):
-        self._inst, self._a = inst, inst.a
-        self._e = self._rowmax = self._phi_ref = None
+        self._inst = inst
+        self._blocks = self._t = self._rowmax = self._phi_ref = None
 
     def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._e is not None:
+        if self._blocks is not None:
             delta = phi - self._phi_ref
             # the 2-norm bounds the sup norm and is one call where m is small; vdot
             # overflows to inf without a floating-point warning, and the sup test decides
             if np.vdot(delta, delta) <= ABSORB_AT**2 or (sup := abs(delta).max()) <= ABSORB_AT:
                 v = np.exp(delta)
-                t = self._e.dot(v)
-                return self._rowmax + np.log(t), v * (self._a / t).dot(self._e)
+                p = v * _products(self._blocks, v)
+                return self._rowmax + np.log(self._t), p
             if not sup < np.inf:  # a NaN or infinite iterate: a NaN pair, with no pass
                 return np.full(self._rowmax.size, np.nan), np.full(phi.size, np.nan)
-            self._e = None  # free the old matrix before the pass allocates a new one
-        self._e, self._rowmax, phi_plus, p = _absorb(phi, self._inst)
+            self._blocks = None  # free the old matrix before the pass allocates a new one
+        e, self._rowmax, phi_plus, p = _absorb(phi, self._inst)
+        a, t = self._inst.a, np.empty(e.shape[0])
+        self._blocks, self._t = [(e[rows], a[rows], t[rows]) for rows in _row_blocks(*e.shape)], t
         self._phi_ref = phi.copy()
         return phi_plus, p
 

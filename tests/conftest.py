@@ -137,6 +137,26 @@ def floor_path_log_mass(p, phi, phi_plus, inst):
     return log_p
 
 
+# the extended-precision reference needs a long double wider than float64
+# (80-bit on x86-64 Linux); on macOS arm64 and Windows it is float64 itself
+LONGDOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here, so it cannot serve as a reference",
+)
+
+
+def longdouble_pair(phi, inst):
+    """``(phi_plus, p)`` at phi in ``np.longdouble``: the exponential pass of
+    ``semidual.induced_marginal`` on the same float64 inputs, every step taken
+    in extended precision (``log a`` and ``log b`` included)."""
+    ld = np.longdouble
+    w = (np.log(inst.b.astype(ld)) + phi.astype(ld)) - inst.cost.astype(ld) / ld(inst.epsilon)
+    rowmax = w.max(axis=1, keepdims=True)
+    e = np.exp(w - rowmax)
+    s = e.sum(axis=1)
+    return np.log(s) + rowmax[:, 0], (inst.a.astype(ld) / s) @ e
+
+
 @pytest.fixture(scope="session")
 def oracle_cache():
     """Memoized oracle potentials keyed by caller-chosen labels."""

@@ -796,3 +796,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "solve" in proc.stdout, proc.stderr
+
+
+class TestRerunDeterminism:
+    def test_multi_block_solve_reruns_byte_identical_in_fresh_processes(self, tmp_path):
+        # 401 x 999 takes four row blocks of the cached Gibbs matrix (131
+        # rows each but the last), and every block after the first starts
+        # off a 64-byte boundary; two fresh interpreters write the same bytes
+        rng = np.random.default_rng(33)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "x_points": rng.uniform(size=(401, 2)).tolist(), "x_weights": rng.dirichlet(np.ones(401)).tolist(),
+            "y_points": rng.uniform(size=(999, 2)).tolist(), "y_weights": rng.dirichlet(np.ones(999)).tolist(),
+            "cost": "half_sqeuclidean", "epsilon": 0.05,
+        }))
+        pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        outputs = []
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "otmatch.cli", "solve", "--instance", str(path), "--method", "sinkhorn",
+                 "--tol", "1e-9", "--max-iter", "400", "--trace", str(run_dir / "trace.csv"),
+                 "--summary", str(run_dir / "summary.json")],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(run_dir / name).read_bytes() for name in ("summary.json", "trace.csv")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["iterations"] > 10

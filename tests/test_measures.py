@@ -13,6 +13,8 @@ from otmatch.measures import (
     DiscreteMeasure,
     Instance,
     InstanceError,
+    _pairwise_sum,
+    _row_blocks,
     cost_matrix,
     load_instance,
     make_grid_measure,
@@ -126,6 +128,20 @@ class TestCostMatrix:
         nu = DiscreteMeasure(points=rng.normal(size=(6, 3)), weights=rng.dirichlet(np.ones(6)))
         assert np.array_equal(cost_matrix(mu, nu, "half_sqeuclidean"), cost_matrix(nu, mu, "half_sqeuclidean").T)
         assert np.array_equal(cost_matrix(mu, nu, "euclidean"), cost_matrix(nu, mu, "euclidean").T)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_blocks_add_the_terms_of_one_whole_matrix_pass(self, d, power):
+        # 300 x 600 is two row blocks, the second one short; every entry adds
+        # its d terms in dimension order, as one pass over the whole matrix does
+        rng = np.random.default_rng(50 + d)
+        x, y = rng.normal(size=(300, d)), rng.normal(size=(600, d))
+        assert len(_row_blocks(300, 600)) == 2
+        ref = np.zeros((300, 600))
+        for k in range(d):
+            diff = np.subtract.outer(x[:, k], y[:, k])
+            ref += diff * diff if power == 2 else np.abs(diff)
+        np.testing.assert_array_equal(_pairwise_sum(x, y, power), ref)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
     def test_matches_broadcast_formula(self, d):

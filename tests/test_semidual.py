@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from otmatch.bridge import bridge_from_potential, make_demo_instance
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl, logsumexp
-from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
+from otmatch.measures import ROW_BLOCK_BYTES, DiscreteMeasure, Instance, _row_blocks, cost_matrix
 from otmatch import semidual
 from otmatch.mirrorflow import flow_run
 from otmatch.semidual import (
@@ -30,7 +30,8 @@ from otmatch.solvers import default_bound, lambda_bound, oracle_solve
 from otmatch.verify import random_instance, variance_identity_residual
 
 from conftest import (
-    NON_FINITE, extreme_instance, floor_path_log_mass, single_cell_instance, underflow_instance, zero_cost_instance,
+    LONGDOUBLE, NON_FINITE, extreme_instance, floor_path_log_mass, longdouble_pair, single_cell_instance,
+    underflow_instance, zero_cost_instance,
 )
 
 
@@ -218,6 +219,18 @@ class TestAllocation:
         held, _ = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5))
         assert held <= 1.1 * self.ARRAY
 
+    def test_point_cloud_cost_build_holds_one_array_and_a_block(self):
+        # the cost is written in row blocks beside one block-sized scratch
+        # array (an eighth of an array at 1024²); the finiteness check's
+        # boolean temporary, another eighth, comes after the scratch is freed
+        n = 1024
+        rng = np.random.default_rng(8)
+        mu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
+        nu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
+        assert len(_row_blocks(n, n)) == 8
+        _, peak = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=0.5))
+        assert peak <= 1.2 * n * n * 8
+
     def test_instance_from_a_nested_list_holds_one_array_at_peak(self, parts):
         # the list becomes the array the instance keeps, with no second copy;
         # the finiteness check's boolean temporary is an eighth of an array
@@ -280,27 +293,68 @@ def counting_row_pass():
     return mock.patch.object(semidual, "_row_pass", wraps=semidual._row_pass)
 
 
+def cached_step(rng, inst, zero_phi=False, edge=True):
+    """``(phi0, phi)``: a start and a point within ``ABSORB_AT`` of it in every entry."""
+    phi0 = np.zeros(inst.m) if zero_phi else rng.normal(0, 3, inst.m)
+    delta = rng.uniform(-ABSORB_AT, ABSORB_AT, inst.m)
+    if edge:  # one entry 1e-9 inside the radius, more than phi0 + delta can round off
+        delta[rng.integers(inst.m)] = ABSORB_AT * (1 - 1e-9) * rng.choice([-1, 1])
+    return phi0, phi0 + delta
+
+
+def cached_pair(inst, phi0, phi):
+    """The pair at phi from the cached branch of a cache absorbed at phi0, with its ``log p``."""
+    cache = InducedCache(inst)
+    with counting_row_pass() as passes:
+        cache(phi0)
+        got = with_log_p(cache, phi, inst)
+    assert passes.call_count == 1  # the second call took the two-GEMV branch
+    return got
+
+
+def assert_cached_branch_matches_one_shot_pass(rng, n, m, zero_phi, edge):
+    inst = skewed_instance(rng, n, m, 1e3)
+    phi0, phi = cached_step(rng, inst, zero_phi, edge)
+    phi_plus, _, log_p = cached_pair(inst, phi0, phi)
+    ref_plus, _, ref_log_p = with_log_p(InducedCache(inst), phi, inst)
+    assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
+    scale = 1.0 + np.abs(inst.log_b + phi) + np.abs(ref_log_p)
+    assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * scale)
+
+
 class TestInducedCache:
     @given(seed=st.integers(0, 2**32 - 1), zero_phi=st.booleans(), edge=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_cached_branch_matches_one_shot_pass(self, seed, zero_phi, edge):
         rng = np.random.default_rng(seed)
         n, m = rng.integers(1, 40, size=2)
-        inst = skewed_instance(rng, int(n), int(m), 1e3)
-        phi0 = np.zeros(inst.m) if zero_phi else rng.normal(0, 3, inst.m)
-        delta = rng.uniform(-ABSORB_AT, ABSORB_AT, inst.m)
-        if edge:  # one entry 1e-9 inside the radius, more than phi0 + delta can round off
-            delta[rng.integers(inst.m)] = ABSORB_AT * (1 - 1e-9) * rng.choice([-1, 1])
-        phi = phi0 + delta
+        assert_cached_branch_matches_one_shot_pass(rng, int(n), int(m), zero_phi, edge)
+
+    @given(seed=st.integers(0, 2**32 - 1), zero_phi=st.booleans(), edge=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_cached_branch_over_row_blocks_matches_one_shot_pass(self, seed, zero_phi, edge):
+        # n m 8 > ROW_BLOCK_BYTES: the products run over two to five row blocks
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(128, 400))
+        m = int(rng.integers(ROW_BLOCK_BYTES // (8 * n) + 1, 1400))
+        assert len(_row_blocks(n, m)) > 1
+        assert_cached_branch_matches_one_shot_pass(rng, n, m, zero_phi, edge)
+
+    @pytest.mark.parametrize("n,m", [(362, 362), (128, 1024), (1, 5)])
+    def test_one_block_takes_the_two_whole_matrix_products(self, n, m):
+        # every sweep and proofs instance is one block: its outputs keep their bits
+        rng = np.random.default_rng(16)
+        inst = random_instance(rng, n, m, 0.1)
+        assert len(_row_blocks(n, m)) == 1
+        phi0, phi = cached_step(rng, inst)
+        e, rowmax, _, _ = semidual._absorb(phi0, inst)
         cache = InducedCache(inst)
-        with counting_row_pass() as passes:
-            cache(phi0)
-            phi_plus, _, log_p = with_log_p(cache, phi, inst)
-        assert passes.call_count == 1  # the second call took the two-GEMV branch
-        ref_plus, _, ref_log_p = with_log_p(InducedCache(inst), phi, inst)
-        assert np.all(np.abs(phi_plus - ref_plus) <= 1e-13 * (1.0 + np.abs(ref_plus)))
-        scale = 1.0 + np.abs(inst.log_b + phi) + np.abs(ref_log_p)
-        assert np.all(np.abs(log_p - ref_log_p) <= 1e-13 * scale)
+        cache(phi0)
+        phi_plus, p = cache(phi)
+        v = np.exp(phi - phi0)
+        t = e @ v
+        np.testing.assert_array_equal(phi_plus, rowmax + np.log(t))
+        np.testing.assert_array_equal(p, v * ((inst.a / t) @ e))
 
     def test_first_call_is_the_one_shot_pass(self, medium_instance):
         phi = np.random.default_rng(15).normal(0, 2, medium_instance.m)
@@ -337,6 +391,43 @@ class TestInducedCache:
         ref = with_log_p(InducedCache(small_instance), far, small_instance)
         for got_part, ref_part in zip(got, ref, strict=True):
             np.testing.assert_array_equal(got_part, ref_part)
+
+
+# Forward error budget of (phi_plus, p) against the long double reference, in
+# units of u = 2^-53, on random_instance draws with eps in [0.01, 1] and phi
+# ~ N(0, 3), with one cached step of up to ABSORB_AT per entry: the relative
+# error of p on masses above 1e-250, and |phi_plus - ref| / max(1, |ref|).
+# The error of p is mostly the float64 rounding of each Gibbs exponent, some
+# |C/eps| + |log b + phi| ulps, so it grows as eps falls.  Worst seen over the
+# first 40 seeds of each size: p 59 u one-shot, 43 u cached; phi_plus 2.2 u.
+U = 2.0**-53
+P_BUDGET_U = 96.0
+PHI_PLUS_BUDGET_U = 4.0
+
+
+def forward_errors_u(pair, ref):
+    """Worst relative errors of p (masses above 1e-250) and of phi_plus against ``ref``, in units of u."""
+    (phi_plus, p), (ref_plus, ref_p) = pair, ref
+    seen = ref_p > 1e-250
+    err_p = np.abs(p[seen] - ref_p[seen]) / ref_p[seen]
+    err_plus = np.abs(phi_plus - ref_plus) / np.maximum(1.0, np.abs(ref_plus))
+    return float(err_p.max()) / U, float(err_plus.max()) / U
+
+
+@LONGDOUBLE
+class TestErrorBudget:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n,m,blocks", [(128, 128, 1), (384, 1000, 3)], ids=["one_block", "three_blocks"])
+    def test_evaluators_stay_within_the_budget(self, n, m, blocks, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n, m, float(10 ** rng.uniform(-2, 0)))
+        assert len(_row_blocks(n, m)) == blocks
+        phi0, phi = cached_step(rng, inst)
+        ref = longdouble_pair(phi, inst)
+        for name, pair in (("one-shot", induced_marginal(phi, inst)), ("cached", cached_pair(inst, phi0, phi)[:2])):
+            err_p, err_plus = forward_errors_u(pair, ref)
+            assert err_p <= P_BUDGET_U, f"{name}: p off by {err_p:.1f} u"
+            assert err_plus <= PHI_PLUS_BUDGET_U, f"{name}: phi_plus off by {err_plus:.1f} u"
 
 
 class TestLogMass:

@@ -132,10 +132,14 @@ def make_grid_measure(
     return DiscreteMeasure(points=xs, weights=vals / total)
 
 
-def _row_blocks(n: int, m: int):
-    """Consecutive row slices of an n x m float64 array, each of at most
-    ``ROW_BLOCK_BYTES`` (one row where a single row is larger)."""
-    step = max(1, ROW_BLOCK_BYTES // (8 * m))
+def _block_rows(m: int, nbytes: int = ROW_BLOCK_BYTES) -> int:
+    """Rows of m float64 entries in a block of at most ``nbytes`` (one row where a single row is larger)."""
+    return max(1, nbytes // (8 * m))
+
+
+def _row_blocks(n: int, m: int, nbytes: int = ROW_BLOCK_BYTES):
+    """Consecutive row slices of an n x m float64 array, each of ``_block_rows(m, nbytes)`` rows at most."""
+    step = _block_rows(m, nbytes)
     return [slice(i, i + step) for i in range(0, n, step)]
 
 

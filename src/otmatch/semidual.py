@@ -180,10 +180,8 @@ def _rounded_primal(phi: np.ndarray, inst: Instance) -> float:
     cols = marginal_y(phi, inst)
     y, c = inst.b / np.maximum(cols, inst.b), np.maximum(inst.b - cols, 0.0)
     c /= c.sum() or 1.0  # an all-zero c adds no remainder
-    step = max(1, KL_BLOCK_BYTES // (8 * inst.m))
     total = 0.0
-    for i in range(0, inst.n, step):
-        rows = slice(i, i + step)
+    for rows in _row_blocks(inst.n, inst.m, KL_BLOCK_BYTES):
         w = _gibbs_exponent(phi, inst, rows=rows)
         pi = np.exp(w - w.max(axis=1, keepdims=True))
         pi *= (inst.a[rows] / pi.sum(axis=1))[:, None]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .kernels import Gram
 from .logops import kl
-from .measures import Instance
+from .measures import Instance, _block_rows
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
 from .semidual import KL_BLOCK_BYTES, InducedCache, _log_mass, _potential, _rounded_primal, plus_transform
 
@@ -57,11 +57,6 @@ ORACLE_MAX_ITER = 500_000  # the update budget of the oracle's one run
 # J dropping by more than this on a method with an ascent guarantee means a
 # genuine bug, not rounding noise
 DIVERGENCE_GUARD = 1e-6
-
-# run keeps each record's p in a row of one block and takes the block's kl_y
-# at once when it fills or the run ends; a block holds at most this many
-# rows and KL_BLOCK_BYTES, and the kl_y pass holds two more arrays of its size and a mask
-KL_BLOCK_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -340,8 +335,8 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     passes about 745) stops the run before its first update, at iteration 0.
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
     only the identity link forms ``log p``.  A record's ``kl_y`` is taken
-    with those of up to ``KL_BLOCK_ROWS`` others, from one block of their
-    marginals, and equals ``kl(log p, log b, p)`` of its own p.
+    with those of the others in one block of their marginals, at most
+    ``KL_BLOCK_BYTES``, and equals ``kl(log p, log b, p)`` of its own p.
     """
     phi = np.zeros(inst.m) if phi0 is None else _potential(phi0, inst.m, "phi0").copy()
 
@@ -376,7 +371,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     # each record's p waits in a row of `block` until the block fills or the run ends, when one
     # log and one row-wise sum give every waiting record its kl_y; ceil(max_iter / every) + 1
     # records at most are left to make
-    rows = min(KL_BLOCK_ROWS, max(1, KL_BLOCK_BYTES // (8 * inst.m)), -(-max_iter // every) + 1)
+    rows = min(_block_rows(inst.m, KL_BLOCK_BYTES), -(-max_iter // every) + 1)
     block, waiting = np.empty((rows, inst.m)), []
 
     evaluate = InducedCache(inst)
@@ -449,8 +444,8 @@ def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
 
     The run drives the L1 residual below ``tol`` within ``ORACLE_MAX_ITER``
     updates.  The primal value P of the induced coupling rounded onto U(a, b)
-    (``semidual._rounded_primal``) bounds J*, so phi is accepted, shifted to a
-    first entry of zero, when P - J(phi) <= ``10 * tol * max(1, |J(phi)|)``.
+    (``semidual._rounded_primal``) bounds J*, so the run's own iterate phi is
+    returned when P - J(phi) <= ``10 * tol * max(1, |J(phi)|)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -462,4 +457,4 @@ def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
     bound, gate = _rounded_primal(res.phi, inst) - last.J, 10.0 * tol * max(1.0, abs(last.J))
     if not bound <= gate:
         raise OracleError(f"duality bound {bound} above the gate {gate}")
-    return res.phi - res.phi[0]
+    return res.phi

@@ -126,6 +126,12 @@ def one_step(method: str, phi: np.ndarray, inst: Instance, **fields) -> np.ndarr
     return run(inst, SolverConfig(method=method, max_iter=1, tol_l1=0.0, **fields), phi).phi
 
 
+def certified_run_phi(inst: Instance, tol: float) -> np.ndarray:
+    """The iterate of the one ``sinkhorn`` run that ``oracle_solve(inst, tol)`` makes and certifies."""
+    budget = solvers.ORACLE_MAX_ITER
+    return run(inst, SolverConfig("sinkhorn", max_iter=budget, tol_l1=tol, record_every=budget)).phi
+
+
 def floor_path_log_mass(p, phi, phi_plus, inst):
     """``semidual._log_mass`` without its fast return: log p, then the column
     logsumexp for every mass below ``semidual.P_FLOOR``."""

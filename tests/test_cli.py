@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,13 @@ import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from otmatch import cli, verify
+from otmatch import cli, semidual, solvers, verify
 from otmatch.cli import METHODS, _digest, _write_outputs, main
 from otmatch.measures import DiscreteMeasure, Instance, load_instance
 from otmatch.semidual import semidual_value
@@ -20,7 +24,8 @@ from otmatch.solvers import DivergenceError, OracleError, SolverConfig, run
 from otmatch.verify import CheckResult, random_instance
 
 from conftest import (
-    NON_FINITE, OFF_LATTICE_TARGETS, SHIFTS, poison_update, two_source_instance, write_instance, zero_cost_instance,
+    NON_FINITE, OFF_LATTICE_TARGETS, SHIFTS, certified_run_phi, poison_update, two_source_instance, write_instance,
+    zero_cost_instance,
 )
 
 
@@ -69,6 +74,41 @@ EXIT_CONTRACT_CORPUS = {
     # the χ² step (p - b)/b on a subnormal target mass overflowed in the division
     "chi2_subnormal_overflow": dict(cost="half_sqeuclidean", epsilon=1e-4, y_weights=(1e-320, 1.0)),
 }
+
+
+@st.composite
+def instance_documents(draw):
+    """A well-posed instance file's contents: n, m <= 6, 1-D or 2-D points at
+    scale 10^[-3, 3], eps = 10^[-4, 1], uniform, Dirichlet(0.1) or
+    exp(U(-700, 0)) weights floored at 1e-300, and a named cost."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, scale = draw(st.sampled_from([1, 2])), 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    def measure(k):
+        kind = draw(st.sampled_from(["uniform", "dirichlet", "log_uniform"]))
+        w = {
+            "uniform": lambda: np.ones(k),
+            "dirichlet": lambda: rng.dirichlet(np.full(k, 0.1)),
+            "log_uniform": lambda: np.exp(rng.uniform(-700.0, 0.0, k)),
+        }[kind]()
+        w = np.maximum(w, 1e-300)
+        return (scale * rng.uniform(0.0, 1.0, (k, dim))).tolist(), (w / w.sum()).tolist()
+
+    (xp, xw), (yp, yw) = measure(draw(st.integers(1, 6))), measure(draw(st.integers(1, 6)))
+    return {
+        "x_points": xp, "x_weights": xw, "y_points": yp, "y_weights": yw,
+        "cost": draw(st.sampled_from(["half_sqeuclidean", "euclidean"])),
+        "epsilon": 10.0 ** draw(st.floats(-4.0, 1.0)),
+    }
+
+
+def _quiet_main(argv):
+    """``main(argv)`` under warnings-as-errors; returns the exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
 
 
 class TestSolve:
@@ -208,6 +248,28 @@ class TestSolve:
             assert code == 0 and err == ""
         if (case, method) == ("chi2_subnormal_overflow", "chi2"):
             assert code == 2 and "chi2: objective turned non-finite" in err
+
+    @given(doc=instance_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_contract_on_random_instances(self, tmp_path_factory, doc):
+        # every method at --max-iter 50, and the oracle at a budget of 2,000
+        # updates in place of ORACLE_MAX_ITER, so that an example stays cheap
+        path = tmp_path_factory.mktemp("doc") / "inst.json"
+        path.write_text(json.dumps(doc))
+        assume(_quiet_main(["validate", "--instance", str(path)])[0] == 0)
+        summary = path.parent / "s.json"
+        for method in METHODS:
+            kernel = ["--kernel", "gaussian:0.5"] if method == "ksga" else []
+            code, err = _quiet_main([
+                "solve", "--instance", str(path), "--method", method, *kernel,
+                "--max-iter", "50", "--tol", "1e-6", "--summary", str(summary),
+            ])
+            assert code in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err, (method, err)
+            if code == 0:
+                assert float(json.loads(summary.read_text())["final_l1_residual"]) <= 1e-6, method
+        with mock.patch.object(solvers, "ORACLE_MAX_ITER", 2_000):
+            code, err = _quiet_main(["oracle", "--instance", str(path), "--out", str(path.parent / "phi.json")])
+        assert code in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err, err
 
     def test_a_median_bandwidth_over_one_target_atom_is_an_input_error(self, tmp_path, capsys):
         # the instance is well-posed, but the option asks for a median over no pairs of target atoms
@@ -560,8 +622,23 @@ class TestOracle:
         out = tmp_path / "phi.json"
         assert main(["oracle", "--instance", str(instance_file), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert float(doc["phi"][0]) == 0.0
+        phi = certified_run_phi(load_instance(instance_file), 1e-12)
+        assert np.array_equal(np.array(doc["phi"], dtype=float), phi)
         assert float(doc["l1_residual"]) <= 1e-12
+
+    def test_residual_is_the_exact_pass_at_the_certified_potential(self, instance_file, tmp_path, monkeypatch):
+        # the certificate's marginal_y call (semidual._rounded_primal) and the
+        # command's own residual pass read the same potential
+        real, seen = semidual.marginal_y, []
+
+        def spy(phi, inst):
+            seen.append(np.array(phi))
+            return real(phi, inst)
+
+        monkeypatch.setattr(semidual, "marginal_y", spy)
+        monkeypatch.setattr(cli, "marginal_y", spy)
+        assert main(["oracle", "--instance", str(instance_file), "--out", str(tmp_path / "phi.json")]) == 0
+        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
 
     @pytest.mark.parametrize(
         "tol", ["nan", "inf", "0", "-1e-12"], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative"]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from otmatch import solvers, verify
+from otmatch.bridge import bridge_from_potential, make_demo_instance
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl
-from otmatch.semidual import coupling, semidual_value
+from otmatch.mirrorflow import flow_run
+from otmatch.semidual import _induced_kl, coupling, induced_marginal, plus_transform, semidual_value
 from otmatch.solvers import SolverConfig, Trace, TraceRecord, default_bound, oracle_solve, run
 from otmatch.verify import (
     CheckResult,
@@ -296,3 +298,55 @@ class TestCheckResult:
     def test_descent_margin_is_signed(self):
         assert _descent_margin(np.array([3.0, 2.0, 2.0]), 0.0) == 0.0
         assert _descent_margin(np.array([3.0, 2.0, 2.5]), 0.1) == pytest.approx(-0.4)
+
+
+class TestGaugeFreeReaders:
+    """Every reader of the oracle's potential gives the same answer on phi* + c:
+    the three rate checks (J in the gap checks), ``_induced_kl``, the flow and
+    the bridge drift.  Shifting by c rounds each entry of phi* at about u |c|
+    (u = 2^-53).  Measured on ``random_instance(rng(seed), 8, 9, 0.5)`` for
+    seeds 0-5 (the test runs seed 0) and on the 16-point bridge demo at eps
+    0.1, the shift moved the margins by at most 1.9 u |c|, ``_induced_kl`` by
+    2.9 u |c|, the flow's maxima by 14 u |c| and the drift by 11 u |c| (in
+    drift units); each tolerance is that figure rounded up to a power of
+    two, times four."""
+
+    U = 2.0**-53
+
+    @pytest.mark.parametrize("c", [37.5, -1e3])
+    def test_rate_checks_and_induced_kl(self, oracle_cache, c):
+        inst = random_instance(np.random.default_rng(0), 8, 9, 0.5)
+        star, phi0 = oracle_cache("gauge-8x9", inst), np.zeros(inst.m)
+        g = gram(KernelSpec("gaussian", 0.25), inst.nu.points)
+        ksga = run(inst, SolverConfig("ksga", gram=g, max_iter=50, tol_l1=0.0))
+        proj = run(inst, SolverConfig("proj_sga", max_iter=50, tol_l1=0.0))
+        acc = run(inst, SolverConfig("proj_sga_pp", max_iter=50, tol_l1=0.0))
+        base, shifted = ([
+            check_thm_ksga_rate(ksga.trace, inst, g, phi0, phi),
+            check_thm_proj_rate(proj.trace, inst, proj.bound_B, phi0, phi),
+            check_thm_acc_rate(acc.trace, inst, acc.bound_B, phi0, phi),
+        ] for phi in (star, star + c))
+        assert all(r.passed for r in base)
+        for old, new in zip(base, shifted, strict=True):
+            assert (new.passed, new.inconclusive) == (old.passed, old.inconclusive), new.name
+            assert abs(new.margin - old.margin) <= 8 * self.U * abs(c), new.name
+        psi = np.random.default_rng(1).normal(0.0, 1.0, inst.m)
+        psi_plus = plus_transform(psi, inst)
+        kls = [_induced_kl(inst, phi, *induced_marginal(phi, inst), psi, psi_plus) for phi in (star, star + c)]
+        assert abs(kls[1] - kls[0]) <= 16 * self.U * abs(c)
+
+    @pytest.mark.parametrize("c", [37.5, -1e3])
+    def test_flow_maxima(self, oracle_cache, c):
+        inst = random_instance(np.random.default_rng(0), 8, 9, 0.5)
+        star = oracle_cache("gauge-8x9", inst)
+        phi0 = np.zeros(inst.m)
+        old, new = (flow_run(inst, phi0, r=3.0, t_end=1.0, record_every=50, phi_star=phi) for phi in (star, star + c))
+        assert abs(new.v_increase_max - old.v_increase_max) <= 64 * self.U * abs(c)
+        assert abs(new.rate_violation_max - old.rate_violation_max) <= 64 * self.U * abs(c)
+
+    @pytest.mark.parametrize("c", [37.5, -1e3])
+    def test_bridge_drift(self, oracle_cache, c):
+        inst = make_demo_instance(16, 0.1)
+        star = oracle_cache("gauge-demo-16", inst)
+        old, new = (bridge_from_potential(phi, inst, 11).values for phi in (star, star + c))
+        assert np.max(np.abs(new - old)) <= 64 * self.U * abs(c)

@@ -30,6 +30,7 @@ from otmatch.verify import classic_log_sinkhorn, random_instance
 from conftest import (
     NON_FINITE,
     SHIFTS,
+    certified_run_phi,
     floor_path_log_mass,
     one_step,
     poison_update,
@@ -571,9 +572,9 @@ class TestKlBlock:
     @pytest.mark.parametrize("every", [1, 7])
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000])
     def test_every_target_size(self, monkeypatch, m, every):
-        # 129 records fill two blocks of 64 rows and start a third; a block
-        # holds 32 rows at m = 128, 31 at m = 129 and 4 at m = 1000.  A single
-        # target atom converges early
+        # a block holds 32 KiB: the 129 records fit one block up to m = 31 and
+        # fill blocks of 32 rows at m = 128, 31 at m = 129 and 4 at m = 1000.
+        # A single target atom converges early
         inst = random_instance(np.random.default_rng(m), 3, m, 0.02)
         marginals = spy_marginals(monkeypatch)
         res = run(inst, SolverConfig("sga", max_iter=128 * every, tol_l1=0.0, record_every=every))
@@ -581,7 +582,8 @@ class TestKlBlock:
         self.assert_own_kl(res, marginals, inst)
 
     @pytest.mark.parametrize("every", [1, 7])
-    @pytest.mark.parametrize("records", [1, 2, 63, 64, 65, 129])
+    # at m = 16 a block holds 256 rows, at m = 1000 four
+    @pytest.mark.parametrize("records", [1, 2, 63, 64, 65, 129, 256, 257])
     @pytest.mark.parametrize("m", [16, 1000])
     def test_every_record_count(self, monkeypatch, m, records, every):
         inst = random_instance(np.random.default_rng(records), 4, m, 0.5)
@@ -600,8 +602,8 @@ class TestKlBlock:
         self.assert_own_kl(res, marginals, inst, "sinkhorn")
 
     def test_a_block_holds_at_most_32_kib(self):
-        # at m = 4096 one marginal fills 32 KiB, so the block has one row
-        # where 64 rows would hold 64 marginals; the run holds about 13 m-vectors
+        # at m = 4096 one marginal fills 32 KiB, so the block has one row;
+        # the run holds about 13 m-vectors
         inst = random_instance(np.random.default_rng(1), 2, 4096, 0.5)
         tracemalloc.start()
         try:
@@ -710,12 +712,12 @@ class TestOracle:
         mu = DiscreteMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]))
         inst = Instance(mu=mu, nu=mu, cost=np.array([[0.0, 1.0], [1.0, 0.0]]), epsilon=1.0)
         phi = oracle_solve(inst)
-        np.testing.assert_allclose(phi, 0.0, atol=1e-12)  # constant, anchored to zero
+        np.testing.assert_allclose(phi, 0.0, atol=1e-12)  # phi = 0, the start, is optimal
 
-    def test_first_entry_zero_and_residual(self):
+    def test_returns_the_certified_run_iterate_and_residual(self):
         inst = random_instance(np.random.default_rng(36), 10, 12, 0.3)
         phi = oracle_solve(inst, tol=1e-12)
-        assert phi[0] == 0.0
+        assert np.array_equal(phi, certified_run_phi(inst, 1e-12))
         assert np.abs(inst.b - marginal_y(phi, inst)).sum() <= 1e-12
 
     def test_budget_exhaustion_reports_residual(self, monkeypatch):
@@ -737,7 +739,8 @@ class TestOracle:
         inst = make_demo_instance(64, epsilon)
         phi = oracle_solve(inst)
         j = semidual_value(phi, inst)  # |J| is about 0.44 / eps
-        assert phi[0] == 0.0 and semidual._rounded_primal(phi, inst) - j <= 1e-11 * abs(j)
+        assert np.array_equal(phi, certified_run_phi(inst, 1e-12))
+        assert semidual._rounded_primal(phi, inst) - j <= 1e-11 * abs(j)
 
     @pytest.mark.parametrize(
         "far, bound", [(1e300, r"inf"), (1e-7, r"[3-4]\.\d+e-10")], ids=["infinite", "finite"]

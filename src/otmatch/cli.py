@@ -86,12 +86,19 @@ def _write_outputs(doc, doc_path, files=()) -> None:
 
 def _digest(inst: Instance) -> str:
     """SHA-256 over a version tag, then the shape and C-order little-endian
-    float64 bytes of each array, then ``repr(epsilon)``."""
-    h = hashlib.sha256(b"otmatch-instance-digest-v2\0")
-    for arr in (inst.mu.points, inst.mu.weights, inst.nu.points, inst.nu.weights, inst.cost):
+    float64 bytes of each measure's points and weights, then the cost: its
+    kind's name for a named cost (the matrix derives from the points), its
+    shape and bytes for a matrix, and last ``repr(epsilon)``."""
+    h = hashlib.sha256(b"otmatch-instance-digest-v3\0")
+    arrays = [inst.mu.points, inst.mu.weights, inst.nu.points, inst.nu.weights]
+    if inst.cost_kind is None:
+        arrays.append(inst.cost)
+    for arr in arrays:
         arr = np.ascontiguousarray(arr, dtype="<f8")
         h.update(repr(arr.shape).encode())
         h.update(arr)
+    if inst.cost_kind is not None:
+        h.update(inst.cost_kind.encode())
     h.update(repr(inst.epsilon).encode())
     return h.hexdigest()
 

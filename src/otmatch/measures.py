@@ -199,18 +199,21 @@ class Instance:
 
     ``cost`` is a matrix, converted on entry into an array of the
     instance's own, or a :func:`cost_matrix` kind, built here and kept as
-    built.  The cost is validated and stored once; the ratio C/eps is
-    formed where it is used (``semidual._gibbs_exponent``).
+    built; ``cost_kind`` keeps that kind's name (None for a matrix), which
+    the instance digest hashes in place of the matrix.  The cost is
+    validated and stored once; the ratio C/eps is formed where it is used
+    (``semidual._gibbs_exponent``).
     """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     cost: np.ndarray
     epsilon: float
+    cost_kind: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = (cost_matrix(self.mu, self.nu, self.cost) if isinstance(self.cost, str)
-             else _as_float_array(self.cost, "cost"))
+        kind = self.cost if isinstance(self.cost, str) else None
+        c = cost_matrix(self.mu, self.nu, kind) if kind is not None else _as_float_array(self.cost, "cost")
         c.setflags(write=False)
         if c.shape != (self.mu.n_atoms, self.nu.n_atoms):
             raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
@@ -237,6 +240,7 @@ class Instance:
             raise InstanceError(f"C/eps overflows float64 to -inf (epsilon={eps!r})")
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "cost_kind", kind)
 
     @property
     def n(self) -> int:

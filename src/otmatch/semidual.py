@@ -21,10 +21,11 @@ exponent ``w = log b + phi - C/eps`` (:func:`_gibbs_exponent`, which forms
 an O(n + m) product (:func:`_induced_kl`); no n x m coupling is built to
 read it.  Every solver iteration needs the transform
 ``phi_plus`` and the induced Y-marginal ``p``; :func:`induced_marginal`
-returns the pair from one exponential pass over ``w``.  Each row is
-shifted by its maximum and exponentiated once, giving ``E`` and row sums
-``s``; then ``phi_plus = log s + rowmax`` (which is also how
-:func:`plus_transform` computes it) and ``p = (a / s) @ E``.
+returns the pair from one exponential pass over ``w``, taken one row
+block at a time (:func:`_row_pass`).  Each row is shifted by its maximum
+and exponentiated once, giving ``E`` and row sums ``s``; then
+``phi_plus = log s + rowmax`` (which is also how :func:`plus_transform`
+computes it) and ``p = (a / s) @ E``.
 
 A loop evaluates many nearby potentials, so it builds one
 :class:`InducedCache`, which keeps the ``E`` and row maxima of its last
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logops import kl, logsumexp
-from .measures import Instance, _as_float_array, _row_blocks
+from .measures import ROW_BLOCK_BYTES, Instance, _as_float_array, _row_blocks
 
 __all__ = [
     "Coupling",
@@ -153,15 +154,16 @@ def semidual_value(phi: np.ndarray, inst: Instance) -> float:
     return float(inst.b @ phi - inst.a @ phi_plus)
 
 
-def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None), rows=slice(None)) -> np.ndarray:
+def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None), rows=slice(None), out=None) -> np.ndarray:
     """Exponent ``w = (log b + phi)[cols] - C[rows, cols]/eps`` of the coupling induced by phi.
 
     The one formula every induced-coupling quantity derives from, and the
-    one place ``C/eps`` is formed in this module: the division writes the
-    fresh len(rows) x len(cols) result, and the subtraction overwrites it in place.
+    one place ``C/eps`` is formed in this module: the division writes
+    ``out`` (a fresh len(rows) x len(cols) array without one), and the
+    subtraction overwrites it in place.
     """
     with np.errstate(over="ignore"):  # an overflowing C/eps is +inf: its entry has mass 0
-        w = inst.cost[rows, cols] / inst.epsilon
+        w = np.divide(inst.cost[rows, cols], inst.epsilon, out=out)
     return np.subtract((inst.log_b + phi)[cols], w, out=w)
 
 
@@ -203,13 +205,25 @@ def _row_pass(phi: np.ndarray, inst: Instance):
     ``E_ij = exp(w_ij - max_j w_ij)`` with ``w`` the Gibbs exponent, so
     every row holds a 1 and ``s_i >= 1``; the coupling induced by phi is
     ``E * (a / s)[:, None]``.  One n x m array is allocated and overwritten
-    in place.
+    in place, one row block of ``ROW_BLOCK_BYTES`` at a time: each block's
+    exponent, maximum, shift, exponential and row sum are taken while it is
+    still in cache.  Every entry and row reduction is that of the whole
+    matrix, bit for bit, and a cost of at most one block takes the
+    whole-matrix operations, at their per-call cost.
     """
-    e = _gibbs_exponent(phi, inst)
-    rowmax = e.max(axis=1, keepdims=True)
-    e -= rowmax
-    np.exp(e, out=e)
-    return e, e.sum(axis=1), rowmax[:, 0]
+    if inst.cost.nbytes <= ROW_BLOCK_BYTES:
+        e = _gibbs_exponent(phi, inst)
+        rowmax = e.max(axis=1, keepdims=True)
+        e -= rowmax
+        np.exp(e, out=e)
+        return e, e.sum(axis=1), rowmax.ravel()
+    e, s, rowmax = np.empty((inst.n, inst.m)), np.empty(inst.n), np.empty((inst.n, 1))
+    for rows in _row_blocks(inst.n, inst.m):
+        eb = _gibbs_exponent(phi, inst, rows=rows, out=e[rows])
+        eb -= eb.max(axis=1, keepdims=True, out=rowmax[rows])
+        np.exp(eb, out=eb)
+        eb.sum(axis=1, out=s[rows])
+    return e, s, rowmax.ravel()
 
 
 def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:

@@ -523,9 +523,24 @@ class TestDigest:
     def test_shape_is_part_of_the_digest(self):
         # only the cost's shape differs; the bytes of every array are equal
         inst = self._instance()
-        wide = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(2, 3), epsilon=0.5)
-        tall = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(3, 2), epsilon=0.5)
+        wide = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(2, 3), cost_kind=None, epsilon=0.5)
+        tall = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=np.arange(6.0).reshape(3, 2), cost_kind=None, epsilon=0.5)
         assert _digest(wide) != _digest(tall)
+
+    @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
+    def test_a_named_cost_is_hashed_by_its_kind_not_its_matrix(self, kind):
+        inst = self._instance()
+        named = Instance(mu=inst.mu, nu=inst.nu, cost=kind, epsilon=0.5)
+        record = SimpleNamespace(mu=inst.mu, nu=inst.nu, cost=None, cost_kind=kind, epsilon=0.5)
+        assert _digest(record) == _digest(named)
+
+    def test_pinned_v3_digests(self):
+        # a changed digest changes every output that reports it: bump the
+        # version tag with any change to what is hashed
+        inst = self._instance()
+        named = Instance(mu=inst.mu, nu=inst.nu, cost="half_sqeuclidean", epsilon=0.5)
+        assert _digest(named) == "cf3dac60f5c826f657846c11e61a0066566b1952bd1a7126f56cfd407fd706df"
+        assert _digest(inst) == "f493c5aa348fd3df5183e8dc4397cc2b0063940d47139547f9c7002e400a4dd7"
 
 
 class TestAtomicWrite:

@@ -305,7 +305,10 @@ class TestOwnership:
         built = cost_matrix(mu, nu, kind)
         by_kind = Instance(mu=mu, nu=nu, cost=kind, epsilon=0.5)
         assert by_kind.cost.tobytes() == built.tobytes() and not by_kind.cost.flags.writeable
-        assert _digest(by_kind) == _digest(Instance(mu=mu, nu=nu, cost=built, epsilon=0.5))
+        explicit = Instance(mu=mu, nu=nu, cost=built, epsilon=0.5)
+        assert (by_kind.cost_kind, explicit.cost_kind) == (kind, None)
+        # the digest hashes a named cost's kind, an explicit twin's matrix
+        assert _digest(by_kind) != _digest(explicit)
 
     def test_an_unknown_cost_kind_is_an_instance_error(self):
         with pytest.raises(InstanceError, match=r"^unknown cost kind 'manhattan'; expected"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from otmatch.bridge import bridge_from_potential, make_demo_instance
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl, logsumexp
-from otmatch.measures import ROW_BLOCK_BYTES, DiscreteMeasure, Instance, _row_blocks, cost_matrix
+from otmatch.measures import ROW_BLOCK_BYTES, DiscreteMeasure, Instance, _block_rows, _row_blocks, cost_matrix
 from otmatch import semidual
 from otmatch.mirrorflow import flow_run
 from otmatch.semidual import (
@@ -248,8 +248,21 @@ class TestAllocation:
         _, peak = _traced_bytes(lambda: induced_marginal(phi, inst))
         assert peak < 1.5 * self.ARRAY
 
+    def test_absorbing_pass_over_row_blocks_holds_one_array(self):
+        # E is written one row block at a time into its one n x m array: no
+        # block-sized or whole-matrix temporary beside it
+        n = 1024
+        rng = np.random.default_rng(9)
+        inst = random_instance(rng, n, n, 0.5)
+        assert len(_row_blocks(n, n)) == 8
+        phi = rng.normal(0, 1, n)
+        _, peak = _traced_bytes(lambda: induced_marginal(phi, inst))
+        assert peak <= 1.1 * n * n * 8
+
     def test_oracle_holds_one_array_at_peak(self, parts):
-        # the duality gap is read from one marginal pass, not from couplings
+        # run's cache holds E; the certificate then makes the rounded plan's
+        # marginal_y pass, after the cache is freed, and rounds the plan in
+        # row blocks of KL_BLOCK_BYTES
         mu, nu, cost = parts
         inst = Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5)
         _, peak = _traced_bytes(lambda: oracle_solve(inst))
@@ -286,6 +299,27 @@ class TestAllocation:
         mu, _, _ = parts
         _, peak = _traced_bytes(lambda: gram(KernelSpec("gaussian", 1.0), mu.points))
         assert peak <= 3.1 * self.ARRAY + 8 * np.getbufsize()
+
+
+def whole_matrix_row_pass(phi, inst):
+    """``(E, s, rowmax)`` written out over the whole matrix."""
+    with np.errstate(over="ignore"):
+        w = (inst.log_b + phi) - inst.cost / inst.epsilon
+    rowmax = w.max(axis=1)
+    e = np.exp(w - rowmax[:, None])
+    return e, e.sum(axis=1), rowmax
+
+
+def overflowing_instance(rng, n, m, share):
+    """An explicit cost on [0, 1] with about ``share`` of its entries at 1e308,
+    whose C/eps overflows to +inf; row 0 and column 0 stay finite."""
+    cost = rng.uniform(0.0, 1.0, (n, m))
+    far = rng.random((n, m)) < share
+    far[0, :] = far[:, 0] = False
+    cost[far] = 1e308
+    mu = DiscreteMeasure(points=np.zeros(n), weights=rng.dirichlet(np.ones(n)))
+    nu = DiscreteMeasure(points=np.zeros(m), weights=rng.dirichlet(np.ones(m)))
+    return Instance(mu=mu, nu=nu, cost=cost, epsilon=float(10 ** rng.uniform(-2, -0.5)))
 
 
 def counting_row_pass():
@@ -355,6 +389,34 @@ class TestInducedCache:
         t = e @ v
         np.testing.assert_array_equal(phi_plus, rowmax + np.log(t))
         np.testing.assert_array_equal(p, v * ((inst.a / t) @ e))
+
+    @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=25, deadline=None)
+    def test_absorbing_pass_over_row_blocks_is_the_whole_matrix_formula(self, seed, share):
+        # E, its row sums and row maxima keep every bit over two to five row blocks,
+        # +inf entries of C/eps included (they give E_ij = 0)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(200, 1400))
+        n = int(rng.integers(_block_rows(m) + 1, 5 * _block_rows(m) + 1))
+        assert 2 <= len(_row_blocks(n, m)) <= 5
+        inst = overflowing_instance(rng, n, m, share)
+        with np.errstate(over="ignore"):
+            assert (share > 0) == bool(np.isinf(inst.cost / inst.epsilon).any())
+        phi = rng.normal(0, 3, m)
+        for got, ref in zip(semidual._row_pass(phi, inst), whole_matrix_row_pass(phi, inst), strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n,m", [(4, 6), (16, 16), (362, 362), (128, 1024)])
+    def test_one_block_absorbs_by_the_whole_matrix_operations(self, n, m):
+        rng = np.random.default_rng(17)
+        inst = overflowing_instance(rng, n, m, 0.3)
+        assert len(_row_blocks(n, m)) == 1
+        phi = rng.normal(0, 3, m)
+        with mock.patch.object(semidual, "_gibbs_exponent", wraps=semidual._gibbs_exponent) as exponent:
+            got = semidual._row_pass(phi, inst)
+        exponent.assert_called_once_with(phi, inst)  # one exponent over the whole matrix
+        for got_part, ref_part in zip(got, whole_matrix_row_pass(phi, inst), strict=True):
+            assert got_part.tobytes() == ref_part.tobytes()
 
     def test_first_call_is_the_one_shot_pass(self, medium_instance):
         phi = np.random.default_rng(15).normal(0, 2, medium_instance.m)

@@ -9,9 +9,9 @@ import pytest
 from otmatch import semidual, solvers
 from otmatch.bridge import make_demo_instance
 from otmatch.logops import kl, logsumexp
-from otmatch.measures import DiscreteMeasure, Instance
+from otmatch.measures import DiscreteMeasure, Instance, _block_rows
 from otmatch.kernels import Gram, KernelSpec, gram
-from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
+from otmatch.semidual import KL_BLOCK_BYTES, coupling, first_variation, marginal_y, semidual_value
 from otmatch.solvers import (
     METHODS,
     TRACE_COLUMNS,
@@ -594,11 +594,14 @@ class TestKlBlock:
 
     @pytest.mark.parametrize("every", [1, 7])
     def test_a_run_converged_in_the_middle_of_a_block(self, monkeypatch, every):
-        inst = random_instance(np.random.default_rng(0), 16, 16, 0.02)
+        # at m = 256 a block holds 16 rows; the run converges after 123 records
+        # (every = 1) or 19 (every = 7), so it fills a block and stops inside the next
+        inst = random_instance(np.random.default_rng(0), 16, 256, 0.02)
+        rows = _block_rows(inst.m, KL_BLOCK_BYTES)
         marginals = spy_marginals(monkeypatch)
         res = run(inst, SolverConfig("sinkhorn", max_iter=1000, tol_l1=1e-9, record_every=every))
-        assert res.converged and res.iterations > 64
-        assert len(res.trace.records) % 64 not in (0, 1)  # the final record is not a block's first
+        assert res.converged and len(res.trace.records) > rows
+        assert len(res.trace.records) % rows not in (0, 1)  # the final record is not a block's first
         self.assert_own_kl(res, marginals, inst, "sinkhorn")
 
     def test_a_block_holds_at_most_32_kib(self):

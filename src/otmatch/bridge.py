@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, Instance, cost_matrix, make_grid_measure
+from .measures import DiscreteMeasure, Instance, _cost_block, cost_matrix, make_grid_measure
 from .semidual import _potential
 
 __all__ = [
@@ -189,9 +189,10 @@ def bridge_from_potential(phi: np.ndarray, inst: Instance, n_t: int) -> DriftFie
     phi = _potential(phi, inst.m, "phi")
     if inst.mu.dim != 1 or inst.nu.dim != 1:
         raise GridError("bridge construction is one-dimensional")
-    quad = cost_matrix(inst.mu, inst.nu, "half_sqeuclidean")
-    if np.max(np.abs(inst.cost - quad)) > 1e-12 * max(1.0, float(np.max(quad))):
-        raise GridError("cost must be |x - y|^2 / 2 between the instance supports")
+    if inst.cost_kind != "half_sqeuclidean":
+        quad = cost_matrix(inst.mu, inst.nu, "half_sqeuclidean")
+        if np.max(np.abs(_cost_block(inst) - quad)) > 1e-12 * max(1.0, float(np.max(quad))):
+            raise GridError("cost must be |x - y|^2 / 2 between the instance supports")
     y = inst.nu.points[:, 0]
     if np.unique(y).size < y.size:
         raise GridError("the bridge needs distinct target atoms: no binning can split the mass of coincident ones")

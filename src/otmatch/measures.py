@@ -39,6 +39,18 @@ LOAD_RENORMALIZE_TOL = 1e-9
 # 2 MiB L2, so a block is still in cache when a pass reads it a second time
 ROW_BLOCK_BYTES = 1 << 20
 
+# bytes of the slice of rows that ``_pairwise_sum`` builds at a time, and of
+# its scratch for the dimensions after the first: a fixed share of a row
+# block, so a cost of one block takes about one array, not two
+PAIRWISE_SCRATCH_BYTES = ROW_BLOCK_BYTES // 32
+
+# a row of at least this many entries is subtracted on its own, a contiguous
+# vector and a scalar, which numpy runs nearly twice as fast per entry as a
+# broadcast subtraction; below it the per-call cost outweighs that
+ROW_SUBTRACT_MIN = 1024
+
+COST_KINDS = ("half_sqeuclidean", "euclidean")
+
 
 class InstanceError(ValueError):
     """Raised when measure or instance data violates an invariant."""
@@ -143,25 +155,40 @@ def _row_blocks(n: int, m: int, nbytes: int = ROW_BLOCK_BYTES):
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int) -> np.ndarray:
+def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int, out: np.ndarray | None = None) -> np.ndarray:
     """``out_ij = sum_k |x_ik - y_jk| ** power`` for ``power`` 1 or 2.
 
-    Built in row blocks of at most ``ROW_BLOCK_BYTES``: the first dimension
-    is written into the block of ``out`` itself, and each further dimension
-    into one block-sized scratch array before it is added, so no n x m or
-    (n, m, d) temporary is built.  Every entry adds the same terms in the
-    same order whatever the block size.  For d <= 2 the sum is bit-identical
-    to summing the (n, m, d) differences along the last axis; for larger d
-    numpy's pairwise sum adds the same terms in another order.
+    Written into ``out`` (a new array without one) one slice of rows at a
+    time, each finished while it is in cache: the first dimension into the
+    slice of ``out`` itself, each further one into a scratch slice and
+    added there.  Rows of at least ``ROW_SUBTRACT_MIN`` entries are
+    subtracted one row at a time, a contiguous vector and a scalar; shorter
+    ones by a broadcast over the slice, for which numpy takes buffers of
+    twice the slice's size, so that slice is half as large.  Beside ``out``
+    the build takes under ``2 * PAIRWISE_SCRATCH_BYTES``, a fixed share of
+    a row block, and no second n x m or (n, m, d) array.  Every entry adds
+    the same terms in the same order whatever the slice, so a block of rows
+    equals those rows of the whole matrix bit for bit.  For d <= 2 the sum
+    is bit-identical to summing the (n, m, d) differences along the last
+    axis; for larger d numpy's pairwise sum adds the same terms in another
+    order.
     """
-    out = np.empty((x.shape[0], y.shape[0]))
-    blocks = _row_blocks(*out.shape)
-    scratch = np.empty_like(out[blocks[0]])
-    for rows in blocks:
-        o = out[rows]
-        for k in range(x.shape[1]):
-            t = o if k == 0 else scratch[: o.shape[0]]
-            np.subtract.outer(x[rows, k], y[:, k], out=t)
+    if out is None:
+        out = np.empty((x.shape[0], y.shape[0]))
+    (n, m), d = out.shape, x.shape[1]
+    per_row = m >= ROW_SUBTRACT_MIN
+    step = _block_rows(m, PAIRWISE_SCRATCH_BYTES if per_row else PAIRWISE_SCRATCH_BYTES // 2)
+    scratch = np.empty((min(step, n), m)) if d > 1 else None
+    xt, yt = x.T, np.ascontiguousarray(y.T)
+    for lo in range(0, n, step):
+        o = out[lo : lo + step]
+        for k in range(d):
+            t = scratch[: o.shape[0]] if k else o
+            if per_row:
+                for xi, row in zip(xt[k, lo : lo + step].tolist(), t):
+                    np.subtract(xi, yt[k], out=row)
+            else:
+                np.subtract(x[lo : lo + step, k : k + 1], yt[k], out=t)
             if power == 2:
                 t *= t
             else:
@@ -171,54 +198,115 @@ def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
+def _named_cost(x: np.ndarray, y: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``kind`` cost between the rows of ``x`` and of ``y``, into ``out`` (a new array without one)."""
+    c = _pairwise_sum(x, y, 2, out)
+    if kind == "half_sqeuclidean":
+        c *= 0.5
+    else:
+        np.sqrt(c, out=c)
+    return c
+
+
+def _check_kind(mu: DiscreteMeasure, nu: DiscreteMeasure, kind: str) -> None:
+    if kind not in COST_KINDS:
+        raise InstanceError(f"unknown cost kind {kind!r}; expected 'half_sqeuclidean', 'euclidean' or a matrix")
+    if mu.dim != nu.dim:
+        raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
+
+
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, kind: str) -> np.ndarray:
-    """Pairwise cost between the supports of ``mu`` and ``nu``.
+    """Pairwise cost between the supports of ``mu`` and ``nu``, as a new n x m array.
 
     ``kind`` is ``"half_sqeuclidean"`` (|x - y|^2 / 2) or ``"euclidean"``
     (|x - y|).
 
     The difference-based evaluation keeps C(mu, nu) == C(nu, mu)^T exact
     and guarantees nonnegative entries.  Squared differences are
-    accumulated by :func:`_pairwise_sum`.
+    accumulated by :func:`_pairwise_sum`; an :class:`Instance` of this
+    kind gives the same entries, block by block, through :func:`_cost_block`.
     """
-    if kind not in ("half_sqeuclidean", "euclidean"):
-        raise InstanceError(f"unknown cost kind {kind!r}; expected 'half_sqeuclidean', 'euclidean' or a matrix")
-    if mu.dim != nu.dim:
-        raise InstanceError(f"point dimensions differ: {mu.dim} vs {nu.dim}")
-    sq = _pairwise_sum(mu.points, nu.points, 2)
-    if kind == "half_sqeuclidean":
-        sq *= 0.5
-    else:
-        np.sqrt(sq, out=sq)
-    return sq
+    _check_kind(mu, nu, kind)
+    return _named_cost(mu.points, nu.points, kind)
+
+
+def _cost_block(inst: "Instance", rows=slice(None), cols=slice(None), out=None) -> np.ndarray:
+    """``C[rows, cols]`` of an instance's cost: the one way every reader takes the cost.
+
+    For a matrix, it is the stored matrix indexed (a view where ``rows`` and
+    ``cols`` are slices).  For a named cost, it is the block built from
+    the points into ``out``, or into a new array without one; its
+    entries are those of :func:`cost_matrix` bit for bit.
+    """
+    if inst.cost_kind is None:
+        return inst.cost[rows, cols]
+    return _named_cost(inst.mu.points[rows], inst.nu.points[cols], inst.cost_kind, out)
+
+
+def _cost_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, kind: str) -> float:
+    """D, the ``kind`` cost between the low and the high corner of the points'
+    joint bounding box (+inf where it passes the largest double), built by
+    :func:`_named_cost` like every entry, so every computed entry is at most D."""
+    pts = np.concatenate((mu.points, nu.points))
+    with np.errstate(over="ignore"):
+        return float(_named_cost(pts.min(axis=0)[None], pts.max(axis=0)[None], kind)[0, 0])
+
+
+def _cost_minima(inst: "Instance"):
+    """Whether every cost entry is finite, and the row and column minima, from one pass over row blocks."""
+    n, m = inst.n, inst.m
+    finite, row_min, col_min = True, np.empty(n), np.full(m, np.inf)
+    with np.errstate(over="ignore"):  # a named cost past the largest double is +inf, and rejected
+        for rows in _row_blocks(n, m):
+            c = _cost_block(inst, rows)
+            finite = finite and bool(np.isfinite(c).all())
+            c.min(axis=1, out=row_min[rows])
+            np.minimum(col_min, c.min(axis=0), out=col_min)
+    return finite, row_min, col_min
 
 
 @dataclass(frozen=True)
 class Instance:
-    """One entropic transport problem: marginals, cost matrix, epsilon.
+    """One entropic transport problem: marginals, cost, epsilon.
 
     ``cost`` is a matrix, converted on entry into an array of the
-    instance's own, or a :func:`cost_matrix` kind, built here and kept as
-    built; ``cost_kind`` keeps that kind's name (None for a matrix), which
-    the instance digest hashes in place of the matrix.  The cost is
-    validated and stored once; the ratio C/eps is formed where it is used
-    (``semidual._gibbs_exponent``).
+    instance's own, or a :func:`cost_matrix` kind, which is kept as its
+    name (``cost_kind``; None for a matrix): no n x m array is stored, and
+    every reader takes ``C[rows, cols]`` from :func:`_cost_block`, which
+    builds a named cost's block from the points.  The instance digest
+    hashes the kind's name in place of a matrix.  The ratio C/eps is
+    formed where it is used (``semidual._gibbs_exponent``).
+
+    A named cost needs no pass over its entries to be validated.  Each is
+    at least 0 and at most D, the cost between the low and high corners of
+    the points' joint bounding box, computed by the same operations in the
+    same order: each |x_k - y_k| is at most hi_k - lo_k, and rounding is
+    monotone, so every computed entry is at most the computed D.  Where
+    D/eps is finite, every entry and every C/eps is finite; only where it
+    is not does one pass over row blocks (:func:`_cost_minima`) check them,
+    as it does for every matrix.
     """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    cost: np.ndarray
+    cost: np.ndarray | str
     epsilon: float
-    cost_kind: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind = self.cost if isinstance(self.cost, str) else None
-        c = cost_matrix(self.mu, self.nu, kind) if kind is not None else _as_float_array(self.cost, "cost")
-        c.setflags(write=False)
-        if c.shape != (self.mu.n_atoms, self.nu.n_atoms):
-            raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
-        if not np.all(np.isfinite(c)):
-            raise InstanceError("cost matrix contains non-finite entries")
+        if isinstance(self.cost, str):
+            _check_kind(self.mu, self.nu, self.cost)
+            bound = _cost_bound(self.mu, self.nu, self.cost)
+        else:
+            c = _as_float_array(self.cost, "cost")
+            if c.shape != (self.mu.n_atoms, self.nu.n_atoms):
+                raise InstanceError(f"cost shape {c.shape} does not match ({self.mu.n_atoms}, {self.nu.n_atoms})")
+            object.__setattr__(self, "cost", c)
+            bound = np.inf
+        minima = None
+        if not bound < np.inf:
+            minima = _cost_minima(self)
+            if not minima[0]:
+                raise InstanceError("cost matrix contains non-finite entries")
         # a JSON ``true`` or ``"0.5"`` is not an epsilon, although float()
         # reads both
         if isinstance(self.epsilon, (bool, str)):
@@ -229,18 +317,23 @@ class Instance:
             raise InstanceError(f"epsilon must be a number, got {self.epsilon!r}") from exc
         if not (np.isfinite(eps) and eps > 0.0):
             raise InstanceError(f"epsilon must be a strictly positive real, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", eps)
+        if bound / eps < np.inf:
+            return
         # each row's Gibbs exponent is normalized by its least C/eps, which must
         # be finite; a column whose every C/eps overflows has no Gibbs mass for b_j
-        row_min = c.min(axis=1)
+        _, row_min, col_min = minima or _cost_minima(self)
         if float(row_min.max()) / eps == np.inf:
             raise InstanceError(f"C/eps overflows float64 on a whole row of the cost (epsilon={eps!r})")
-        if float(c.min(axis=0).max()) / eps == np.inf:
+        if float(col_min.max()) / eps == np.inf:
             raise InstanceError(f"C/eps overflows float64 on a whole column of the cost (epsilon={eps!r})")
         if float(row_min.min()) / eps == -np.inf:
             raise InstanceError(f"C/eps overflows float64 to -inf (epsilon={eps!r})")
-        object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "cost_kind", kind)
+
+    @property
+    def cost_kind(self) -> str | None:
+        """The named cost's kind, or None for a matrix."""
+        return self.cost if isinstance(self.cost, str) else None
 
     @property
     def n(self) -> int:

@@ -120,6 +120,8 @@ class FlowRunResult:
         return "\n".join(lines) + "\n"
 
 
+# an overflowing C/eps is +inf, an entry of mass 0; an overflowing state fails the error test or record()
+@np.errstate(over="ignore")
 def flow_run(
     inst: Instance,
     phi0: np.ndarray,
@@ -187,8 +189,8 @@ def flow_run(
     record()
     h, h_min = float(dt), MIN_STEP * dt
     stiff = calm = 0
-    # a state that overflows fails the error test or record(), and both stop the run
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a state that overflows, or turns NaN, fails the error test or record(), and both stop the run
+    with np.errstate(invalid="ignore"):
         f = field(t, y)
         for k in range(1, n_records + 1):
             t_rec = t0 + k * span if k < n_records else t_end

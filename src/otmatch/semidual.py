@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logops import kl, logsumexp
-from .measures import ROW_BLOCK_BYTES, Instance, _as_float_array, _row_blocks
+from .measures import ROW_BLOCK_BYTES, Instance, _as_float_array, _cost_block, _row_blocks
 
 __all__ = [
     "Coupling",
@@ -158,12 +158,16 @@ def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None), rows=slic
     """Exponent ``w = (log b + phi)[cols] - C[rows, cols]/eps`` of the coupling induced by phi.
 
     The one formula every induced-coupling quantity derives from, and the
-    one place ``C/eps`` is formed in this module: the division writes
-    ``out`` (a fresh len(rows) x len(cols) array without one), and the
-    subtraction overwrites it in place.
+    one place ``C/eps`` is formed in this module: the cost block is read
+    from ``measures._cost_block`` (a named cost's block is built into
+    ``out``, or a new array without one), the division writes ``out`` (a
+    fresh len(rows) x len(cols) array without one) and the subtraction
+    overwrites it in place.  An overflowing C/eps is +inf, an entry of
+    mass 0; the caller's entry point holds the scope that lets it overflow
+    without a warning.
     """
-    with np.errstate(over="ignore"):  # an overflowing C/eps is +inf: its entry has mass 0
-        w = np.divide(inst.cost[rows, cols], inst.epsilon, out=out)
+    c = _cost_block(inst, rows, cols, out)
+    w = np.divide(c, inst.epsilon, out=out if inst.cost_kind is None else c)
     return np.subtract((inst.log_b + phi)[cols], w, out=w)
 
 
@@ -211,7 +215,7 @@ def _row_pass(phi: np.ndarray, inst: Instance):
     matrix, bit for bit, and a cost of at most one block takes the
     whole-matrix operations, at their per-call cost.
     """
-    if inst.cost.nbytes <= ROW_BLOCK_BYTES:
+    if 8 * inst.n * inst.m <= ROW_BLOCK_BYTES:
         e = _gibbs_exponent(phi, inst)
         rowmax = e.max(axis=1, keepdims=True)
         e -= rowmax
@@ -226,6 +230,7 @@ def _row_pass(phi: np.ndarray, inst: Instance):
     return e, s, rowmax.ravel()
 
 
+@np.errstate(over="ignore")  # an overflowing C/eps is +inf: its entry has mass 0
 def induced_marginal(phi: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """``(phi_plus, p)`` of the coupling induced by phi, from one exp pass.
 
@@ -336,6 +341,7 @@ def first_variation(phi: np.ndarray, inst: Instance) -> np.ndarray:
     return inst.b - marginal_y(phi, inst)
 
 
+@np.errstate(over="ignore")  # an overflowing C/eps is +inf: its entry has mass 0
 def coupling(phi: np.ndarray, inst: Instance) -> Coupling:
     """Coupling induced by phi: pi_ij = exp(phi_j - phi_plus_i - C_ij/eps) a_i b_j.
 
@@ -359,6 +365,7 @@ def _induced_kl(inst: Instance, phi, phi_plus, p, psi, psi_plus) -> float:
 # Primal side
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # an overflowing C/eps is +inf: its entry has mass 0
 def log_reference(inst: Instance) -> np.ndarray:
     """Log masses of the normalized Gibbs reference exp(-C/eps) * (a x b) / Z.
 

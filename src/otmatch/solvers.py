@@ -29,7 +29,7 @@ import numpy as np
 
 from .kernels import Gram
 from .logops import kl
-from .measures import Instance, _block_rows
+from .measures import Instance, _block_rows, _cost_block, _row_blocks
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
 from .semidual import KL_BLOCK_BYTES, InducedCache, _log_mass, _potential, _rounded_primal, plus_transform
 
@@ -118,11 +118,12 @@ def lambda_bound(inst: Instance, B: float) -> float:
     """
     if B < 0.0:
         raise ValueError("B must be nonnegative")
-    if inst.cost.min() < 0.0:
+    c = _cost_block(inst)  # a named cost's is a new array, and becomes the buffer
+    if c.min() < 0.0:
         raise ValueError("the smoothness constant requires a nonnegative cost")
     # a logsumexp of C/eps + log a + log b in one n x m buffer
     with np.errstate(over="ignore"):  # an overflowing C/eps is caught below
-        w = inst.cost / inst.epsilon
+        w = np.divide(c, inst.epsilon, out=None if inst.cost_kind is None else c)
     w += inst.log_b
     w += inst.log_a[:, None]
     top = float(w.max())
@@ -140,7 +141,8 @@ def default_bound(inst: Instance) -> float:
     any optimal potential; the box-constrained rate checks then report
     inconclusive.
     """
-    return 1.5 * float(max(inst.cost.max(), -inst.cost.min()))
+    blocks = (_cost_block(inst, rows) for rows in _row_blocks(inst.n, inst.m))
+    return 1.5 * max(max(float(c.max()), -float(c.min())) for c in blocks)
 
 
 def t_next(t: float) -> float:
@@ -439,6 +441,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
 # Reference solver
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # an overflowing C/eps in the rounded plan is +inf: its entry has mass 0
 def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
     """High-precision optimal potential: one ``sinkhorn`` run from phi = 0, certified by a bound.
 

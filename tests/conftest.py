@@ -10,7 +10,7 @@ import pytest
 
 from otmatch import semidual, solvers
 from otmatch.logops import logsumexp
-from otmatch.measures import DiscreteMeasure, Instance, cost_matrix
+from otmatch.measures import DiscreteMeasure, Instance, _cost_block, cost_matrix
 from otmatch.solvers import SolverConfig, oracle_solve, run
 from otmatch.verify import random_instance
 
@@ -51,6 +51,11 @@ def poison_update(monkeypatch, bad, shift, at):
     monkeypatch.setattr(solvers, "link_correction", correction)
 
 
+def cost_of(inst: Instance) -> np.ndarray:
+    """The instance's whole n x m cost: a named cost built from its points, a matrix as stored."""
+    return _cost_block(inst)
+
+
 def write_instance(inst: Instance, path) -> None:
     """Write ``inst`` as an instance file with an explicit cost matrix;
     ``load_instance`` reads it back to the same arrays."""
@@ -59,7 +64,7 @@ def write_instance(inst: Instance, path) -> None:
         "x_weights": inst.mu.weights.tolist(),
         "y_points": inst.nu.points.tolist(),
         "y_weights": inst.nu.weights.tolist(),
-        "cost": inst.cost.tolist(),
+        "cost": cost_of(inst).tolist(),
         "epsilon": inst.epsilon,
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
@@ -156,7 +161,7 @@ def longdouble_pair(phi, inst):
     ``semidual.induced_marginal`` on the same float64 inputs, every step taken
     in extended precision (``log a`` and ``log b`` included)."""
     ld = np.longdouble
-    w = (np.log(inst.b.astype(ld)) + phi.astype(ld)) - inst.cost.astype(ld) / ld(inst.epsilon)
+    w = (np.log(inst.b.astype(ld)) + phi.astype(ld)) - cost_of(inst).astype(ld) / ld(inst.epsilon)
     rowmax = w.max(axis=1, keepdims=True)
     e = np.exp(w - rowmax)
     s = e.sum(axis=1)

@@ -131,12 +131,36 @@ def test_potentials_are_checked_where_they_enter():
     }, sorted(readers)
 
 
-def test_a_named_cost_is_built_by_the_instance():
-    # a caller names a cost kind and Instance builds it, keeping it as built;
-    # the bridge rebuilds the quadratic cost only to check an instance's cost
-    # against it.  A third reader would be a cost built to be handed over
-    readers = set().union(*(_readers(p, "cost_matrix") for p in (REPO / "src" / "otmatch").glob("*.py")))
-    assert readers == {"measures.Instance.__post_init__", "bridge.bridge_from_potential"}, sorted(readers)
+def test_the_cost_is_read_through_one_accessor():
+    # an instance stores a named cost as its kind, never as an n x m matrix:
+    # every reader takes C[rows, cols] from measures._cost_block, which builds
+    # a named cost's block from the points (a view of a stored matrix).  The
+    # readers are the Gibbs exponent, the two bounds, the bridge's cost check,
+    # verify's classic Sinkhorn and the instance's own validation pass
+    sources = list((REPO / "src" / "otmatch").glob("*.py"))
+    readers = set().union(*(_readers(p, "_cost_block") for p in sources))
+    assert readers == {
+        "semidual._gibbs_exponent",
+        "solvers.lambda_bound",
+        "solvers.default_bound",
+        "bridge.bridge_from_potential",
+        "verify.check_sinkhorn_conformance",
+        "measures._cost_minima",
+    }, sorted(readers)
+    # the stored field itself is read by the accessor, the instance and the
+    # digest (an explicit matrix's bytes); classic_log_sinkhorn's argument
+    # shares the name
+    readers = set().union(*(_readers(p, "cost") for p in sources))
+    assert readers == {
+        "measures._cost_block",
+        "measures.Instance.__post_init__",
+        "measures.Instance.cost_kind",
+        "cli._digest",
+        "verify.classic_log_sinkhorn",
+    }, sorted(readers)
+    # a whole named matrix is built only to check an explicit cost against it
+    readers = set().union(*(_readers(p, "cost_matrix") for p in sources))
+    assert readers == {"bridge.bridge_from_potential"}, sorted(readers)
 
 
 def test_stored_arrays_are_converted_where_they_enter():

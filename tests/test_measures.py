@@ -10,6 +10,7 @@ from otmatch.cli import _digest, main
 from otmatch import measures
 from otmatch.kernels import Gram, KernelSpec, gram, median_pairwise_distance
 from otmatch.measures import (
+    ROW_SUBTRACT_MIN,
     DiscreteMeasure,
     Instance,
     InstanceError,
@@ -22,7 +23,7 @@ from otmatch.measures import (
 from otmatch.semidual import Coupling
 from otmatch.verify import random_instance
 
-from conftest import write_instance
+from conftest import cost_of, write_instance
 
 
 class TestDiscreteMeasure:
@@ -131,13 +132,15 @@ class TestCostMatrix:
 
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_row_blocks_add_the_terms_of_one_whole_matrix_pass(self, d, power):
-        # 300 x 600 is two row blocks, the second one short; every entry adds
-        # its d terms in dimension order, as one pass over the whole matrix does
+    @pytest.mark.parametrize("n,m", [(300, 600), (40, 1100)])
+    def test_row_blocks_add_the_terms_of_one_whole_matrix_pass(self, n, m, d, power):
+        # 300 x 600 is two row blocks, the second one short, and 40 x 1100
+        # subtracts row by row (m >= ROW_SUBTRACT_MIN); every entry adds its
+        # d terms in dimension order, as one pass over the whole matrix does
         rng = np.random.default_rng(50 + d)
-        x, y = rng.normal(size=(300, d)), rng.normal(size=(600, d))
-        assert len(_row_blocks(300, 600)) == 2
-        ref = np.zeros((300, 600))
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        assert len(_row_blocks(300, 600)) == 2 and ROW_SUBTRACT_MIN <= 1100
+        ref = np.zeros((n, m))
         for k in range(d):
             diff = np.subtract.outer(x[:, k], y[:, k])
             ref += diff * diff if power == 2 else np.abs(diff)
@@ -276,6 +279,71 @@ OWNED = {
 }
 
 
+def _named_doc(x_points, y_points, epsilon) -> dict:
+    return {
+        "x_points": x_points, "x_weights": [1 / len(x_points)] * len(x_points),
+        "y_points": y_points, "y_weights": [1 / len(y_points)] * len(y_points),
+        "cost": "half_sqeuclidean", "epsilon": epsilon,
+    }
+
+
+class TestNamedCostValidation:
+    # a named cost's entries lie in [0, D], D the cost across the points'
+    # joint bounding box; where D/eps is finite no entry is read, and only
+    # otherwise does one pass over row blocks check them, with the messages
+    # a matrix gets
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (_named_doc([[1e160], [0.0]], [[0.0], [-1e160]], 1.0), "cost matrix contains non-finite entries"),
+            (_named_doc([[0.0], [1e150]], [[0.0], [1.0]], 1e-10),
+             "C/eps overflows float64 on a whole row of the cost (epsilon=1e-10)"),
+            (_named_doc([[0.0], [1.0]], [[0.0], [1e150]], 1e-10),
+             "C/eps overflows float64 on a whole column of the cost (epsilon=1e-10)"),
+        ],
+        ids=["non_finite_cost", "whole_row", "whole_column"],
+    )
+    def test_the_fallback_pass_keeps_the_messages(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError) as exc:
+            load_instance(path)
+        assert str(exc.value) == message
+        assert main(["validate", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_pass_only_where_the_bound_over_eps_overflows(self):
+        pts = DiscreteMeasure(points=np.array([[0.0], [1e150]]), weights=np.full(2, 0.5))
+        with mock.patch.object(measures, "_cost_minima", wraps=measures._cost_minima) as minima:
+            Instance(mu=pts, nu=pts, cost="half_sqeuclidean", epsilon=1.0)  # D / eps = 5e299
+            assert minima.call_count == 0
+            inst = Instance(mu=pts, nu=pts, cost="half_sqeuclidean", epsilon=1e-10)
+            assert minima.call_count == 1  # accepted: each row and column keeps its 0 diagonal
+            Instance(mu=pts, nu=pts, cost=cost_of(inst), epsilon=1.0)
+            assert minima.call_count == 2  # a matrix is always read
+        with np.errstate(over="ignore"):
+            assert np.isinf(cost_of(inst) / inst.epsilon).sum() == 2
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        scale=st.sampled_from([1e-300, 1e-160, 1e-5, 1.0, 3e5, 1e150, 1e154, 1e160]),
+        kind=st.sampled_from(["half_sqeuclidean", "euclidean"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_entry_is_within_the_bound(self, seed, d, scale, kind):
+        # every computed entry lies in [0, D] however the subtractions, the
+        # squares and their sum round, overflow and underflow
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 12, size=2)
+        mu = DiscreteMeasure(points=rng.normal(size=(n, d)) * scale + rng.normal() * scale, weights=np.full(n, 1 / n))
+        nu = DiscreteMeasure(points=rng.normal(size=(m, d)) * scale, weights=np.full(m, 1 / m))
+        bound = measures._cost_bound(mu, nu, kind)
+        with np.errstate(over="ignore"):
+            cost = cost_matrix(mu, nu, kind)
+        assert np.all(cost >= 0.0) and np.all(cost <= bound)
+
+
 class TestOwnership:
     @pytest.mark.parametrize("case", list(OWNED))
     def test_a_stored_array_is_the_objects_own(self, case):
@@ -298,15 +366,18 @@ class TestOwnership:
             assert obj.log_weights.tobytes() == np.log(obj.weights).tobytes()
 
     @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
-    def test_a_cost_kind_is_built_by_the_instance(self, kind):
+    def test_a_cost_kind_is_kept_by_name_and_built_from_the_points(self, kind):
         rng = np.random.default_rng(3)
         mu = DiscreteMeasure(points=rng.normal(size=(5, 2)), weights=rng.dirichlet(np.ones(5)))
         nu = DiscreteMeasure(points=rng.normal(size=(4, 2)), weights=rng.dirichlet(np.ones(4)))
         built = cost_matrix(mu, nu, kind)
         by_kind = Instance(mu=mu, nu=nu, cost=kind, epsilon=0.5)
-        assert by_kind.cost.tobytes() == built.tobytes() and not by_kind.cost.flags.writeable
+        # the instance holds the name, and its one accessor builds the matrix's bits
+        assert by_kind.cost == kind
+        assert cost_of(by_kind).tobytes() == built.tobytes()
         explicit = Instance(mu=mu, nu=nu, cost=built, epsilon=0.5)
         assert (by_kind.cost_kind, explicit.cost_kind) == (kind, None)
+        assert not explicit.cost.flags.writeable and not cost_of(explicit).flags.writeable
         # the digest hashes a named cost's kind, an explicit twin's matrix
         assert _digest(by_kind) != _digest(explicit)
 
@@ -325,7 +396,7 @@ class TestInstanceFiles:
         np.testing.assert_array_equal(back.nu.points, inst.nu.points)
         np.testing.assert_allclose(back.mu.weights, inst.mu.weights, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.nu.weights, inst.nu.weights, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(back.cost, inst.cost)
+        np.testing.assert_array_equal(back.cost, cost_of(inst))
         assert back.epsilon == inst.epsilon
 
     def test_roundtrip_keeps_accepted_weights_bit_exact(self, tmp_path):
@@ -354,7 +425,7 @@ class TestInstanceFiles:
         path.write_text(json.dumps(doc))
         inst = load_instance(path)
         assert (inst.n, inst.m) == (1, 1)
-        assert inst.cost[0, 0] == 0.5
+        assert cost_of(inst)[0, 0] == 0.5
 
     def test_small_weight_drift_renormalized(self, tmp_path):
         doc = {

@@ -15,7 +15,7 @@ from otmatch.primal import (
 from otmatch.semidual import Coupling, coupling, log_reference, plus_transform
 from otmatch.verify import random_instance
 
-from conftest import one_step
+from conftest import cost_of, one_step
 
 ALL_LINKS = ["identity", "exp", "exp_kernel", "chi_square"]
 # the runner's method that updates through each link kind
@@ -150,7 +150,7 @@ class TestMirrorMaps:
         phi = rng.normal(0, 1, inst.m)
         h = mirror_fwd(coupling(phi, inst), inst)
         assert separability_residual(h) <= 1e-12
-        z_ref = logsumexp(inst.log_a[:, None] + inst.log_b[None, :] - inst.cost / inst.epsilon)
+        z_ref = logsumexp(inst.log_a[:, None] + inst.log_b[None, :] - cost_of(inst) / inst.epsilon)
         expected = (z_ref - plus_transform(phi, inst))[:, None] + phi[None, :]
         np.testing.assert_allclose(h, expected, atol=1e-12)
 
@@ -189,7 +189,7 @@ class TestMirrorMaps:
             np.testing.assert_allclose(via_mirror.log_masses, via_dual.log_masses, atol=1e-10)
 
     def test_outputs_live_in_factorized_class(self, inst, pi_random):
-        base = -(inst.cost / inst.epsilon) + inst.log_a[:, None] + inst.log_b[None, :]
+        base = -(cost_of(inst) / inst.epsilon) + inst.log_a[:, None] + inst.log_b[None, :]
         for link in ("identity", "exp"):
             out = root_step(pi_random, inst, link, 0.7)
             assert separability_residual(out.log_masses - base) <= 1e-10

@@ -26,11 +26,11 @@ from otmatch.semidual import (
     plus_transform,
     semidual_value,
 )
-from otmatch.solvers import default_bound, lambda_bound, oracle_solve
+from otmatch.solvers import SolverConfig, default_bound, lambda_bound, oracle_solve, run
 from otmatch.verify import random_instance, variance_identity_residual
 
 from conftest import (
-    LONGDOUBLE, NON_FINITE, extreme_instance, floor_path_log_mass, longdouble_pair, single_cell_instance,
+    LONGDOUBLE, NON_FINITE, cost_of, extreme_instance, floor_path_log_mass, longdouble_pair, single_cell_instance,
     underflow_instance, zero_cost_instance,
 )
 
@@ -47,9 +47,9 @@ def with_log_p(cache, phi, inst):
 
 
 def naive_plus(phi, inst):
-    out = np.empty(inst.n)
+    out, cost = np.empty(inst.n), cost_of(inst)
     for i in range(inst.n):
-        out[i] = np.log(sum(inst.b[j] * np.exp(phi[j] - inst.cost[i, j] / inst.epsilon) for j in range(inst.m)))
+        out[i] = np.log(sum(inst.b[j] * np.exp(phi[j] - cost[i, j] / inst.epsilon) for j in range(inst.m)))
     return out
 
 
@@ -60,15 +60,15 @@ def two_pass_log_p(phi, inst):
 
 def written_out_plus(phi, inst):
     """Reference phi_plus: the row logsumexp of log b + phi - C/eps, written out."""
-    return logsumexp(inst.log_b[None, :] + phi[None, :] - inst.cost / inst.epsilon, axis=1)
+    return logsumexp(inst.log_b[None, :] + phi[None, :] - cost_of(inst) / inst.epsilon, axis=1)
 
 
 def naive_coupling(phi, inst):
-    ph = naive_plus(phi, inst)
+    ph, cost = naive_plus(phi, inst), cost_of(inst)
     out = np.empty((inst.n, inst.m))
     for i in range(inst.n):
         for j in range(inst.m):
-            out[i, j] = inst.a[i] * inst.b[j] * np.exp(phi[j] - ph[i] - inst.cost[i, j] / inst.epsilon)
+            out[i, j] = inst.a[i] * inst.b[j] * np.exp(phi[j] - ph[i] - cost[i, j] / inst.epsilon)
     return out
 
 
@@ -122,7 +122,7 @@ class TestSemidualValue:
         phi = oracle_cache("dual-opt-4x5", inst)
         psi = plus_transform(phi, inst)
         log_mass = (
-            inst.log_a[:, None] + inst.log_b[None, :] + phi[None, :] - psi[:, None] - inst.cost / inst.epsilon
+            inst.log_a[:, None] + inst.log_b[None, :] + phi[None, :] - psi[:, None] - cost_of(inst) / inst.epsilon
         )
         dual = float(inst.b @ phi - inst.a @ psi - logsumexp(log_mass.reshape(-1)))
         assert semidual_value(phi, inst) == pytest.approx(dual, abs=1e-10)
@@ -219,17 +219,21 @@ class TestAllocation:
         held, _ = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5))
         assert held <= 1.1 * self.ARRAY
 
-    def test_point_cloud_cost_build_holds_one_array_and_a_block(self):
-        # the cost is written in row blocks beside one block-sized scratch
-        # array (an eighth of an array at 1024²); the finiteness check's
-        # boolean temporary, another eighth, comes after the scratch is freed
-        n = 1024
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_a_named_cost_holds_no_array_and_absorbs_in_one(self, n):
+        # the instance keeps the cost's kind and no n x m array; its absorbing
+        # pass builds each row block of C/eps in E's own array, beside a slice
+        # of scratch and numpy's buffers (measured 1.13 arrays at 256², one
+        # block, with the Gibbs subtraction's 64 KiB buffer; 1.01 at 1024²)
         rng = np.random.default_rng(8)
         mu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
         nu = DiscreteMeasure(points=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
-        assert len(_row_blocks(n, n)) == 8
-        _, peak = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=0.5))
-        assert peak <= 1.2 * n * n * 8
+        held, peak = _traced_bytes(lambda: Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=0.5))
+        assert held <= 0.05 * n * n * 8 and peak <= 0.05 * n * n * 8
+        inst = Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=0.5)
+        phi = rng.normal(0, 1, n)
+        _, peak = _traced_bytes(lambda: induced_marginal(phi, inst))
+        assert peak <= 1.15 * n * n * 8
 
     def test_instance_from_a_nested_list_holds_one_array_at_peak(self, parts):
         # the list becomes the array the instance keeps, with no second copy;
@@ -304,7 +308,7 @@ class TestAllocation:
 def whole_matrix_row_pass(phi, inst):
     """``(E, s, rowmax)`` written out over the whole matrix."""
     with np.errstate(over="ignore"):
-        w = (inst.log_b + phi) - inst.cost / inst.epsilon
+        w = (inst.log_b + phi) - cost_of(inst) / inst.epsilon
     rowmax = w.max(axis=1)
     e = np.exp(w - rowmax[:, None])
     return e, e.sum(axis=1), rowmax
@@ -401,9 +405,11 @@ class TestInducedCache:
         assert 2 <= len(_row_blocks(n, m)) <= 5
         inst = overflowing_instance(rng, n, m, share)
         with np.errstate(over="ignore"):
-            assert (share > 0) == bool(np.isinf(inst.cost / inst.epsilon).any())
+            assert (share > 0) == bool(np.isinf(cost_of(inst) / inst.epsilon).any())
         phi = rng.normal(0, 3, m)
-        for got, ref in zip(semidual._row_pass(phi, inst), whole_matrix_row_pass(phi, inst), strict=True):
+        with np.errstate(over="ignore"):  # the scope every caller of _row_pass holds
+            got_pass = semidual._row_pass(phi, inst)
+        for got, ref in zip(got_pass, whole_matrix_row_pass(phi, inst), strict=True):
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n,m", [(4, 6), (16, 16), (362, 362), (128, 1024)])
@@ -413,7 +419,8 @@ class TestInducedCache:
         assert len(_row_blocks(n, m)) == 1
         phi = rng.normal(0, 3, m)
         with mock.patch.object(semidual, "_gibbs_exponent", wraps=semidual._gibbs_exponent) as exponent:
-            got = semidual._row_pass(phi, inst)
+            with np.errstate(over="ignore"):  # the scope every caller of _row_pass holds
+                got = semidual._row_pass(phi, inst)
         exponent.assert_called_once_with(phi, inst)  # one exponent over the whole matrix
         for got_part, ref_part in zip(got, whole_matrix_row_pass(phi, inst), strict=True):
             assert got_part.tobytes() == ref_part.tobytes()
@@ -465,6 +472,91 @@ class TestInducedCache:
 U = 2.0**-53
 P_BUDGET_U = 96.0
 PHI_PLUS_BUDGET_U = 4.0
+
+
+def named_twins(kind, d, n, m):
+    """A named-cost instance and its explicit twin, the same matrix written out."""
+    rng = np.random.default_rng([d, n, m])
+    mu = DiscreteMeasure(points=rng.normal(size=(n, d)), weights=rng.dirichlet(np.ones(n)))
+    nu = DiscreteMeasure(points=rng.normal(size=(m, d)), weights=rng.dirichlet(np.ones(m)))
+    # at eps = 0.45 a division and a product by the reciprocal differ in about 40% of entries
+    named = Instance(mu=mu, nu=nu, cost=kind, epsilon=0.45)
+    return named, Instance(mu=mu, nu=nu, cost=cost_matrix(mu, nu, kind), epsilon=0.45), rng
+
+
+def assert_same_bits(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+
+class TestNamedCostTwin:
+    # a named cost is built block by block from the points wherever it is
+    # read; every reader gives the bits its explicit twin gives, on one row
+    # block (7 x 9) and on two (200 x 700)
+    @pytest.mark.parametrize("n,m", [(7, 9), (200, 700)], ids=["one_block", "two_blocks"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["half_sqeuclidean", "euclidean"])
+    def test_every_reader_matches_the_explicit_twin(self, kind, d, n, m):
+        named, explicit, rng = named_twins(kind, d, n, m)
+        assert len(_row_blocks(n, m)) == (1 if n == 7 else 2)
+        assert named.cost == kind and explicit.cost_kind is None
+        phi = rng.normal(0, 1, m)
+        phi[:2] = -800.0  # two columns whose mass falls below P_FLOOR
+        pairs = [induced_marginal(phi, inst) for inst in (named, explicit)]
+        assert_same_bits(*pairs)
+        phi_plus, p = pairs[0]
+        assert p[:2].max() < P_FLOOR
+        assert_same_bits(*(semidual._log_mass(p, phi, phi_plus, inst) for inst in (named, explicit)))
+        # the cache's first pass, a cached evaluation, and a re-absorption
+        steps = (phi, phi + rng.normal(0, 0.5, m), phi + 2 * ABSORB_AT * rng.random(m))
+        caches = [InducedCache(inst) for inst in (named, explicit)]
+        for step in steps:
+            assert_same_bits(*(cache(step) for cache in caches))
+        for fn in (semidual._rounded_primal, lambda _, inst: lambda_bound(inst, 1.5), lambda _, inst: default_bound(inst)):
+            assert fn(phi, named) == fn(phi, explicit)
+
+
+class TestOverflowScopes:
+    # _gibbs_exponent holds no errstate of its own: every entry point that
+    # reaches it lets C/eps overflow to +inf (an entry of mass 0) without a
+    # numpy warning, which tier-1's filter would turn into an error
+    @staticmethod
+    def instances():
+        """A named cost whose C/eps overflows between the far atom and the
+        near ones, and its explicit twin; every row and column keeps its
+        diagonal 0, and the near atoms' costs are near eps."""
+        pts = np.array([[0.0], [1e-5], [1e150]])
+        mu = DiscreteMeasure(points=pts, weights=np.array([0.3, 0.3, 0.4]))
+        nu = DiscreteMeasure(points=pts, weights=np.array([0.2, 0.4, 0.4]))
+        named = Instance(mu=mu, nu=nu, cost="half_sqeuclidean", epsilon=1e-10)
+        return named, Instance(mu=mu, nu=nu, cost=cost_of(named), epsilon=1e-10)
+
+    ENTRY_POINTS = {
+        "induced_marginal": lambda inst, phi: induced_marginal(phi, inst),
+        "plus_transform": lambda inst, phi: plus_transform(phi, inst),
+        "semidual_value": lambda inst, phi: semidual_value(phi, inst),
+        "marginal_y": lambda inst, phi: marginal_y(phi, inst),
+        "first_variation": lambda inst, phi: first_variation(phi, inst),
+        "coupling": lambda inst, phi: coupling(phi, inst),
+        "log_reference": lambda inst, phi: log_reference(inst),
+        "run": lambda inst, phi: [
+            run(inst, SolverConfig(method, max_iter=5, tol_l1=0.0), phi) for method in ("sinkhorn", "sga", "proj_sga")
+        ],
+        "oracle_solve": lambda inst, phi: oracle_solve(inst),
+        "flow_run": lambda inst, phi: flow_run(inst, phi, 2.0, 0.05, dt=1e-2, record_every=2),
+        "lambda_bound": lambda inst, phi: lambda_bound(inst, 1.0),
+        "default_bound": lambda inst, phi: default_bound(inst),
+        "variance_identity_residual": lambda inst, phi: variance_identity_residual(phi, phi + 0.5, inst),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_an_overflowing_c_over_eps_warns_nowhere(self, entry):
+        for inst in self.instances():
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                ratio = cost_of(inst) / inst.epsilon  # unscoped, the ratio warns
+            assert np.isinf(ratio).sum() == 4
+            self.ENTRY_POINTS[entry](inst, np.array([0.5, -0.25, 1.0]))
 
 
 def forward_errors_u(pair, ref):
@@ -638,7 +730,7 @@ def rounded_plan(phi, inst):
 
 def log_normalizer(inst):
     """log Z of the Gibbs reference a x b e^{-C/eps}, which ``log_reference`` divides out."""
-    return logsumexp((np.log(inst.a)[:, None] + np.log(inst.b) - inst.cost / inst.epsilon).reshape(-1))
+    return logsumexp((np.log(inst.a)[:, None] + np.log(inst.b) - cost_of(inst) / inst.epsilon).reshape(-1))
 
 
 class TestClosedForms:

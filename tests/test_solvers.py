@@ -31,6 +31,7 @@ from conftest import (
     NON_FINITE,
     SHIFTS,
     certified_run_phi,
+    cost_of,
     floor_path_log_mass,
     one_step,
     poison_update,
@@ -139,12 +140,12 @@ class TestStepRules:
         assert np.exp(lambda_bound(inst, 0.0)) == pytest.approx(np.exp(3.0), rel=1e-12)
 
     def test_lambda_matches_extended_precision_sum(self, small_instance):
-        inst = small_instance
+        inst, cost = small_instance, cost_of(small_instance)
         acc = np.zeros((), dtype=np.longdouble)
         for i in range(inst.n):
             for j in range(inst.m):
                 acc += np.longdouble(inst.a[i]) * np.longdouble(inst.b[j]) * np.exp(
-                    np.longdouble(inst.cost[i, j]) / np.longdouble(inst.epsilon)
+                    np.longdouble(cost[i, j]) / np.longdouble(inst.epsilon)
                 )
         expected = 2.0 * 0.8 + float(np.log(acc))
         assert lambda_bound(inst, 0.8) == pytest.approx(expected, rel=1e-13)
@@ -295,7 +296,7 @@ class TestRunner:
 
     def test_matches_independent_classical_solver(self):
         inst = random_instance(np.random.default_rng(30), 16, 16, 0.5)
-        reference = classic_log_sinkhorn(inst.a, inst.b, inst.cost, inst.epsilon, 50)
+        reference = classic_log_sinkhorn(inst.a, inst.b, cost_of(inst), inst.epsilon, 50)
         phi = np.zeros(inst.m)
         for ref in reference:
             phi = one_step("sinkhorn", phi, inst)

@@ -16,7 +16,7 @@ from otmatch.kernels import KernelSpec, gram
 from otmatch.solvers import METHODS, SolverConfig, lambda_bound, oracle_solve, run
 from otmatch.verify import random_instance
 
-from conftest import extreme_instance, one_step
+from conftest import cost_of, extreme_instance, one_step
 
 
 def harsh_instance(eps=1e-3, n=6, m=7, seed=0):
@@ -28,7 +28,7 @@ def harsh_instance(eps=1e-3, n=6, m=7, seed=0):
 class TestExtremeRatio:
     def test_transforms_stay_finite(self):
         inst = harsh_instance()
-        assert float(np.max(inst.cost / inst.epsilon)) > 100.0
+        assert float(np.max(cost_of(inst) / inst.epsilon)) > 100.0
         rng = np.random.default_rng(1)
         for _ in range(5):
             phi = rng.normal(0, 50, inst.m)
@@ -94,7 +94,7 @@ class TestAbsorption:
         oracle_residual = float(np.abs(inst.b - marginal_y(phi, inst)).sum())
         # J is concave and every transform oscillates by at most R, so
         # |J - J*| <= |b - p|_1 * R at either point
-        spread = float(np.ptp(inst.cost / inst.epsilon))
+        spread = float(np.ptp(cost_of(inst) / inst.epsilon))
         gap = abs(semidual_value(res.phi, inst) - semidual_value(phi, inst))
         assert gap <= (residual + oracle_residual) * spread + 1e-12
         # anchored potentials agree to 7e-11 here; 1e-9 leaves room for BLAS

@@ -42,6 +42,7 @@ from .solvers import (
     DivergenceError,
     OracleError,
     SolverConfig,
+    _oracle,
     oracle_solve,
     run,
 )
@@ -153,8 +154,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    phi = oracle_solve(inst, tol=args.tol)
-    residual = float(np.abs(inst.b - marginal_y(phi, inst)).sum())
+    phi, residual = _oracle(inst, args.tol)
     doc = {
         "instance_digest": _digest(inst),
         "tol": repr(float(args.tol)),

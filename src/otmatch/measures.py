@@ -39,10 +39,10 @@ LOAD_RENORMALIZE_TOL = 1e-9
 # 2 MiB L2, so a block is still in cache when a pass reads it a second time
 ROW_BLOCK_BYTES = 1 << 20
 
-# bytes of the slice of rows that ``_pairwise_sum`` builds at a time, and of
-# its scratch for the dimensions after the first: a fixed share of a row
-# block, so a cost of one block takes about one array, not two
-PAIRWISE_SCRATCH_BYTES = ROW_BLOCK_BYTES // 32
+# bytes of a slice of rows, a fixed share of a row block: what ``_pairwise_sum``
+# builds at a time and its scratch (so a cost of one block takes about one array,
+# not two), one block of the oracle's rounded plan and of run's kl_y records
+SLICE_BYTES = ROW_BLOCK_BYTES // 32
 
 # a row of at least this many entries is subtracted on its own, a contiguous
 # vector and a scalar, which numpy runs nearly twice as fast per entry as a
@@ -165,7 +165,7 @@ def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int, out: np.ndarray | No
     subtracted one row at a time, a contiguous vector and a scalar; shorter
     ones by a broadcast over the slice, for which numpy takes buffers of
     twice the slice's size, so that slice is half as large.  Beside ``out``
-    the build takes under ``2 * PAIRWISE_SCRATCH_BYTES``, a fixed share of
+    the build takes under ``2 * SLICE_BYTES``, a fixed share of
     a row block, and no second n x m or (n, m, d) array.  Every entry adds
     the same terms in the same order whatever the slice, so a block of rows
     equals those rows of the whole matrix bit for bit.  For d <= 2 the sum
@@ -177,7 +177,7 @@ def _pairwise_sum(x: np.ndarray, y: np.ndarray, power: int, out: np.ndarray | No
         out = np.empty((x.shape[0], y.shape[0]))
     (n, m), d = out.shape, x.shape[1]
     per_row = m >= ROW_SUBTRACT_MIN
-    step = _block_rows(m, PAIRWISE_SCRATCH_BYTES if per_row else PAIRWISE_SCRATCH_BYTES // 2)
+    step = _block_rows(m, SLICE_BYTES if per_row else SLICE_BYTES // 2)
     scratch = np.empty((min(step, n), m)) if d > 1 else None
     xt, yt = x.T, np.ascontiguousarray(y.T)
     for lo in range(0, n, step):

@@ -149,12 +149,10 @@ def flow_run(
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     span = record_every * dt
-    # the last record is t_end; a grid time within rounding of it is dropped.
-    # In Python floats an overflowing count is inf without a numpy warning
-    n_grid = float(t_end - t0) / float(span) - 1e-12
-    if n_grid == math.inf:
-        raise ValueError(f"record grid too fine to count: (t_end - t0) / (record_every * dt) = {n_grid}")
-    n_records = max(1, math.ceil(n_grid))
+    if span < np.spacing(t_end):  # the record times would not advance past t0
+        raise ValueError(f"record spacing record_every * dt = {span!r} is below the float spacing at t_end={t_end!r}")
+    # the last record is t_end; a grid time within rounding of it is dropped
+    n_records = max(1, math.ceil(float(t_end - t0) / float(span) - 1e-12))
     phi0 = _potential(phi0, inst.m, "phi0")
     if phi_star is None:
         phi_star = oracle_solve(inst)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logops import kl, logsumexp
-from .measures import ROW_BLOCK_BYTES, Instance, _as_float_array, _cost_block, _row_blocks
+from .measures import ROW_BLOCK_BYTES, SLICE_BYTES, Instance, _as_float_array, _cost_block, _row_blocks
 
 __all__ = [
     "Coupling",
@@ -97,9 +97,6 @@ ABSORB_AT = 30.0
 # 1e-280 * e^(2 tau) is below n * 2.2e-28: under double precision's 1.1e-16
 # for any n up to 5e11.  An absorbing pass is the case v = 1, t = s.
 P_FLOOR = 1e-280 * float(np.exp(2.0 * ABSORB_AT))
-
-# bytes of one block in a pass over row blocks (the rounded plan, run's kl_y records)
-KL_BLOCK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -171,23 +168,25 @@ def _gibbs_exponent(phi: np.ndarray, inst: Instance, cols=slice(None), rows=slic
     return np.subtract((inst.log_b + phi)[cols], w, out=w)
 
 
-def _rounded_primal(phi: np.ndarray, inst: Instance) -> float:
-    """Primal value KL(pi~ || a x b e^{-C/eps}) of the coupling induced by phi, rounded onto U(a, b).
+@np.errstate(over="ignore")  # an overflowing C/eps is +inf: its entry has mass 0
+def _certificate(phi: np.ndarray, inst: Instance) -> tuple[float, float, float]:
+    """``(J, |b - p|_1, P)`` at phi, from one :func:`induced_marginal` pass: the oracle's certificate.
 
-    Altschuler-Weed-Rigollet's rounding (arXiv:1705.09634, Alg. 2): rows down to
-    a (the induced rows sum to a), columns down to b, then the rank-one remainder
-    of the missing masses, its factors clipped at 0 (rounding leaves -1 ulp).
-    pi~ is a feasible plan, so its value bounds J*.  The column sums are
-    :func:`marginal_y`'s; one pass over row blocks of ``KL_BLOCK_BYTES``
-    rounds each block and adds its KL.  The remainder, about half the final
-    residual in mass, pays the C/eps of every entry it lands on: +inf on an
-    entry of zero reference mass, so such a value is +inf.
+    P is the primal value KL(pi~ || a x b e^{-C/eps}) of the induced coupling rounded
+    onto U(a, b) by Altschuler-Weed-Rigollet's rounding (arXiv:1705.09634, Alg. 2):
+    rows down to a (the induced rows sum to a), columns down to b, then the rank-one
+    remainder of the missing masses, its factors clipped at 0 (rounding leaves -1 ulp).
+    pi~ is feasible, so P - J bounds J* - J.  J, the residual and the rounding read the
+    pass's phi_plus and column sums p, and one pass over row blocks of ``SLICE_BYTES``
+    rounds each block and adds its KL.  The remainder, about half the final residual
+    in mass, pays the C/eps of every entry it lands on: +inf on an entry of zero
+    reference mass, so such a P is +inf.
     """
-    cols = marginal_y(phi, inst)
+    phi_plus, cols = induced_marginal(phi, inst)
     y, c = inst.b / np.maximum(cols, inst.b), np.maximum(inst.b - cols, 0.0)
     c /= c.sum() or 1.0  # an all-zero c adds no remainder
     total = 0.0
-    for rows in _row_blocks(inst.n, inst.m, KL_BLOCK_BYTES):
+    for rows in _row_blocks(inst.n, inst.m, SLICE_BYTES):
         w = _gibbs_exponent(phi, inst, rows=rows)
         pi = np.exp(w - w.max(axis=1, keepdims=True))
         pi *= (inst.a[rows] / pi.sum(axis=1))[:, None]
@@ -195,7 +194,7 @@ def _rounded_primal(phi: np.ndarray, inst: Instance) -> float:
         pi += np.maximum(inst.a[rows] - pi.sum(axis=1), 0.0)[:, None] * c
         log_ref = w - phi + inst.log_a[rows, None]  # log a + log b - C/eps
         total += kl(np.log(pi, out=np.full_like(pi, -np.inf), where=pi > 0.0), log_ref, pi)
-    return total
+    return float(inst.b @ phi - inst.a @ phi_plus), float(np.abs(inst.b - cols).sum()), total
 
 
 def _log_marginal_cols(phi, phi_plus, inst, cols):

@@ -29,9 +29,9 @@ import numpy as np
 
 from .kernels import Gram
 from .logops import kl
-from .measures import Instance, _block_rows, _cost_block, _row_blocks
+from .measures import SLICE_BYTES, Instance, _block_rows, _cost_block, _row_blocks
 # plus_transform is not called here; perfbench's tracer self-test wraps it on this module
-from .semidual import KL_BLOCK_BYTES, InducedCache, _log_mass, _potential, _rounded_primal, plus_transform
+from .semidual import InducedCache, _certificate, _log_mass, _potential, plus_transform
 
 __all__ = [
     "METHODS",
@@ -338,7 +338,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     All iterates are evaluated by one :class:`~otmatch.semidual.InducedCache`;
     only the identity link forms ``log p``.  A record's ``kl_y`` is taken
     with those of the others in one block of their marginals, at most
-    ``KL_BLOCK_BYTES``, and equals ``kl(log p, log b, p)`` of its own p.
+    ``SLICE_BYTES``, and equals ``kl(log p, log b, p)`` of its own p.
     """
     phi = np.zeros(inst.m) if phi0 is None else _potential(phi0, inst.m, "phi0").copy()
 
@@ -373,7 +373,7 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
     # each record's p waits in a row of `block` until the block fills or the run ends, when one
     # log and one row-wise sum give every waiting record its kl_y; ceil(max_iter / every) + 1
     # records at most are left to make
-    rows = min(_block_rows(inst.m, KL_BLOCK_BYTES), -(-max_iter // every) + 1)
+    rows = min(_block_rows(inst.m, SLICE_BYTES), -(-max_iter // every) + 1)
     block, waiting = np.empty((rows, inst.m)), []
 
     evaluate = InducedCache(inst)
@@ -441,23 +441,27 @@ def run(inst: Instance, cfg: SolverConfig, phi0: np.ndarray | None = None) -> Ru
 # Reference solver
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore")  # an overflowing C/eps in the rounded plan is +inf: its entry has mass 0
-def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
-    """High-precision optimal potential: one ``sinkhorn`` run from phi = 0, certified by a bound.
-
-    The run drives the L1 residual below ``tol`` within ``ORACLE_MAX_ITER``
-    updates.  The primal value P of the induced coupling rounded onto U(a, b)
-    (``semidual._rounded_primal``) bounds J*, so the run's own iterate phi is
-    returned when P - J(phi) <= ``10 * tol * max(1, |J(phi)|)``.
-    """
+def _oracle(inst: Instance, tol: float) -> tuple[np.ndarray, float]:
+    """The certified potential of :func:`oracle_solve` and the L1 residual of the certificate's exact pass at it."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     # record_every of the whole budget keeps the first and the final record only
     res = run(inst, SolverConfig("sinkhorn", max_iter=ORACLE_MAX_ITER, tol_l1=tol, record_every=ORACLE_MAX_ITER))
-    last = res.trace.records[-1]
     if not res.converged:
-        raise OracleError(f"no convergence in {ORACLE_MAX_ITER} iterations; residual {last.l1_residual}")
-    bound, gate = _rounded_primal(res.phi, inst) - last.J, 10.0 * tol * max(1.0, abs(last.J))
+        raise OracleError(f"no convergence in {ORACLE_MAX_ITER} iterations; residual {res.trace.records[-1].l1_residual}")
+    j, residual, primal = _certificate(res.phi, inst)
+    bound, gate = primal - j, 10.0 * tol * max(1.0, abs(j))
     if not bound <= gate:
         raise OracleError(f"duality bound {bound} above the gate {gate}")
-    return res.phi
+    return res.phi, residual
+
+
+def oracle_solve(inst: Instance, tol: float = 1e-12) -> np.ndarray:
+    """High-precision optimal potential: one ``sinkhorn`` run from phi = 0, certified by a bound.
+
+    The run drives the L1 residual below ``tol`` within ``ORACLE_MAX_ITER`` updates.
+    One exact pass at its iterate phi (``semidual._certificate``) gives J(phi) and the
+    rounded plan's primal value P, which bounds J*; phi is returned when P - J(phi) <=
+    ``10 * tol * max(1, |J(phi)|)``.
+    """
+    return _oracle(inst, tol)[0]

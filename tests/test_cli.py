@@ -642,18 +642,22 @@ class TestOracle:
         assert float(doc["l1_residual"]) <= 1e-12
 
     def test_residual_is_the_exact_pass_at_the_certified_potential(self, instance_file, tmp_path, monkeypatch):
-        # the certificate's marginal_y call (semidual._rounded_primal) and the
-        # command's own residual pass read the same potential
-        real, seen = semidual.marginal_y, []
+        # the certificate's one induced_marginal pass (semidual._certificate) gives
+        # the bound and the written residual; the command makes no pass of its own
+        real, seen = semidual.induced_marginal, []
 
         def spy(phi, inst):
             seen.append(np.array(phi))
             return real(phi, inst)
 
-        monkeypatch.setattr(semidual, "marginal_y", spy)
-        monkeypatch.setattr(cli, "marginal_y", spy)
-        assert main(["oracle", "--instance", str(instance_file), "--out", str(tmp_path / "phi.json")]) == 0
-        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+        monkeypatch.setattr(semidual, "induced_marginal", spy)
+        monkeypatch.setattr(cli, "marginal_y", lambda phi, inst: pytest.fail("the command made its own pass"))
+        out = tmp_path / "phi.json"
+        assert main(["oracle", "--instance", str(instance_file), "--out", str(out)]) == 0
+        inst = load_instance(instance_file)
+        assert len(seen) == 1 and np.array_equal(seen[0], certified_run_phi(inst, 1e-12))
+        residual = float(np.abs(inst.b - real(seen[0], inst)[1]).sum())
+        assert json.loads(out.read_text())["l1_residual"] == repr(residual)
 
     @pytest.mark.parametrize(
         "tol", ["nan", "inf", "0", "-1e-12"], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative"]
@@ -669,7 +673,7 @@ class TestOracle:
         def exhaust(inst, tol):
             raise OracleError("no convergence in 3 iterations")
 
-        monkeypatch.setattr(cli, "oracle_solve", exhaust)
+        monkeypatch.setattr(cli, "_oracle", exhaust)
         assert main(["oracle", "--instance", str(instance_file)]) == 2
         assert "no convergence" in capsys.readouterr().err
 
@@ -797,9 +801,10 @@ class TestFlowCommand:
     @pytest.mark.parametrize(
         "args",
         [["--dt", "-1", "--t-end", "0.5"], ["--dt", "0"], ["--record-every", "0"], ["--t-end", "inf"],
-         ["--r", "nan"], ["--r", "inf"], ["--t-end", "1e308"], ["--dt", "1e-320"]],
+         ["--r", "nan"], ["--r", "inf"], ["--t-end", "1e308"], ["--dt", "1e-320"],
+         ["--t-end", "1e300"], ["--dt", "1e-300"]],
         ids=["dt_negative", "dt_zero", "record_every_zero", "t_end_inf", "r_nan", "r_inf",
-             "record_grid_t_end", "record_grid_dt"],
+             "record_grid_t_end", "record_grid_dt", "record_spacing_t_end", "record_spacing_dt"],
     )
     def test_bad_step_arguments_are_input_errors(self, tmp_path, capsys, args):
         summary = tmp_path / "s.json"

@@ -193,11 +193,14 @@ def test_plus_transform_runs_only_where_no_cache_is_at_hand():
     assert readers == {"semidual.semidual_value", "semidual.coupling", "verify.check_thm_ksga_rate"}, sorted(readers)
 
 
-def test_the_rounded_plan_certifies_only_the_oracle():
-    # the primal value of the rounded plan is the oracle's certificate; a
+def test_the_certificate_is_read_only_by_the_oracle():
+    # one exact pass gives the oracle's J, residual and rounded-plan bound; a
     # second reader (a summary's gap bound, a check command) names itself here
-    readers = set().union(*(_readers(p, "_rounded_primal") for p in (REPO / "src" / "otmatch").glob("*.py")))
-    assert readers == {"solvers.oracle_solve"}, sorted(readers)
+    sources = list((REPO / "src" / "otmatch").glob("*.py"))
+    readers = set().union(*(_readers(p, "_certificate") for p in sources))
+    assert readers == {"solvers._oracle"}, sorted(readers)
+    readers = set().union(*(_readers(p, "_oracle") for p in sources))
+    assert readers == {"solvers.oracle_solve", "cli.cmd_oracle"}, sorted(readers)
 
 
 def test_couplings_are_materialized_only_where_a_matrix_is_read():

@@ -197,9 +197,10 @@ class TestFlowRun:
         [
             {"dt": -1.0}, {"dt": 0.0}, {"dt": np.nan}, {"dt": np.inf},
             {"record_every": 0}, {"t_end": np.inf}, {"t0": np.nan}, {"t0": -np.inf}, {"t_end": 1e308},
+            {"dt": 1e-300}, {"t_end": 1e300},
         ],
         ids=["dt_negative", "dt_zero", "dt_nan", "dt_inf", "record_every_zero", "t_end_inf", "t0_nan", "t0_minus_inf",
-             "record_grid_t_end"],
+             "record_grid_t_end", "record_spacing_dt", "record_spacing_t_end"],
     )
     def test_rejects_bad_step_arguments(self, inst, kwargs):
         args = {"r": 2.0, "t0": 0.1, "t_end": 1.0, "dt": 1e-3, **kwargs}

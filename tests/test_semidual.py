@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from otmatch.bridge import bridge_from_potential, make_demo_instance
 from otmatch.kernels import KernelSpec, gram
 from otmatch.logops import kl, logsumexp
-from otmatch.measures import ROW_BLOCK_BYTES, DiscreteMeasure, Instance, _block_rows, _row_blocks, cost_matrix
+from otmatch.measures import ROW_BLOCK_BYTES, SLICE_BYTES, DiscreteMeasure, Instance, _block_rows, _row_blocks, cost_matrix
 from otmatch import semidual
 from otmatch.mirrorflow import flow_run
 from otmatch.semidual import (
@@ -264,9 +264,9 @@ class TestAllocation:
         assert peak <= 1.1 * n * n * 8
 
     def test_oracle_holds_one_array_at_peak(self, parts):
-        # run's cache holds E; the certificate then makes the rounded plan's
-        # marginal_y pass, after the cache is freed, and rounds the plan in
-        # row blocks of KL_BLOCK_BYTES
+        # run's cache holds E; the certificate then makes its one exact pass,
+        # after the cache is freed, and rounds the plan in row blocks of
+        # SLICE_BYTES
         mu, nu, cost = parts
         inst = Instance(mu=mu, nu=nu, cost=cost, epsilon=0.5)
         _, peak = _traced_bytes(lambda: oracle_solve(inst))
@@ -512,8 +512,42 @@ class TestNamedCostTwin:
         caches = [InducedCache(inst) for inst in (named, explicit)]
         for step in steps:
             assert_same_bits(*(cache(step) for cache in caches))
-        for fn in (semidual._rounded_primal, lambda _, inst: lambda_bound(inst, 1.5), lambda _, inst: default_bound(inst)):
+        for fn in (semidual._certificate, lambda _, inst: lambda_bound(inst, 1.5), lambda _, inst: default_bound(inst)):
             assert fn(phi, named) == fn(phi, explicit)
+
+
+def rounded_primal(phi, inst):
+    """The rounded plan's primal value formed apart from the certificate: its own marginal_y pass, 32 KiB row blocks."""
+    cols = marginal_y(phi, inst)
+    y, c = inst.b / np.maximum(cols, inst.b), np.maximum(inst.b - cols, 0.0)
+    c /= c.sum() or 1.0
+    total = 0.0
+    for rows in _row_blocks(inst.n, inst.m, 32 * 1024):
+        w = (inst.log_b + phi) - cost_of(inst)[rows] / inst.epsilon
+        pi = np.exp(w - w.max(axis=1, keepdims=True))
+        pi *= (inst.a[rows] / pi.sum(axis=1))[:, None]
+        pi *= y
+        pi += np.maximum(inst.a[rows] - pi.sum(axis=1), 0.0)[:, None] * c
+        log_ref = w - phi + inst.log_a[rows, None]
+        total += kl(np.log(pi, out=np.full_like(pi, -np.inf), where=pi > 0.0), log_ref, pi)
+    return total
+
+
+class TestCertificate:
+    # one exact pass gives J, the residual and the rounded plan's value, each
+    # with the bits of the separate evaluation it replaces, on one row block
+    # of the plan (7 x 9) and on 40 (200 x 700)
+    @pytest.mark.parametrize("n,m", [(7, 9), (200, 700)], ids=["one_block", "forty_blocks"])
+    @pytest.mark.parametrize("cost", ["named", "explicit"])
+    def test_matches_the_separate_evaluations(self, cost, n, m):
+        named, explicit, rng = named_twins("half_sqeuclidean", 2, n, m)
+        inst = explicit if cost == "explicit" else named
+        assert len(_row_blocks(n, m, SLICE_BYTES)) == (1 if n == 7 else 40)
+        phi = rng.normal(0, 1, m)
+        j, residual, primal = semidual._certificate(phi, inst)
+        assert repr(j) == repr(semidual_value(phi, inst))
+        assert repr(residual) == repr(float(np.abs(inst.b - marginal_y(phi, inst)).sum()))
+        assert repr(primal) == repr(rounded_primal(phi, inst))
 
 
 class TestOverflowScopes:
@@ -755,7 +789,7 @@ class TestClosedForms:
         pi = rounded_plan(phi, inst)
         np.testing.assert_allclose(pi.sum(axis=1), inst.a, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(pi.sum(axis=0), inst.b, rtol=0.0, atol=1e-15)
-        value = semidual._rounded_primal(phi, inst)
+        value = semidual._certificate(phi, inst)[2]
         with np.errstate(divide="ignore"):
             materialized = primal_value(Coupling(log_masses=np.log(pi)), inst) - log_normalizer(inst)
         assert abs(materialized - value) <= 1e-12 * max(1.0, abs(value))
@@ -773,7 +807,7 @@ class TestClosedForms:
         inst = extreme_instance(rng, n, m, epsilon)
         phi, psi = rng.normal(0, 3, m), rng.normal(0, 3, m)
         j = semidual_value(psi, inst)
-        assert semidual._rounded_primal(phi, inst) >= j - 1e-12 * max(1.0, abs(j))
+        assert semidual._certificate(phi, inst)[2] >= j - 1e-12 * max(1.0, abs(j))
 
 
 def primal_value(pi, inst):

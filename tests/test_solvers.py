@@ -9,9 +9,9 @@ import pytest
 from otmatch import semidual, solvers
 from otmatch.bridge import make_demo_instance
 from otmatch.logops import kl, logsumexp
-from otmatch.measures import DiscreteMeasure, Instance, _block_rows
+from otmatch.measures import SLICE_BYTES, DiscreteMeasure, Instance, _block_rows
 from otmatch.kernels import Gram, KernelSpec, gram
-from otmatch.semidual import KL_BLOCK_BYTES, coupling, first_variation, marginal_y, semidual_value
+from otmatch.semidual import coupling, first_variation, marginal_y, semidual_value
 from otmatch.solvers import (
     METHODS,
     TRACE_COLUMNS,
@@ -598,7 +598,7 @@ class TestKlBlock:
         # at m = 256 a block holds 16 rows; the run converges after 123 records
         # (every = 1) or 19 (every = 7), so it fills a block and stops inside the next
         inst = random_instance(np.random.default_rng(0), 16, 256, 0.02)
-        rows = _block_rows(inst.m, KL_BLOCK_BYTES)
+        rows = _block_rows(inst.m, SLICE_BYTES)
         marginals = spy_marginals(monkeypatch)
         res = run(inst, SolverConfig("sinkhorn", max_iter=1000, tol_l1=1e-9, record_every=every))
         assert res.converged and len(res.trace.records) > rows
@@ -744,7 +744,7 @@ class TestOracle:
         phi = oracle_solve(inst)
         j = semidual_value(phi, inst)  # |J| is about 0.44 / eps
         assert np.array_equal(phi, certified_run_phi(inst, 1e-12))
-        assert semidual._rounded_primal(phi, inst) - j <= 1e-11 * abs(j)
+        assert semidual._certificate(phi, inst)[2] - j <= 1e-11 * abs(j)
 
     @pytest.mark.parametrize(
         "far, bound", [(1e300, r"inf"), (1e-7, r"[3-4]\.\d+e-10")], ids=["infinite", "finite"]
@@ -766,6 +766,6 @@ class TestOracle:
 
     def test_a_bound_above_the_gate_is_reported(self, monkeypatch):
         # the single cell has residual exactly 0 and J = 0 at cost 0, so the gate is 10 * tol
-        monkeypatch.setattr(solvers, "_rounded_primal", lambda phi, inst: 1.0)
+        monkeypatch.setattr(solvers, "_certificate", lambda phi, inst: (0.0, 0.0, 1.0))
         with pytest.raises(OracleError, match=r"^duality bound 1\.0 above the gate 1e-11$"):
             oracle_solve(single_cell_instance(cost=0.0))
